@@ -12,8 +12,9 @@ Besides the pytest-benchmark tests, the module doubles as a script::
 
 which times the fast and naive engines over a fixed slice of the TPC-H
 Q5 join-order sweep, runs the synthetic large-DAG scaling sweep of the
-sharded search (serial fast baseline vs ``sharded_search`` at
-``--parallelism`` workers, bit-identity checked on every point), and
+sharded search (the public ``find_best_ft_plan(..., parallelism=1)`` as
+the serial baseline vs ``sharded_search`` at ``--parallelism`` workers,
+bit-identity checked on every point), and
 writes ``BENCH_optimizer.json`` at the repository root.  ``--quick``
 shrinks the scaling ladder for CI.  See ``docs/perf.md`` for how to
 read it.
@@ -29,7 +30,6 @@ import pytest
 
 from repro.core.cost_model import ClusterStats
 from repro.core.enumeration import (
-    _find_best_fast,
     _find_best_naive,
     estimate_plan_cost,
     find_best_ft_plan,
@@ -323,7 +323,7 @@ def run_scaling_sweep(
     repeats: int = 2,
     naive_max_size: int = 20,
 ):
-    """Serial fast engine vs the sharded search on synthetic DAGs.
+    """Serial (``parallelism=1``) vs pooled sharded search on synthetic DAGs.
 
     Each point scans the same capped Gray subspace (``config_limit``
     configurations) of one seeded synthetic plan under a rare-failure
@@ -340,8 +340,9 @@ def run_scaling_sweep(
         base = sum(op.runtime_cost for op in plan.operators.values())
         stats = ClusterStats(mtbf=base * 20.0, mttr=base * 0.1,
                              const_pipe=0.9)
-        serial_s, serial = _best_of(repeats, lambda: _find_best_fast(
-            [plan], stats, pruning, False, config_limit=config_limit))
+        serial_s, serial = _best_of(repeats, lambda: find_best_ft_plan(
+            [plan], stats, pruning=pruning, parallelism=1,
+            config_limit=config_limit, preflight_lint=False))
         sharded_s, (sharded_key, sharded_stats) = _best_of(
             repeats, lambda: sharded_search(
                 [plan], stats, pruning, parallelism=parallelism,

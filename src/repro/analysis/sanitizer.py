@@ -291,7 +291,7 @@ def replay_sharded_search(
     fingerprints the winning ``(cost, plan, mask)`` key per plan set,
     plus the deterministic counters
     (:meth:`~repro.obs.recorder.Recorder.deterministic_counters`), which
-    exclude the scheduling-dependent bound/prefilter tallies by design.
+    exclude the scheduling-dependent bound tallies by design.
     """
     from .. import obs
     from ..core.pruning import PruningConfig

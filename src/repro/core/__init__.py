@@ -30,11 +30,8 @@ from .cost_model import (
     failure_probability,
     operator_breakdown,
     operator_runtime,
-    operator_runtime_batch,
     path_cost,
-    path_cost_batch,
     path_cost_failure_free,
-    path_cost_failure_free_batch,
     success_probability,
     wasted_runtime_approx,
     wasted_runtime_exact,
@@ -133,11 +130,8 @@ __all__ = [
     "linear_plan",
     "operator_breakdown",
     "operator_runtime",
-    "operator_runtime_batch",
     "path_cost",
-    "path_cost_batch",
     "path_cost_failure_free",
-    "path_cost_failure_free_batch",
     "path_ids",
     "path_total_costs",
     "scheme_by_name",

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Sequence
 
-import numpy as np
 
 from .failure import effective_mtbf
 
@@ -247,140 +246,6 @@ def path_cost(
 def path_cost_failure_free(operator_costs: Iterable[float]) -> float:
     """``R_Pt = sum t(c)`` -- path runtime ignoring failures (Rule 3)."""
     return sum(operator_costs)
-
-
-def operator_runtime_batch(
-    total_costs: Sequence[float],
-    stats: ClusterStats,
-    exact_waste: bool = False,
-) -> "np.ndarray":
-    """Vectorized :func:`operator_runtime`: ``T(c)`` for many ``t(c)`` at once.
-
-    Semantically equivalent to calling :func:`operator_runtime` per
-    element (same branch structure for the waste approximation, the
-    ``eta >= 1`` infinity guard and the ``a(c) >= 0`` clamp).  NumPy's
-    transcendentals may differ from ``math.exp`` / ``math.log`` /
-    ``math.expm1`` in the last ulp, so results agree with the scalar
-    path to ~1 ulp rather than bit-for-bit; use the scalar function when
-    exact reproducibility against a scalar baseline matters (the fast
-    search engine does, via its memoized scalar cache).
-    """
-    mtbf_cost = stats.mtbf_cost
-    _check_positive_mtbf(mtbf_cost)
-    t = np.asarray(total_costs, dtype=np.float64)
-    if t.size and float(t.min()) < 0:
-        raise ValueError("total_cost must be >= 0")
-    ratio = t / mtbf_cost
-    if exact_waste:
-        small = ratio < 1e-6
-        big = ratio > 700.0
-        mid = ~(small | big)
-        wasted = np.empty_like(t)
-        wasted[small] = t[small] / 2.0 * (1.0 - ratio[small] / 6.0)
-        wasted[big] = mtbf_cost
-        wasted[mid] = mtbf_cost - t[mid] / np.expm1(ratio[mid])
-    else:
-        wasted = t / 2.0
-    eta = -np.expm1(-ratio)
-    extra = np.zeros_like(t)
-    unreachable = eta >= 1.0
-    finite = (eta > 0.0) & ~unreachable
-    log_fail = math.log(1.0 - stats.success_percentile)
-    extra[finite] = np.maximum(log_fail / np.log(eta[finite]) - 1.0, 0.0)
-    extra[unreachable] = np.inf
-    return t + extra * (wasted + stats.mttr_cost)
-
-
-# ----------------------------------------------------------------------
-# certified batch/scalar agreement envelope (the sharded search's
-# prefilter contract; see docs/perf.md and tests/test_shard.py)
-# ----------------------------------------------------------------------
-
-#: certified relative half-width of the batch/scalar agreement, in ulps.
-#: The batch kernel evaluates the same expression tree as the scalar
-#: path; each float64 transcendental agrees with ``math.*`` to ~1 ulp and
-#: the chain is ~10 operations of same-sign terms, so the true relative
-#: error is a few ulps wherever the chain is well-conditioned.  The one
-#: ill-conditioned step is ``log(eta)`` as ``eta -> 1``: its relative
-#: error amplifies by ``1/|ln eta| ~= e^(t/MTBF)``, which is why the
-#: certificate below refuses to vouch past :data:`BATCH_CERTIFIED_MAX_ETA`
-#: (the certification test pins the measured error inside the envelope
-#: with a wide margin across regimes up to that boundary).
-BATCH_ENVELOPE_ULPS = 4096
-BATCH_ENVELOPE = BATCH_ENVELOPE_ULPS * 2.0 ** -52
-
-#: the certificate's validity boundary: for ``eta(c) <= 1 - e^-7``
-#: (``t(c) <= 7 * MTBF_cost``) the ``log(eta)`` amplification factor is
-#: at most ``~e^7 ~= 1100`` ulps, safely inside the 4096-ulp envelope.
-BATCH_CERTIFIED_MAX_RATIO = 7.0
-
-
-def batch_certified_exceeds(
-    batch_runtime: float,
-    incumbent: float,
-    total_cost: float,
-    mtbf_cost: float,
-) -> bool:
-    """Does a batch-computed ``T(c)`` *provably* exceed ``incumbent``?
-
-    Returns ``True`` only when the scalar runtime of the same operator
-    is guaranteed to be strictly greater than ``incumbent``:
-
-    * the batch value must be finite (near the ``eta >= 1`` rounding
-      boundary NumPy and ``math.expm1`` may disagree about infinity, so
-      an infinite batch value certifies nothing),
-    * ``t(c)`` must be inside the conditioning boundary
-      :data:`BATCH_CERTIFIED_MAX_RATIO` where the envelope is proven, and
-    * the batch value must clear ``incumbent`` by the full relative
-      envelope: ``T_b > incumbent * (1 + eps)`` implies
-      ``T_s >= T_b / (1 + eps) > incumbent``.
-
-    A ``False`` answer is always safe -- the caller falls back to the
-    exact scalar score.
-    """
-    return (
-        math.isfinite(batch_runtime)
-        and total_cost <= BATCH_CERTIFIED_MAX_RATIO * mtbf_cost
-        and batch_runtime > incumbent * (1.0 + BATCH_ENVELOPE)
-    )
-
-
-def path_cost_batch(
-    paths: Sequence[Sequence[float]],
-    stats: ClusterStats,
-    exact_waste: bool = False,
-) -> "np.ndarray":
-    """Score many execution paths in one call: ``T_Pt`` per path (Eq. 7).
-
-    ``paths`` is a sequence of ``t(c)`` vectors (ragged lengths are
-    fine); the return value is one total per path, in order.  Rows are
-    zero-padded to a rectangle -- safe because ``T(0) = 0`` contributes
-    nothing to a path sum.  Accuracy caveat as for
-    :func:`operator_runtime_batch`: ~1 ulp vs the scalar
-    :func:`path_cost`.
-    """
-    if not len(paths):
-        return np.zeros(0, dtype=np.float64)
-    rows = [np.asarray(path, dtype=np.float64) for path in paths]
-    width = max((row.size for row in rows), default=0)
-    matrix = np.zeros((len(rows), max(width, 1)), dtype=np.float64)
-    for index, row in enumerate(rows):
-        matrix[index, : row.size] = row
-    runtimes = operator_runtime_batch(
-        matrix.ravel(), stats, exact_waste=exact_waste
-    ).reshape(matrix.shape)
-    return runtimes.sum(axis=1)
-
-
-def path_cost_failure_free_batch(
-    paths: Sequence[Sequence[float]],
-) -> "np.ndarray":
-    """Vectorized :func:`path_cost_failure_free`: ``R_Pt`` per path.
-
-    Sums are plain left folds, so every element is bit-identical to the
-    scalar :func:`path_cost_failure_free` of the same path.
-    """
-    return np.asarray([sum(path) for path in paths], dtype=np.float64)
 
 
 @dataclass(frozen=True)

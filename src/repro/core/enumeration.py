@@ -13,19 +13,21 @@ This module glues the pieces together:
 
 Two engines implement the search:
 
-* ``engine="fast"`` (the default) sweeps configurations through a
-  :class:`~repro.core.search_context.SearchContext`: one validation and
-  one adjacency precomputation per plan, Gray-code stepping with
-  incremental collapse, and dominant-path scoring by dynamic
-  programming.  With ``parallelism > 1`` (or an explicit ``shards``
-  count) the search routes to the sharded subsystem
-  (:mod:`repro.core.shard`): the (join order x Gray-code subspace)
-  space is over-partitioned into shards dispatched on a resilient
-  process-pool work queue with a cross-process shared best-cost bound,
-  so Rule 3 pruning compounds across shards and plans.
+* ``engine="fast"`` (the default) runs the sharded scan
+  (:func:`repro.core.shard.sharded_search`) for every search.  Each
+  plan's (capped) Gray-code configuration space is cut into shards, and
+  each shard is scanned by a
+  :class:`~repro.core.search_context.SearchContext` -- one validation
+  and adjacency precomputation per plan, incremental collapse, windowed
+  dominant-path scoring by dynamic programming -- against a best-cost
+  bound shared across shards and plans, so Rule 3 pruning compounds.
+  ``parallelism=1`` scans the shards in-process, one after another;
+  ``parallelism=N`` dispatches them on a resilient process-pool work
+  queue.  It is one algorithm either way, with no separate serial
+  engine.
 * ``engine="naive"`` is the literal Listing 1 transcription -- a full
   plan rebuild and DAG collapse per configuration.  It is kept as the
-  correctness oracle: all engines return bit-identical results
+  correctness oracle: the engines return bit-identical results
   (``tests/test_property_enumeration.py``, ``tests/test_shard.py``),
   the naive engine is just slower (see ``benchmarks/bench_optimizer.py``
   and ``docs/perf.md``).
@@ -44,10 +46,8 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
-    Dict,
     Iterable,
     Iterator,
-    List,
     Optional,
     Sequence,
     Set,
@@ -67,9 +67,9 @@ from .pruning import (
     apply_rule1,
     apply_rule2,
 )
-from .search_context import SearchContext
 from .shard import (
     ShardOutcome,
+    _BestKey,
     config_space,
     sharded_search,
     subspace_mask,
@@ -77,10 +77,6 @@ from .shard import (
 )
 
 MatConfig = Tuple[Tuple[int, bool], ...]
-
-#: (cost, plan index, config mask) -- lexicographic comparison reproduces
-#: the naive engine's first-wins tie-breaking independent of visit order.
-_BestKey = Tuple[float, int, int]
 
 
 def enumerate_mat_configs(plan: Plan) -> Iterator[MatConfig]:
@@ -218,10 +214,6 @@ def plan_fingerprint(plan: Plan) -> Any:
     return operators, tuple(sorted(plan.edges()))
 
 
-#: backwards-compatible alias (pre-serve callers used the private name)
-_plan_fingerprint = plan_fingerprint
-
-
 def _preflight_once(plan: Plan, stats: ClusterStats) -> None:
     """Run the preflight lint unless this (plan, stats) pair already passed.
 
@@ -229,7 +221,7 @@ def _preflight_once(plan: Plan, stats: ClusterStats) -> None:
     every call.  Capacity-capped: once full the memo resets rather than
     growing without bound (re-linting is cheap relative to the search).
     """
-    key = (_plan_fingerprint(plan), stats)
+    key = (plan_fingerprint(plan), stats)
     if key in _PREFLIGHT_SEEN:
         return
     _load_preflight_check()(plan, stats)
@@ -278,24 +270,22 @@ def find_best_ft_plan(
         pair per process (memoized), so its cost is negligible next to
         the search.
     engine:
-        ``"fast"`` (default) or ``"naive"``.  Both return bit-identical
-        results; the naive engine is the literal per-config
-        rebuild-and-collapse transcription kept as the correctness
-        oracle.
+        ``"fast"`` (default) or ``"naive"``.  ``"fast"`` always runs the
+        sharded scan (:func:`repro.core.shard.sharded_search`), whatever
+        ``parallelism`` and ``shards`` are; the naive engine is the
+        literal per-config rebuild-and-collapse transcription kept as the
+        correctness oracle.  Both return bit-identical results.
     parallelism:
-        Scan the search space with ``N`` worker processes
-        (``engine="fast"`` only) via the sharded subsystem
-        (:func:`repro.core.shard.sharded_search`).  Workers exchange
-        the best dominant cost through a shared bound cell, so Rule 3
-        keeps compounding across shards and plans; the deterministic
-        reduce makes results identical to the serial search.
+        Scan the shards with ``N`` worker processes (``engine="fast"``
+        only).  Workers exchange the best dominant cost through a shared
+        bound cell, so Rule 3 keeps compounding across shards and plans;
+        the deterministic reduce makes results identical to
+        ``parallelism=1``, which scans the same shards in-process.
     shards:
         Partition the (plan x config subspace) space into this many
-        shards (default ``4 * parallelism``); more shards than workers
-        gives work-queue stealing its granularity.  ``shards > 1`` with
-        ``parallelism=1`` scans the same shards in-process -- useful for
-        determinism replays -- and still uses the tuned
-        :class:`~repro.core.shard.ShardKernel`.
+        shards (``None``: ``4 * parallelism``); more shards than workers
+        gives work-queue stealing its granularity.  The shard count never
+        changes the result, only how the work is cut.
     config_limit:
         Search only the first ``config_limit`` configurations of each
         plan's Gray sequence (the same subspace in every engine).  Makes
@@ -303,11 +293,10 @@ def find_best_ft_plan(
         default) searches the full ``2^n`` space.
     shard_observer:
         Callback receiving the ordered
-        :class:`~repro.core.shard.ShardOutcome` list after a sharded
+        :class:`~repro.core.shard.ShardOutcome` list after the sharded
         scan's reduce (the :class:`~repro.core.shard.ShardSizer`
-        feedback hook).  Only fires when the search actually routes to
-        the sharded subsystem (``parallelism > 1`` or ``shards > 1``);
-        it runs after the result is final and cannot affect it.
+        feedback hook).  Fires on every ``engine="fast"`` search; it
+        runs after the result is final and cannot affect it.
 
     Raises
     ------
@@ -343,7 +332,7 @@ def find_best_ft_plan(
             result = _find_best_naive(
                 plan_list, stats, pruning, exact_waste, config_limit
             )
-        elif parallelism > 1 or (shards is not None and shards > 1):
+        else:
             best_key, pruning_stats = sharded_search(
                 plan_list, stats, pruning, exact_waste=exact_waste,
                 parallelism=parallelism, shards=shards,
@@ -353,10 +342,6 @@ def find_best_ft_plan(
             result = _rebuild_result(
                 plan_list, best_key, stats, pruning, exact_waste,
                 pruning_stats,
-            )
-        else:
-            result = _find_best_fast(
-                plan_list, stats, pruning, exact_waste, config_limit
             )
         _record_search_counters(result.pruning)
     return result
@@ -525,104 +510,8 @@ def _score_with_rule3(
 
 
 # ----------------------------------------------------------------------
-# the fast engine: search contexts, Gray-code stepping, optional fan-out
+# the fast engine's result: re-score the winning key once
 # ----------------------------------------------------------------------
-class _SharedBest:
-    """Best dominant cost so far, optionally shared across processes.
-
-    Wraps a local :class:`DominantPathMemo` whose ``best_cost`` is the
-    Rule 3 bound; in parallel mode a ``multiprocessing.Value`` cell
-    carries the bound between workers, folded into the memo via
-    :meth:`DominantPathMemo.observe_external_best` on every read.
-    """
-
-    def __init__(self, cell: Optional[Any] = None) -> None:
-        self.memo = DominantPathMemo()
-        self._cell = cell
-
-    def get(self) -> float:
-        if self._cell is not None:
-            with self._cell.get_lock():
-                external = self._cell.value
-            self.memo.observe_external_best(external)
-        return self.memo.best_cost
-
-    def update(self, cost: float) -> None:
-        if cost < self.memo.best_cost:
-            self.memo.observe_external_best(cost)
-            if self._cell is not None:
-                with self._cell.get_lock():
-                    if cost < self._cell.value:
-                        self._cell.value = cost
-
-
-def _fast_scan_plan(
-    plan: Plan,
-    plan_index: int,
-    stats: ClusterStats,
-    pruning: PruningConfig,
-    exact_waste: bool,
-    pruning_stats: PruningStats,
-    shared: _SharedBest,
-    config_limit: Optional[int] = None,
-) -> Optional[_BestKey]:
-    """Sweep one plan's configurations; return its best key (or ``None``).
-
-    Rule 3's cheap bound here is the failure-free dominant runtime
-    ``R_max`` versus the best dominant cost ``bestT``: ``R_max > bestT``
-    proves the configuration cannot win (``T >= R`` per path).  On an
-    exact tie the configuration is still scored, so the
-    ``(cost, plan, mask)`` tie-break matches the naive engine's
-    first-wins behaviour bit for bit.  ``R_max`` and ``T_max`` come from
-    the fused :meth:`SearchContext.dominant_scores` pass -- one DP
-    traversal per configuration instead of two.
-    """
-    recorder = obs.get_recorder()
-    with obs.span("search.plan", plan=plan_index, engine="fast"):
-        pruning_stats.configs_total += config_space(plan, config_limit)
-        pruned_plan = plan
-        if pruning.rule1:
-            pruned_plan = apply_rule1(
-                pruned_plan, stats.const_pipe, stats_out=pruning_stats
-            )
-        if pruning.rule2:
-            pruned_plan = apply_rule2(
-                pruned_plan, stats, stats_out=pruning_stats
-            )
-
-        context = SearchContext(pruned_plan, stats,
-                                exact_waste=exact_waste)
-        count, shift, pinned = subspace_params(
-            len(context.free_ids), config_limit
-        )
-        best: Optional[_BestKey] = None
-        for position in range(count):
-            # consecutive positions differ in one window bit, so this is
-            # the same single-flip stepping as iter_masks(order="gray")
-            mask = subspace_mask(position, shift, pinned)
-            context.set_mask(mask)
-            pruning_stats.configs_enumerated += 1
-            if pruning.rule3:
-                bound = shared.get()
-                r_max, total = context.dominant_scores()
-                if r_max >= bound:
-                    pruning_stats.rule3_plan_cutoffs += 1
-                    if r_max > bound:
-                        continue
-            else:
-                total = context.dominant_cost()
-            pruning_stats.paths_estimated += 1
-            key = (total, plan_index, mask)
-            if best is None or key < best:
-                best = key
-            shared.update(total)
-        if recorder is not None:
-            # fold the context's tallies in once per plan, not per config
-            for name, value in context.counters().items():
-                recorder.add(name, value)
-    return best
-
-
 def _rebuild_result(
     plan_list: Sequence[Plan],
     best_key: _BestKey,
@@ -653,33 +542,4 @@ def _rebuild_result(
         cost=estimate.cost,
         estimate=estimate,
         pruning=pruning_stats,
-    )
-
-
-def _find_best_fast(
-    plan_list: Sequence[Plan],
-    stats: ClusterStats,
-    pruning: PruningConfig,
-    exact_waste: bool,
-    config_limit: Optional[int] = None,
-) -> SearchResult:
-    """The serial fast engine: one :class:`SearchContext` sweep per plan.
-
-    Parallel and sharded scans live in :mod:`repro.core.shard` (routed by
-    :func:`find_best_ft_plan`); this path remains the simple, auditable
-    reference the sharded kernel is certified against.
-    """
-    pruning_stats = PruningStats()
-    best_key: Optional[_BestKey] = None
-    shared = _SharedBest()
-    for plan_index, plan in enumerate(plan_list):
-        local = _fast_scan_plan(
-            plan, plan_index, stats, pruning, exact_waste,
-            pruning_stats, shared, config_limit,
-        )
-        if local is not None and (best_key is None or local < best_key):
-            best_key = local
-    assert best_key is not None
-    return _rebuild_result(
-        plan_list, best_key, stats, pruning, exact_waste, pruning_stats
     )

@@ -252,17 +252,6 @@ class DominantPathMemo:
         if current is None or _vector_leq(ordered, current):
             self._by_length[key] = ordered
 
-    def observe_external_best(self, total_cost: float) -> None:
-        """Fold in a best dominant cost discovered elsewhere.
-
-        Used by the parallel search to exchange ``bestT`` between worker
-        processes: only the scalar bound travels, the per-length path
-        vectors stay local to each worker's memo.
-        """
-        if total_cost < self.best_cost:
-            self.best_cost = total_cost
-            self.improvements += 1
-
     def dominates(self, path_costs: Sequence[float]) -> bool:
         """Equation 9: is some memoized path pairwise <= this path?
 

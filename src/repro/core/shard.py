@@ -1,28 +1,28 @@
-"""Sharded large-DAG search: work-stealing enumeration with a shared bound.
+"""Sharded search: the one scan every ``engine="fast"`` search runs.
 
-The serial fast engine (:mod:`repro.core.search_context`) makes a single
-pass over a plan's ``2^n`` Gray-coded configurations.  That is the right
-shape for the paper's hand-sized queries (n <= 5) but not for production
-DAGs with 20-100 free operators, where the scan must be *partitioned*:
-this module chops the (join order x Gray-code config subspace) space into
-many more shards than workers and dispatches them over a
-:class:`concurrent.futures.ProcessPoolExecutor` work queue, so a slow
-shard never idles the other workers (work stealing by over-partitioning).
+:func:`find_best_ft_plan` routes every fast search here, serial or
+parallel.  This module chops the (join order x Gray-code config
+subspace) space into shards: with ``parallelism=1`` they are scanned
+in-process, one after another; otherwise there are many more shards
+than workers, dispatched over a
+:class:`concurrent.futures.ProcessPoolExecutor` work queue so a slow
+shard never idles the other workers (work stealing by
+over-partitioning).  One algorithm runs per partition either way.
 
-Three mechanisms make the sharded scan fast and still *bit-identical* to
-the serial fast engine and the naive oracle:
+Two mechanisms make the scan fast and still *bit-identical* to the
+naive oracle:
 
-* **Shard kernel.**  :class:`ShardKernel` subclasses
-  :class:`~repro.core.search_context.SearchContext` and replaces its
-  per-flip group-membership BFS (68 % of serial scan time on n=60
-  plans) with an ancestor-flag-mask cache, delta membership updates and
-  incremental collapsed-order maintenance.  Every number it produces
-  comes from the exact same float operations as the base class -- the
+* **The search kernel.**  Each shard is scanned by a
+  :class:`~repro.core.search_context.SearchContext` positioned on the
+  plan's windowed subspace: it freezes the static-region DP once and
+  scores every configuration of the window as a pure function of its
+  mask, with exactly the float operations of the naive pipeline -- the
   property suite (``tests/test_shard.py``) pins exact ``==`` equality
-  against both reference engines.
+  against the naive oracle.
 
-* **Shared best-cost bound.**  A ``multiprocessing.Value`` double
-  carries the best dominant cost between workers; each shard folds it
+* **Shared best-cost bound.**  A :class:`BoundChannel` carries the best
+  dominant cost across shards and plans -- through a
+  ``multiprocessing.Value`` double between workers; each shard folds it
   in at shard start and every :data:`BOUND_STRIDE` configurations, so
   late shards inherit early shards' Rule-3 cutoffs instead of
   rediscovering them.  Skips test ``R_max > bound`` *strictly* (ties
@@ -30,59 +30,43 @@ the serial fast engine and the naive oracle:
   never a result: any skipped configuration is provably worse than the
   final winner, and the reduce below never sees it.
 
-* **Certified batch prefilter.**  ``T(c)`` is monotone in ``t(c)`` and
-  every collapsed group lies on some source-to-sink path, so
-  ``T(max_c t(c))`` lower-bounds the dominant cost.  The kernel batches
-  distinct ``max t(c)`` values through the NumPy
-  :func:`~repro.core.cost_model.operator_runtime_batch` kernel and skips
-  the exact scoring DP whenever the batch bound *provably* exceeds the
-  incumbent under the proven tolerance envelope
-  (:func:`~repro.core.cost_model.batch_certified_exceeds`); candidates
-  inside the envelope fall through to the exact scalar re-score.
-
-Determinism: each worker returns its shard's best ``(cost, plan, mask)``
-key, and the final reduce takes the lexicographic minimum -- the same
-total order the serial engines' first-wins tie-breaking induces -- so the
-result is independent of shard completion order, worker count and bound
-propagation timing.  ``python -m repro sanitize`` replays a sharded
-search at ``shards=1`` vs ``shards=N`` and diffs result fingerprints
+Determinism: each shard returns its best ``(cost, plan, mask)`` key,
+and the final reduce takes the lexicographic minimum -- the same total
+order the naive engine's first-wins tie-breaking induces -- so the
+result is independent of shard boundaries, completion order, worker
+count and bound propagation timing.  ``python -m repro sanitize``
+replays a sharded search at ``shards=1`` vs ``shards=N`` and diffs
+result fingerprints
 (:func:`repro.analysis.sanitizer.replay_sharded_search`).
 
-Resilience mirrors the campaign engine (PR 5): failed futures stay
-pending, each retry round gets a fresh pool with exponential backoff,
-and whatever remains after the retry budget runs serially in-process
-(which cannot crash), reading the shared cell so it still benefits from
-every bound the dead workers published.
+Resilience mirrors the campaign engine: failed futures stay pending,
+each retry round gets a fresh pool with exponential backoff, and
+whatever remains after the retry budget runs serially in-process (which
+cannot crash), reading the shared cell so it still benefits from every
+bound the dead workers published.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left, insort
-from dataclasses import dataclass
-from typing import (
-    Any, Callable, Dict, List, Optional, Sequence, Set, Tuple,
-)
+from dataclasses import dataclass, replace
+from itertools import groupby
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..chaos.policy import FaultPolicy
-from . import cost_model
-from .collapse import CollapsedOperator
 from .cost_model import ClusterStats
 from .plan import Plan
 from .pruning import PruningConfig, PruningStats, apply_rule1, apply_rule2
 from .search_context import SearchContext
 
 #: (cost, plan index, config mask) -- lexicographic minimum reproduces the
-#: serial engines' first-wins tie ordering (mirrors ``enumeration._BestKey``)
+#: naive engine's first-wins tie ordering
 _BestKey = Tuple[float, int, int]
 
 #: configurations between shared-cell reads inside a shard scan
 BOUND_STRIDE = 64
-
-#: pending distinct ``max t(c)`` values per batch cost-model flush
-BATCH_FLUSH = 64
 
 #: default over-partitioning factor: shards per requested worker
 SHARDS_PER_WORKER = 4
@@ -136,634 +120,6 @@ def subspace_mask(position: int, shift: int, pinned: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# the shard kernel: a SearchContext with the collapse hot path removed
-# ----------------------------------------------------------------------
-class ShardKernel(SearchContext):
-    """A :class:`SearchContext` tuned for huge Gray-code scans.
-
-    The base class is the simple, auditable reference implementation;
-    this subclass is the performance implementation certified against it
-    (``tests/test_shard.py`` asserts exact equality of every score).  It
-    changes *where numbers come from*, never *which operations compute
-    them*:
-
-    * ``_members_of`` is answered from a per-anchor cache keyed by the
-      flags of the anchor's free strict ancestors (the only flags the
-      member BFS can observe), eliminating the BFS + sort per rebuild;
-    * membership, the collapsed topological order and the inner-anchor
-      set are maintained by deltas instead of rebuilt per flip;
-    * :meth:`cheap_bounds` fuses ``R_max`` with the ``max t(c)`` the
-      batch prefilter needs into the one DP pass Rule 3 already pays
-      for, reproducing ``failure_free_dominant()`` float-for-float;
-    * :meth:`prepare_window` precomputes the scoring DP over the *static*
-      region of a windowed scan -- a windowed Gray sequence only ever
-      flips the ``w`` operators nearest the sink, so every collapsed
-      group outside their descendant cone keeps its members, in-edges
-      and prefix cost for the whole subspace.  :meth:`window_bounds` and
-      :meth:`window_cost` then walk only the volatile anchors (~w of
-      them) instead of the full collapsed DAG, reading frozen prefixes
-      from the static tables.  Per-configuration scoring cost becomes
-      proportional to the window, not the DAG.
-
-    Why the static split is exact: an anchor is *volatile* iff a window
-    bit appears in ``anc_mask[anchor] | ownbit(anchor)``.  Ancestor
-    masks are transitively closed (``anc_mask[a]`` contains the mask of
-    every ancestor), so every producer a static anchor can see --
-    members, group in-edges, DP predecessors -- is itself static, and
-    every reader of a volatile prefix is itself volatile.  The volatile
-    pass therefore performs exactly the float operations of the full DP
-    that differ between configurations, in the same order, on the same
-    values; the property suite pins ``==`` equality per configuration.
-    """
-
-    def __init__(
-        self,
-        plan: Plan,
-        stats: ClusterStats,
-        exact_waste: bool = False,
-    ) -> None:
-        # precompute before super().__init__: the base constructor's
-        # initial rebuild loop already dispatches into our overrides
-        topo = plan.topological_order()
-        free_ids = tuple(plan.free_operators)
-        freebit = {op_id: bit for bit, op_id in enumerate(free_ids)}
-        anc_mask: Dict[int, int] = {}
-        for op_id in topo:
-            mask = 0
-            for producer in plan.producers(op_id):
-                mask |= anc_mask[producer]
-                bit = freebit.get(producer)
-                if bit is not None:
-                    mask |= 1 << bit
-            anc_mask[op_id] = mask
-        #: free strict ancestors of each operator, as a free-id bitmask --
-        #: exactly the flags the member BFS from that operator can read
-        self._anc_mask = anc_mask
-        self._freebit = freebit
-        self._topo_pos = {op_id: pos for pos, op_id in enumerate(topo)}
-        #: anchor -> {masked flag state -> member tuple}
-        self._members_cache: Dict[int, Dict[int, Tuple[int, ...]]] = {}
-        #: anchor -> {masked flag state (incl. own flag) -> full group
-        #: state (group, in-edges, total)} -- int keys hash in O(1),
-        #: unlike the base class's member-tuple keys
-        self._state_cache: Dict[
-            int, Dict[int, Tuple[CollapsedOperator, Tuple[int, ...], float]]
-        ] = {}
-        #: current ``t(c)`` per anchor (plain dict: the scoring loops
-        #: would otherwise pay a property call per anchor per config)
-        self._total: Dict[int, float] = {}
-        self._flag_mask = sum(
-            1 << bit for bit, op_id in enumerate(free_ids)
-            if plan[op_id].materialize
-        )
-        #: collapsed-in-edge reference counts backing ``_collapsed_inner``
-        self._inner_count: Dict[int, int] = {}
-        #: topo positions parallel to ``_collapsed_order`` (bisect keys)
-        self._order_keys: List[int] = []
-        # windowed-scan state (see prepare_window): None means no static
-        # tables are live and the window_* scorers may not be used
-        self._window_mask: Optional[int] = None
-        self._volatile: frozenset = frozenset()
-        self._prefix_ff: Dict[int, float] = {}
-        self._prefix_t: Dict[int, float] = {}
-        self._static_best_ff: Optional[float] = None
-        self._static_best_t: Optional[float] = None
-        self._static_max_total = 0.0
-        # functional window scan: candidate volatile anchors in topo
-        # order as (anchor, presence bit | None, is a collapsed sink,
-        # support tables), plus the per-config scratch buffer the two
-        # scoring passes share.  Support tables cache group states by
-        # the flags the member BFS *actually observed* (expanded members
-        # + materialized boundary + own bit) -- the anchor's full
-        # ancestor mask would make every sink-group state distinct even
-        # when a materialized cut leaves the group unchanged.
-        self._window_candidates: List[
-            Tuple[int, Optional[int], bool, List[
-                Tuple[int, Dict[int, Tuple[float, Tuple[int, ...]]]]
-            ]]
-        ] = []
-        self._window_state_cache: Dict[
-            int, List[Tuple[int, Dict[int, Tuple[float, Tuple[int, ...]]]]]
-        ] = {}
-        self._scratch_entries: List[
-            Tuple[int, float, Tuple[int, ...], bool]
-        ] = []
-        # certified batch prefilter state (see batch_runtime_bound)
-        self._batch_cache: Dict[float, float] = {}
-        self._batch_pending: List[float] = []
-        self._batch_pending_set: Set[float] = set()
-        self.members_cache_hits = 0
-        self.members_cache_misses = 0
-        self.batch_flushes = 0
-        self.window_preps = 0
-        super().__init__(plan, stats, exact_waste=exact_waste)
-
-    # -- collapse fast path --------------------------------------------
-    def _members_of(self, anchor: int) -> Tuple[int, ...]:
-        per_anchor = self._members_cache.get(anchor)
-        if per_anchor is None:
-            per_anchor = self._members_cache[anchor] = {}
-        key = self._flag_mask & self._anc_mask[anchor]
-        members = per_anchor.get(key)
-        if members is None:
-            self.members_cache_misses += 1
-            members = super()._members_of(anchor)
-            per_anchor[key] = members
-        else:
-            self.members_cache_hits += 1
-        return members
-
-    def _flip(self, op_id: int) -> None:
-        bit = self._freebit[op_id]
-        window = self._window_mask
-        if window is not None and not (window >> bit) & 1:
-            # a flip outside the window changes the "static" region: the
-            # precomputed tables are stale, drop them (prepare_window
-            # rebuilds on demand).  Window-bit flips leave them valid --
-            # scans never flip at all (the window scorers are functional
-            # in the mask), only inter-shard repositioning lands here.
-            self._window_mask = None
-            self._volatile = frozenset()
-        # keep the flag mask current *before* the base flip triggers
-        # rebuilds: their members-cache keys must see the new state
-        self._flag_mask ^= 1 << bit
-        super()._flip(op_id)
-
-    def _rebuild_group(self, anchor: int) -> None:
-        old = self._groups.get(anchor)
-        old_in = self._group_in.get(anchor)
-        per_anchor = self._state_cache.get(anchor)
-        if per_anchor is None:
-            per_anchor = self._state_cache[anchor] = {}
-        # the full group state is a function of the anchor's free strict
-        # ancestors' flags plus its own flag (which decides tm): an int
-        # key over exactly those bits replaces the base class's
-        # (anchor, member-tuple, flag) key -- O(1) hash instead of O(|c|)
-        bit = self._freebit.get(anchor)
-        key = self._flag_mask & self._anc_mask[anchor]
-        if bit is not None:
-            key |= self._flag_mask & (1 << bit)
-        cached = per_anchor.get(key)
-        if cached is not None:
-            self.group_cache_hits += 1
-        else:
-            self.group_cache_misses += 1
-            members = self._members_of(anchor)
-            dominant_path, path_runtime = self._dominant_path(members, anchor)
-            pipe = self._const_pipe if len(dominant_path) > 1 else 1.0
-            mat_cost = self._mat[anchor] if self._flags[anchor] else 0.0
-            group = CollapsedOperator(
-                anchor_id=anchor,
-                members=frozenset(members),
-                runtime_cost=path_runtime * pipe,
-                mat_cost=mat_cost,
-                dominant_path=tuple(dominant_path),
-            )
-            member_set = group.members
-            group_in = tuple(sorted(
-                {
-                    producer
-                    for member in members
-                    for producer in self._producers[member]
-                } - member_set
-            ))
-            cached = (group, group_in, group.total_cost)
-            per_anchor[key] = cached
-        group, group_in, total = cached
-        self._groups[anchor] = group
-        self._group_in[anchor] = group_in
-        self._total[anchor] = total
-        # delta maintenance replaces the base class's discard-all/re-add
-        # membership walk and its full order/inner recomputation
-        if old is None:
-            for member in group.members:
-                self._membership[member].add(anchor)
-            position = self._topo_pos[anchor]
-            insort(self._order_keys, position)
-            self._collapsed_order.insert(
-                bisect_left(self._order_keys, position), anchor
-            )
-        elif (
-            old.members is not group.members
-            and old.members != group.members
-        ):
-            for member in old.members - group.members:
-                self._membership[member].discard(anchor)
-            for member in group.members - old.members:
-                self._membership[member].add(anchor)
-        if old_in != group_in:
-            self._retire_inner(old_in)
-            counts = self._inner_count
-            inner = self._collapsed_inner
-            for producer in group_in:
-                count = counts.get(producer, 0)
-                counts[producer] = count + 1
-                if not count:
-                    inner.add(producer)
-
-    def _dominant_path(
-        self, members: Tuple[int, ...], anchor: int
-    ) -> Tuple[List[int], float]:
-        """Base DP restricted to the members (it scans the full topo list).
-
-        The base class iterates every plan operator and skips
-        non-members; for a windowed scan that is O(plan) per cache miss
-        on groups of a handful of operators.  Iterating the members
-        sorted by topological position visits exactly the same operators
-        in exactly the same order, so every ``max``/add matches the base
-        implementation bit-for-bit.
-        """
-        if len(members) == 1:
-            # singleton group: the DP reduces to 0.0 + runtime(anchor)
-            return [anchor], 0.0 + self._runtime[anchor]
-        member_set = set(members)
-        producers = self._producers
-        runtime = self._runtime
-        best_cost: Dict[int, float] = {}
-        best_pred: Dict[int, int] = {}
-        for op_id in sorted(members, key=self._topo_pos.__getitem__):
-            internal = [p for p in producers[op_id] if p in member_set]
-            incoming = max(
-                (best_cost[p] for p in internal), default=0.0
-            )
-            best_cost[op_id] = incoming + runtime[op_id]
-            if internal:
-                best_pred[op_id] = max(
-                    internal, key=lambda p: (best_cost[p], p)
-                )
-        path = [anchor]
-        while path[-1] in best_pred:
-            path.append(best_pred[path[-1]])
-        path.reverse()
-        return path, best_cost[anchor]
-
-    def _drop_group(self, anchor: int) -> None:
-        old = self._groups.pop(anchor)
-        for member in old.members:
-            self._membership[member].discard(anchor)
-        old_in = self._group_in.pop(anchor)
-        del self._total[anchor]
-        position = self._topo_pos[anchor]
-        index = bisect_left(self._order_keys, position)
-        del self._order_keys[index]
-        del self._collapsed_order[index]
-        self._retire_inner(old_in)
-
-    def _retire_inner(self, old_in: Optional[Tuple[int, ...]]) -> None:
-        if not old_in:
-            return
-        counts = self._inner_count
-        for producer in old_in:
-            count = counts[producer] - 1
-            if count:
-                counts[producer] = count
-            else:
-                del counts[producer]
-                self._collapsed_inner.discard(producer)
-
-    def _refresh_order(self) -> None:
-        # order and inner set are maintained incrementally above; the
-        # plan-topo-position invariant the base class relies on (an
-        # anchor's position never changes) makes bisect insertion exact
-        self._order_dirty = False
-
-    # -- scoring fast path ---------------------------------------------
-    def cheap_bounds(self) -> Tuple[float, float]:
-        """``(R_max, max t(c))`` in one pass over the collapsed DAG.
-
-        ``R_max`` replays :meth:`failure_free_dominant` float-for-float
-        (same traversal order, same ``max``/add sequence); ``max t(c)``
-        feeds :meth:`batch_runtime_bound`.
-        """
-        groups = self._groups
-        group_in = self._group_in
-        prefix: Dict[int, float] = {}
-        inner = self._collapsed_inner
-        best: Optional[float] = None
-        max_total = 0.0
-        for anchor in self._collapsed_order:
-            value = total = groups[anchor].total_cost
-            if total > max_total:
-                max_total = total
-            incoming = group_in[anchor]
-            if incoming:
-                value = max(prefix[p] for p in incoming) + value
-            prefix[anchor] = value
-            if anchor not in inner:  # a collapsed sink ends a path
-                if best is None or value > best:
-                    best = value
-        assert best is not None  # a valid plan always has >= 1 path
-        return best, max_total
-
-    # -- windowed scoring: static-region DP tables -----------------------
-    def prepare_window(self, window_mask: int) -> None:
-        """Freeze the static-region DP for a windowed Gray scan.
-
-        ``window_mask`` is the free-id bitmask of the operators the scan
-        will flip (``all_bits ^ pinned`` of the subspace).  Everything an
-        anchor computes -- members, in-edges, group cost, DP prefix --
-        depends only on the flags of its free strict ancestors, so any
-        anchor with no window bit in ``anc_mask | ownbit`` is *static*
-        for the whole subspace.  This pass walks the collapsed DAG once,
-        storing every static anchor's failure-free and failure-aware
-        prefix (computed with exactly the float operations of
-        :meth:`cheap_bounds` / :meth:`dominant_cost`), the best over
-        static collapsed sinks, and the static ``max t(c)``; the
-        per-configuration scorers then only walk the volatile anchors.
-
-        Must be called with the kernel already positioned on a mask of
-        the subspace (pinned bits set).  Idempotent while the window is
-        unchanged; any flip outside the window invalidates the tables
-        and the next call rebuilds them.
-        """
-        if self._window_mask == window_mask:
-            return
-        self.window_preps += 1
-        anc_mask = self._anc_mask
-        freebit = self._freebit
-        volatile = set()
-        for op_id in self._topo:
-            bit = freebit.get(op_id)
-            own = 0 if bit is None else 1 << bit
-            if (anc_mask[op_id] | own) & window_mask:
-                volatile.add(op_id)
-        self._volatile = frozenset(volatile)
-        # candidate volatile anchors for the functional scorers: every
-        # volatile operator that can anchor a group in *some* subspace
-        # configuration.  Free non-sink operators anchor exactly when
-        # their bit is set (pinned volatile bits are always set); bound
-        # operators' flags never change, so they either always or never
-        # anchor; sinks always anchor.  Collapsed-sink-ness is
-        # configuration-independent: an anchor with any plan consumer is
-        # consumed by whichever group holds that consumer (the anchor is
-        # never a member of it), so ``anchor in self._sinks`` decides it.
-        candidates: List[
-            Tuple[int, Optional[int], bool, List[
-                Tuple[int, Dict[int, Tuple[float, Tuple[int, ...]]]]
-            ]]
-        ] = []
-        for op_id in self._topo:
-            if op_id not in volatile:
-                continue
-            bit = freebit.get(op_id)
-            is_sink = op_id in self._sinks
-            if bit is None or is_sink:
-                if not (is_sink or self._flags[op_id]):
-                    continue  # bound, unmaterialized, no consumers feed it
-                presence: Optional[int] = None
-            else:
-                presence = bit
-            tables = self._window_state_cache.get(op_id)
-            if tables is None:
-                tables = self._window_state_cache[op_id] = []
-            candidates.append((op_id, presence, is_sink, tables))
-        self._window_candidates = candidates
-        totals = self._total
-        group_in = self._group_in
-        cache = self._runtime_cache
-        inner = self._collapsed_inner
-        ff_prefix: Dict[int, float] = {}
-        t_prefix: Dict[int, float] = {}
-        best_ff: Optional[float] = None
-        best_t: Optional[float] = None
-        max_total = 0.0
-        for anchor in self._collapsed_order:
-            if anchor in volatile:
-                continue
-            total = totals[anchor]
-            cached = cache.get(total)
-            if cached is None:
-                cached = cost_model.operator_runtime(
-                    total, self.stats, exact_waste=self.exact_waste
-                )
-                cache[total] = cached
-                self.runtime_cache_misses += 1
-            if total > max_total:
-                max_total = total
-            ff_value = total
-            t_value = cached
-            incoming = group_in[anchor]
-            if incoming:
-                # a static anchor's producers are all static (ancestor
-                # masks are transitively closed), so both prefixes exist
-                ff_value = max(ff_prefix[p] for p in incoming) + ff_value
-                t_value = max(t_prefix[p] for p in incoming) + t_value
-            ff_prefix[anchor] = ff_value
-            t_prefix[anchor] = t_value
-            if anchor not in inner:  # a static collapsed sink
-                if best_ff is None or ff_value > best_ff:
-                    best_ff = ff_value
-                if best_t is None or t_value > best_t:
-                    best_t = t_value
-        self._prefix_ff = ff_prefix
-        self._prefix_t = t_prefix
-        self._static_best_ff = best_ff
-        self._static_best_t = best_t
-        self._static_max_total = max_total
-        self._window_mask = window_mask
-
-    def _build_window_state(
-        self,
-        anchor: int,
-        state: int,
-        tables: List[Tuple[int, Dict[int, Tuple[float, Tuple[int, ...]]]]],
-    ) -> Tuple[float, Tuple[int, ...]]:
-        """Construct and cache ``(t(c), group in-edges)`` for one state.
-
-        The member BFS reads free flags out of the ``state`` int (the
-        kernel is never repositioned) and records its *support*: the
-        free bits it observed -- expanded members, the materialized
-        boundary it stopped at, and the anchor's own flag.  Any state
-        agreeing on those bits walks the identical frontier, so the
-        result is cached under ``state & support`` in the table for that
-        support mask.  Caching under the full ancestor mask instead
-        would defeat the cache: a sink group's ancestors span the whole
-        window, but flags buried below a materialized cut cannot reach
-        it.
-
-        Exactly the float operations of the base class's group build:
-        ``total = path_runtime * pipe + mat`` matches
-        ``CollapsedOperator.total_cost = runtime_cost + mat_cost`` with
-        ``runtime_cost = path_runtime * pipe``.
-        """
-        self.group_cache_misses += 1
-        self.members_cache_misses += 1
-        freebit = self._freebit
-        flags = self._flags
-        producers = self._producers
-        bit = self._freebit.get(anchor)
-        support = 0 if bit is None else 1 << bit
-        collected = [anchor]
-        visited = {anchor}
-        pending = [anchor]  # members whose producers still need probing
-        while pending:
-            for probed in producers[pending.pop()]:
-                pbit = freebit.get(probed)
-                if pbit is None:
-                    if flags[probed] or probed in visited:
-                        continue
-                else:
-                    support |= 1 << pbit
-                    if (state >> pbit) & 1 or probed in visited:
-                        continue
-                visited.add(probed)
-                collected.append(probed)
-                pending.append(probed)
-        members = tuple(sorted(collected))
-        dominant_path, path_runtime = self._dominant_path(members, anchor)
-        pipe = self._const_pipe if len(dominant_path) > 1 else 1.0
-        if bit is None:
-            flagged = flags[anchor]
-        else:
-            flagged = bool((state >> bit) & 1)
-        mat_cost = self._mat[anchor] if flagged else 0.0
-        total = path_runtime * pipe + mat_cost
-        member_set = visited
-        group_in = tuple(sorted(
-            {
-                producer
-                for member in members
-                for producer in producers[member]
-            } - member_set
-        ))
-        built = (total, group_in)
-        for known, table in tables:
-            if known == support:
-                table[state & support] = built
-                break
-        else:
-            tables.append((support, {state & support: built}))
-        return built
-
-    def window_bounds(self, state: int) -> Tuple[float, float]:
-        """:meth:`cheap_bounds` of configuration ``state``, functionally.
-
-        Walks the candidate volatile anchors (presence decided by
-        ``state``'s bits), fetching each one's ``(t(c), in-edges)`` from
-        its per-state cache -- the kernel is never repositioned, so a
-        windowed scan does *no* flips at all.  Returns the same
-        ``(R_max, max t(c))`` bit-for-bit: the static portion of both
-        maxima was folded in by :meth:`prepare_window`, ``max`` over
-        floats is split-point independent, and stale volatile prefixes
-        are never read (every reader of a volatile prefix is itself
-        volatile and overwritten first, in topological order).  Fills
-        the scratch entry list :meth:`window_cost` consumes.
-        """
-        if self._window_mask is None:
-            raise RuntimeError("prepare_window() before window_bounds()")
-        prefix = self._prefix_ff
-        best = self._static_best_ff
-        max_total = self._static_max_total
-        entries = self._scratch_entries
-        entries.clear()
-        misses_before = self.group_cache_misses
-        for anchor, bit, is_sink, tables in self._window_candidates:
-            if bit is not None and not (state >> bit) & 1:
-                continue
-            cached = None
-            for support, table in tables:
-                cached = table.get(state & support)
-                if cached is not None:
-                    break
-            if cached is None:
-                cached = self._build_window_state(anchor, state, tables)
-            total, group_in = cached
-            if total > max_total:
-                max_total = total
-            if group_in:
-                if len(group_in) == 1:  # max of one is that one
-                    value = prefix[group_in[0]] + total
-                else:
-                    value = max(prefix[p] for p in group_in) + total
-            else:
-                value = total
-            prefix[anchor] = value
-            entries.append((anchor, total, group_in, is_sink))
-            if is_sink and (best is None or value > best):
-                best = value
-        self.group_cache_hits += (
-            len(entries) - (self.group_cache_misses - misses_before)
-        )
-        assert best is not None  # a valid plan always has >= 1 path
-        return best, max_total
-
-    def window_cost(self) -> float:
-        """:meth:`dominant_cost` of the configuration the last
-        :meth:`window_bounds` call probed (it owns the scratch entries).
-
-        Deferred on purpose: Rule-3 and batch-prefilter skips never pay
-        for the failure-aware pass, and its scalar ``T(t(c))``
-        evaluations stay memoized per distinct total.
-        """
-        if self._window_mask is None:
-            raise RuntimeError("prepare_window() before window_cost()")
-        cache = self._runtime_cache
-        prefix = self._prefix_t
-        best = self._static_best_t
-        entries = self._scratch_entries
-        for anchor, total, group_in, is_sink in entries:
-            value = cache.get(total)
-            if value is None:
-                value = cost_model.operator_runtime(
-                    total, self.stats, exact_waste=self.exact_waste
-                )
-                cache[total] = value
-                self.runtime_cache_misses += 1
-            if group_in:
-                if len(group_in) == 1:  # max of one is that one
-                    value = prefix[group_in[0]] + value
-                else:
-                    value = max(prefix[p] for p in group_in) + value
-            prefix[anchor] = value
-            if is_sink and (best is None or value > best):
-                best = value
-        self.runtime_lookups += len(entries)
-        assert best is not None  # a valid plan always has >= 1 path
-        return best
-
-    def batch_runtime_bound(self, total: float) -> Optional[float]:
-        """Batch-computed ``T(total)``, or ``None`` while still queued.
-
-        Distinct totals are collected and pushed through one
-        :func:`~repro.core.cost_model.operator_runtime_batch` call per
-        :data:`BATCH_FLUSH` pending values.  A ``None`` answer simply
-        declines to prefilter -- the caller scores exactly -- so deferring
-        unseen totals costs nothing in correctness.
-        """
-        cached = self._batch_cache.get(total)
-        if cached is None and total not in self._batch_pending_set:
-            self._batch_pending_set.add(total)
-            self._batch_pending.append(total)
-            if len(self._batch_pending) >= BATCH_FLUSH:
-                self.flush_batch()
-                cached = self._batch_cache.get(total)
-        return cached
-
-    def flush_batch(self) -> None:
-        """Score all pending totals through the NumPy batch kernel."""
-        pending = self._batch_pending
-        if not pending:
-            return
-        values = cost_model.operator_runtime_batch(
-            pending, self.stats, exact_waste=self.exact_waste
-        )
-        cache = self._batch_cache
-        for total, value in zip(pending, values):
-            cache[total] = float(value)
-        self.batch_flushes += 1
-        pending.clear()
-        self._batch_pending_set.clear()
-
-    def counters(self) -> Dict[str, int]:
-        tallies = super().counters()
-        tallies["cache.members.hit"] = self.members_cache_hits
-        tallies["cache.members.miss"] = self.members_cache_misses
-        tallies["cache.batch.flushes"] = self.batch_flushes
-        tallies["cache.window.preps"] = self.window_preps
-        return tallies
-
-
-# ----------------------------------------------------------------------
 # shards: partitioning, the shared bound, the per-shard scan
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -794,7 +150,6 @@ class ShardOutcome:
     scored: int              #: exact scoring DP runs
     bound_skips: int         #: Rule-3 skips against the shared bound
     bound_updates: int       #: strict improvements published to the bound
-    batch_prefiltered: int   #: skips certified by the batch prefilter
     snapshot: Optional[obs.RecorderSnapshot] = None
     duration: float = 0.0    #: wall seconds the scan took (telemetry only)
 
@@ -957,7 +312,7 @@ def partition_shards(
 
 
 def scan_shard(
-    kernel: ShardKernel,
+    kernel: SearchContext,
     spec: ShardSpec,
     use_rule3: bool,
     channel: BoundChannel,
@@ -965,17 +320,18 @@ def scan_shard(
 ) -> ShardOutcome:
     """Scan one Gray-sequence range; return the shard's best key.
 
-    Reproduces the serial fast engine's per-configuration decisions
-    exactly, except that skips may additionally come from the shared
-    bound or the certified batch prefilter -- both of which only ever
-    discard configurations strictly worse than the final winner, so the
-    reduced ``(cost, plan, mask)`` minimum is unchanged.
+    With ``use_rule3``, a configuration whose failure-free dominant
+    runtime ``R_max`` strictly exceeds the bound is skipped
+    (``T >= R`` per path, so it cannot win); on an exact tie it is still
+    scored, so the ``(cost, plan, mask)`` tie-break matches the naive
+    engine's first-wins order.  The bound may have been published by
+    other shards or workers, but it only ever discards configurations
+    strictly worse than the final winner, so the reduced minimum is
+    unchanged.
     """
-    mtbf_cost = kernel.stats.mtbf_cost
     best: Optional[_BestKey] = None
     enumerated = 0
     bound_skips = 0
-    prefiltered = 0
     scored = 0
     updates_before = channel.updates
     started = time.perf_counter()
@@ -983,32 +339,23 @@ def scan_shard(
     shift, pinned = spec.shift, spec.pinned
     kernel.set_mask(subspace_mask(spec.start, shift, pinned))
     # freeze the static-region DP tables (cached across shards of the
-    # same plan on the same worker: the window never changes mid-search).
-    # The scan itself never repositions the kernel -- the window scorers
-    # are pure functions of the mask -- so the Gray sequence below is
-    # plain int arithmetic.
+    # same plan: the window never changes mid-search).  The scan itself
+    # never repositions the kernel -- the window scorers are pure
+    # functions of the mask -- so the Gray sequence below is plain int
+    # arithmetic.
     kernel.prepare_window(((1 << len(kernel.free_ids)) - 1) ^ pinned)
     for position in range(spec.start, spec.end):
         mask = ((position ^ (position >> 1)) << shift) | pinned
         if position != spec.start and (position - spec.start) % stride == 0:
             channel.refresh()
         enumerated += 1
-        r_max, max_total = kernel.window_bounds(mask)
+        r_max = kernel.window_bound(mask)
         if use_rule3:
             bound = channel.best
             if r_max >= bound:
                 bound_skips += 1
                 if r_max > bound:
                     continue
-            # like Rule 3, the certified batch prefilter is a cost-based
-            # cutoff: without rule3 the caller asked for exhaustive
-            # scoring, so it must not skip anything
-            batch_value = kernel.batch_runtime_bound(max_total)
-            if batch_value is not None and cost_model.batch_certified_exceeds(
-                batch_value, bound, max_total, mtbf_cost
-            ):
-                prefiltered += 1
-                continue
         total = kernel.window_cost()
         scored += 1
         key = (total, spec.plan_index, mask)
@@ -1022,7 +369,6 @@ def scan_shard(
         scored=scored,
         bound_skips=bound_skips,
         bound_updates=channel.updates - updates_before,
-        batch_prefiltered=prefiltered,
         duration=time.perf_counter() - started,
     )
 
@@ -1086,33 +432,17 @@ def _maybe_crash(shard_index: int) -> None:
         crash_worker_process(17)
 
 
-def _kernel_for(
-    plan_index: int,
-    plans: Sequence[Plan],
-    stats: ClusterStats,
-    exact_waste: bool,
-    kernels: Dict[int, ShardKernel],
-) -> ShardKernel:
-    kernel = kernels.get(plan_index)
-    if kernel is None:
-        kernel = ShardKernel(
-            plans[plan_index], stats, exact_waste=exact_waste
-        )
-        kernels[plan_index] = kernel
-    return kernel
-
-
 def _fold_kernel_counters(
     recorder: Any,
-    kernel: ShardKernel,
+    kernel: SearchContext,
     plan_index: int,
     folded: Dict[int, Dict[str, int]],
 ) -> None:
     """Add the kernel's tallies *since the last fold* to the recorder.
 
-    Kernels outlive shards (a worker reuses them across tasks) while the
-    worker recorder resets per task, so deltas -- not totals -- must ship
-    with each snapshot or recycled kernels would double-count.
+    Worker kernels outlive shards (a worker reuses them across tasks)
+    while the worker recorder resets per task, so deltas -- not totals --
+    must ship with each snapshot or recycled kernels would double-count.
     """
     current = kernel.counters()
     last = folded.get(plan_index, {})
@@ -1126,10 +456,13 @@ def _fold_kernel_counters(
 def _scan_shard_task(spec: ShardSpec) -> ShardOutcome:
     """Worker-side entry: scan one shard with worker-local state."""
     _maybe_crash(spec.index)
-    kernel = _kernel_for(
-        spec.plan_index, _WORKER_STATE["plans"], _WORKER_STATE["stats"],
-        _WORKER_STATE["exact_waste"], _WORKER_STATE["kernels"],
-    )
+    kernels: Dict[int, SearchContext] = _WORKER_STATE["kernels"]
+    kernel = kernels.get(spec.plan_index)
+    if kernel is None:
+        kernel = kernels[spec.plan_index] = SearchContext(
+            _WORKER_STATE["plans"][spec.plan_index], _WORKER_STATE["stats"],
+            exact_waste=_WORKER_STATE["exact_waste"],
+        )
     pruning: PruningConfig = _WORKER_STATE["pruning"]
     outcome = scan_shard(
         kernel, spec, pruning.rule3, _WORKER_STATE["channel"]
@@ -1144,15 +477,7 @@ def _scan_shard_task(spec: ShardSpec) -> ShardOutcome:
     # fresh recorder per task so recycled workers don't re-ship spans
     # and counters an earlier shard already delivered
     obs.enable()
-    return ShardOutcome(
-        index=outcome.index, best=outcome.best,
-        enumerated=outcome.enumerated, scored=outcome.scored,
-        bound_skips=outcome.bound_skips,
-        bound_updates=outcome.bound_updates,
-        batch_prefiltered=outcome.batch_prefiltered,
-        snapshot=snapshot,
-        duration=outcome.duration,
-    )
+    return replace(outcome, snapshot=snapshot)
 
 
 def _scan_serial(
@@ -1165,25 +490,26 @@ def _scan_serial(
 ) -> List[ShardOutcome]:
     """In-process shard scan: the ``parallelism=1`` path and the
     resilient runner's serial fallback (which passes a cell-backed
-    channel so bounds published by dead workers still apply)."""
+    channel so bounds published by dead workers still apply).
+
+    Specs are plan-ordered and never span plans, so one kernel is live
+    at a time: its counters are folded and it is released as soon as
+    the spec list moves on to the next plan.
+    """
     if channel is None:
         channel = BoundChannel()
-    kernels: Dict[int, ShardKernel] = {}
-    outcomes = [
-        scan_shard(
-            _kernel_for(spec.plan_index, plans, stats, exact_waste,
-                        kernels),
-            spec, pruning.rule3, channel,
-        )
-        for spec in specs
-    ]
     recorder = obs.get_recorder()
-    if recorder is not None:
-        folded: Dict[int, Dict[str, int]] = {}
-        for plan_index in sorted(kernels):
-            _fold_kernel_counters(
-                recorder, kernels[plan_index], plan_index, folded
-            )
+    outcomes: List[ShardOutcome] = []
+    for plan_index, plan_specs in groupby(
+        specs, key=lambda spec: spec.plan_index
+    ):
+        kernel = SearchContext(
+            plans[plan_index], stats, exact_waste=exact_waste
+        )
+        for spec in plan_specs:
+            outcomes.append(scan_shard(kernel, spec, pruning.rule3, channel))
+        if recorder is not None:
+            _fold_kernel_counters(recorder, kernel, plan_index, {})
     return outcomes
 
 
@@ -1297,10 +623,10 @@ def sharded_search(
     Rule 1/2 run once per plan *in the parent*, so their ``marked``
     counters are deterministic and every shard scans the same pruned
     plan.  Returns the lexicographically minimal ``(cost, plan, mask)``
-    key -- bit-identical to the serial fast engine and the naive oracle
-    over the same subspace -- plus the merged :class:`PruningStats`
-    (Rule-3 / estimation counters are timing-dependent under
-    ``parallelism > 1``; totals and enumerated counts are not).
+    key -- bit-identical to the naive oracle over the same subspace --
+    plus the merged :class:`PruningStats` (Rule-3 / estimation counters
+    are timing-dependent under ``parallelism > 1``; totals and
+    enumerated counts are not).
 
     ``shard_observer`` (when given) receives the complete, shard-index
     ordered outcome list after the reduce -- this is how
@@ -1352,15 +678,11 @@ def sharded_search(
 
     best_key: Optional[_BestKey] = None
     bound_updates = 0
-    bound_skips = 0
-    batch_prefiltered = 0
     for outcome in outcomes:  # shard-index order: deterministic merge
         pruning_stats.configs_enumerated += outcome.enumerated
         pruning_stats.paths_estimated += outcome.scored
         pruning_stats.rule3_plan_cutoffs += outcome.bound_skips
         bound_updates += outcome.bound_updates
-        bound_skips += outcome.bound_skips
-        batch_prefiltered += outcome.batch_prefiltered
         if recorder is not None and outcome.snapshot is not None:
             recorder.merge(outcome.snapshot,
                            track=f"search-shard-{outcome.index}")
@@ -1371,8 +693,7 @@ def sharded_search(
     if recorder is not None:
         recorder.add("search.shards", len(specs))
         recorder.add("search.bound_updates", bound_updates)
-        recorder.add("search.bound_skips", bound_skips)
-        recorder.add("search.batch_prefiltered", batch_prefiltered)
+        recorder.add("search.bound_skips", pruning_stats.rule3_plan_cutoffs)
     if shard_observer is not None:
         shard_observer(outcomes)
     assert best_key is not None  # every spec scans >= 1 configuration

@@ -501,12 +501,12 @@ def _preflight_cells(
     """
     # deferred imports: repro.analysis imports repro.core
     from ..analysis.plan_lint import preflight_check
-    from ..core.enumeration import _plan_fingerprint
+    from ..core.enumeration import plan_fingerprint
 
     seen = set()
     for cell in cells:
         stats = cluster.stats(cell.mtbf, const_pipe=cell.const_pipe)
-        key = (_plan_fingerprint(cell.plan), stats)
+        key = (plan_fingerprint(cell.plan), stats)
         if key in seen:
             continue
         preflight_check(cell.plan, stats, plan_name=cell.label)

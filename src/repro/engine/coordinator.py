@@ -98,13 +98,13 @@ def pure_baseline_runtime(
     preflight memo: once full it resets rather than growing unboundedly.
     """
     # deferred import: repro.core.enumeration must not import the engine
-    from ..core.enumeration import _plan_fingerprint
+    from ..core.enumeration import plan_fingerprint
 
     # the chaos policy enters the key defensively: a straggler-injecting
     # engine does not produce the pure baseline (campaigns always measure
     # baselines on a clean engine, see _measure_unit)
     key = (
-        _plan_fingerprint(plan), engine.cluster, engine.const_pipe,
+        plan_fingerprint(plan), engine.cluster, engine.const_pipe,
         getattr(engine, "chaos", None),
     )
     cached = _BASELINE_MEMO.get(key)

@@ -113,12 +113,11 @@ PROCESS_LOCAL_COUNTER_PREFIXES: Tuple[str, ...] = (
 PROCESS_LOCAL_COUNTERS: Tuple[str, ...] = (
     "campaign.retries", "campaign.serial_fallbacks",
     # sharded-search orchestration: shard count tracks the requested
-    # topology, and Rule-3 / prefilter effectiveness depends on bound
-    # propagation timing between workers (the *result* stays
-    # bit-identical; only how much work each shard skipped varies)
+    # topology, and Rule-3 effectiveness depends on bound propagation
+    # timing between workers (the *result* stays bit-identical; only
+    # how much work each shard skipped varies)
     "search.shards", "search.retries", "search.serial_fallbacks",
     "search.bound_updates", "search.bound_skips",
-    "search.batch_prefiltered",
     "search.paths_estimated", "search.rule3.plan_cutoffs",
     # adaptive shard sizing reacts to observed shard *durations*
     "search.shard_resize",

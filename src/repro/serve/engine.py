@@ -28,9 +28,9 @@ lookup":
    independently -- the frontend's worker threads each drive their own
    search, and a search itself can fan out over the resilient
    process-pool sharded scan (``parallelism``).  A shared
-   :class:`~repro.core.shard.ShardSizer` observes every sharded scan's
-   shard durations and recommends the shard count for the next search
-   of similar size (``search.shard_resize`` counts applied resizes);
+   :class:`~repro.core.shard.ShardSizer` observes the shard durations
+   of every scan configured to fan out or to cut explicit shards, and
+   recommends the shard count for the next search of similar size (``search.shard_resize`` counts applied resizes);
    sizing only repartitions work, never changes results.
 
 The bounded-queue/backpressure frontend (:meth:`AdvisoryEngine.start` /
@@ -369,10 +369,11 @@ class AdvisoryEngine:
     def _pick_shards(self, plan: Plan) -> Optional[int]:
         """The shard count for this search: configured, or sizer-learned.
 
-        Adaptive sizing only engages when the search routes to the
-        sharded subsystem anyway; it never *introduces* sharding.  A
-        recommendation differing from what the static default would use
-        counts as a ``search.shard_resize``.
+        Adaptive sizing only engages when the search is configured to
+        fan out (``parallelism > 1``) or to cut explicit shards; it never
+        repartitions the default single-worker scan.  A recommendation
+        differing from what the static default would use counts as a
+        ``search.shard_resize``.
         """
         shards = self.shards
         sharded = self.parallelism > 1 or (

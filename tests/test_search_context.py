@@ -1,8 +1,6 @@
-"""Units behind the fast engine: SearchContext + batched cost model."""
+"""Units behind the fast engine: the SearchContext search kernel."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
@@ -13,56 +11,9 @@ from repro.core import (
     enumerate_mat_configs,
     estimate_plan_cost,
     find_best_ft_plan,
-    operator_runtime,
-    operator_runtime_batch,
-    path_cost,
-    path_cost_batch,
     path_cost_failure_free,
-    path_cost_failure_free_batch,
 )
 from repro.core import enumeration as enumeration_module
-
-
-class TestBatchCostModel:
-    """NumPy batch API mirrors the scalar Equation 2-8 functions."""
-
-    @pytest.mark.parametrize("exact_waste", [False, True])
-    def test_operator_runtime_batch_matches_scalar(
-        self, stats_hour, exact_waste
-    ):
-        totals = [0.0, 0.5, 3.0, 60.0, 3599.0, 3600.0, 7200.0, 1e-9,
-                  40000.0, 2.6e6]
-        batch = operator_runtime_batch(
-            totals, stats_hour, exact_waste=exact_waste
-        )
-        for total, got in zip(totals, batch):
-            want = operator_runtime(
-                total, stats_hour, exact_waste=exact_waste
-            )
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-    def test_operator_runtime_batch_unreachable_is_inf(self):
-        stats = ClusterStats(mtbf=1.0)
-        assert math.isinf(operator_runtime_batch([1e5], stats)[0])
-        assert math.isinf(operator_runtime(1e5, stats))
-
-    def test_operator_runtime_batch_validates(self, stats_hour):
-        with pytest.raises(ValueError):
-            operator_runtime_batch([-1.0], stats_hour)
-
-    def test_path_cost_batch_matches_scalar(self, stats_hour):
-        paths = [[3.0, 4.0, 5.0], [100.0], [], [0.5, 2000.0]]
-        batch = path_cost_batch(paths, stats_hour)
-        for path, got in zip(paths, batch):
-            assert got == pytest.approx(
-                path_cost(path, stats_hour), rel=1e-12, abs=1e-12
-            )
-
-    def test_failure_free_batch_is_bit_identical(self):
-        paths = [[0.1, 0.2, 0.3], [1e16, 1.0, -0.0], []]
-        batch = path_cost_failure_free_batch(paths)
-        for path, got in zip(paths, batch):
-            assert got == path_cost_failure_free(path)  # exact
 
 
 class TestSearchContext:
@@ -155,6 +106,11 @@ class TestPreflightMemo:
         other = ClusterStats(mtbf=stats_hour.mtbf * 2.0)
         find_best_ft_plan([paper_plan], other)
         assert len(calls) == 2
+
+
+def _scores(context):
+    """``(R_max, T_max)`` of the context's current configuration."""
+    return context.failure_free_dominant(), context.dominant_cost()
 
 
 def _all_path_costs(plan, stats):
@@ -293,37 +249,37 @@ class TestSearchContextPickle:
         # park the original mid-scan, with warmed caches
         for mask in masks[: len(masks) // 2]:
             ctx.set_mask(mask)
-            ctx.dominant_scores()
+            _scores(ctx)
         clone = pickle.loads(pickle.dumps(ctx))
         assert type(clone) is SearchContext
         assert clone.mask == ctx.mask
         for mask in masks:
             ctx.set_mask(mask)
             clone.set_mask(mask)
-            assert clone.dominant_scores() == ctx.dominant_scores()
+            assert _scores(clone) == _scores(ctx)
             assert clone.config_for(mask) == ctx.config_for(mask)
 
     @pytest.mark.parametrize("exact_waste", [False, True])
     def test_shard_kernel_round_trip_preserves_type(
         self, paper_plan, stats_hour, exact_waste
     ):
+        """A context warmed by a windowed shard scan round-trips as a
+        plain ``SearchContext`` with its cost-model knobs intact."""
         import pickle
 
-        from repro.core.shard import ShardKernel
-
-        kernel = ShardKernel(paper_plan, stats_hour,
-                             exact_waste=exact_waste)
-        masks = list(kernel.iter_masks())
-        for mask in masks[:5]:
-            kernel.set_mask(mask)
-            kernel.dominant_scores()
+        kernel = SearchContext(paper_plan, stats_hour,
+                               exact_waste=exact_waste)
+        everything = (1 << len(kernel.free_ids)) - 1
+        kernel.prepare_window(everything)
+        for mask in range(everything + 1):
+            kernel.window_bound(mask)
+            kernel.window_cost()
         clone = pickle.loads(pickle.dumps(kernel))
-        assert type(clone) is ShardKernel
+        assert type(clone) is SearchContext
         assert clone.exact_waste is exact_waste
-        for mask in masks:
-            kernel.set_mask(mask)
+        for mask in kernel.iter_masks():
             clone.set_mask(mask)
-            assert clone.dominant_scores() == kernel.dominant_scores()
+            assert _scores(clone) == _scores(kernel)
 
     def test_slim_payload_beats_naive_by_5x(self, stats_hour):
         import pickle
@@ -331,8 +287,7 @@ class TestSearchContextPickle:
         plan = self._deep_chain()
         ctx = SearchContext(plan, stats_hour)
         for mask in ctx.iter_masks():
-            ctx.set_mask(mask)
-            ctx.dominant_scores()
+            _scores(ctx)
         slim = len(pickle.dumps(ctx))
         # the naive payload a __dict__ pickle would ship: every derived
         # cache the full sweep just populated

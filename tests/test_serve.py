@@ -525,7 +525,7 @@ def _outcome(enumerated: int, duration: float,
              index: int = 0) -> ShardOutcome:
     return ShardOutcome(
         index=index, best=None, enumerated=enumerated, scored=enumerated,
-        bound_skips=0, bound_updates=0, batch_prefiltered=0,
+        bound_skips=0, bound_updates=0,
         duration=duration,
     )
 

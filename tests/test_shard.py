@@ -1,21 +1,20 @@
 """Property suite for the sharded large-DAG search (``repro.core.shard``).
 
-The sharded engine is a performance implementation certified against
-two references: the naive oracle and the serial fast engine.  All
-equality here is exact ``==`` on the ``(cost, plan, mask)`` key -- the
-shard kernel changes *where* numbers come from, never *which* float
-operations compute them, so any ulp of drift is a bug.
+Every ``engine="fast"`` search runs the sharded scan, a performance
+implementation certified against the naive oracle.  All equality here
+is exact ``==`` on the ``(cost, plan, mask)`` key -- the search kernel
+changes *where* numbers come from, never *which* float operations
+compute them, so any ulp of drift is a bug.
 
 Covered:
 
 * windowed subspace parameterization (``subspace_params`` /
   ``subspace_mask``) -- the capped Gray sequences shards scan;
-* kernel scoring bit-identity against a plain ``SearchContext``
-  positioned at the same configuration;
-* sharded == serial fast == naive across shard counts, worker counts,
-  DAG sizes, pruning configs and config limits;
-* the certified batch prefilter's ulp envelope
-  (``batch_certified_exceeds``);
+* kernel scoring bit-identity against the naive
+  ``estimate_plan_cost(plan.with_mat_config(...))`` per configuration;
+* sharded == naive across shard counts, worker counts, DAG sizes,
+  pruning configs and config limits, and ``parallelism=1`` routing
+  through the shards;
 * resilience: crashing workers (chaos ``WorkerCrashes``) degrade to
   retries and finally the in-process serial path, same answer;
 * bound propagation observability: a large DAG in a rare-failure
@@ -24,30 +23,25 @@ Covered:
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 
 import pytest
 
 from repro import obs
 from repro.chaos import FaultPolicy, WorkerCrashes
-from repro.core import cost_model
-from repro.core.cost_model import (
-    BATCH_CERTIFIED_MAX_RATIO,
-    BATCH_ENVELOPE,
-    ClusterStats,
-    batch_certified_exceeds,
-)
+from repro.core.collapse import collapse_plan
+from repro.core.cost_model import ClusterStats, path_cost_failure_free
 from repro.core.enumeration import (
-    _find_best_fast,
     _find_best_naive,
+    estimate_plan_cost,
     find_best_ft_plan,
+    plan_fingerprint,
 )
+from repro.core.paths import enumerate_paths, path_total_costs
 from repro.core.pruning import PruningConfig
 from repro.core.search_context import SearchContext
 from repro.core.shard import (
     BoundChannel,
-    ShardKernel,
     partition_shards,
     sharded_search,
     subspace_mask,
@@ -82,6 +76,20 @@ def _result_key(result, plan_index: int = 0):
         if flag:
             mask |= 1 << bit
     return (result.cost, plan_index, mask)
+
+
+def _naive_scores(plan, stats, mask):
+    """``(R_max, T_max)`` of one configuration, from the naive pipeline."""
+    free_ids = plan.free_operators
+    candidate = plan.with_mat_config(tuple(
+        (op_id, bool(mask >> bit & 1)) for bit, op_id in enumerate(free_ids)
+    ))
+    collapsed = collapse_plan(candidate, const_pipe=stats.const_pipe)
+    r_max = max(
+        path_cost_failure_free(path_total_costs(path))
+        for path in enumerate_paths(collapsed)
+    )
+    return r_max, estimate_plan_cost(candidate, stats).cost
 
 
 # ----------------------------------------------------------------------
@@ -209,27 +217,24 @@ class TestBoundChannel:
 
 
 # ----------------------------------------------------------------------
-# kernel scoring bit-identity vs the reference SearchContext
+# kernel scoring bit-identity vs the naive oracle
 # ----------------------------------------------------------------------
 class TestKernelBitIdentity:
     @pytest.fixture(scope="class")
     def setup(self):
         plan = _plan(10, seed=7)
         stats = _rare_failure_stats(plan)
-        kernel = ShardKernel(plan, stats)
-        reference = SearchContext(plan, stats)
-        return plan, stats, kernel, reference
+        return plan, stats, SearchContext(plan, stats)
 
     def test_cheap_bounds_match_failure_free_dominant(self, setup):
-        _plan_, _stats, kernel, reference = setup
+        plan, stats, kernel = setup
         for mask in (0, 1, 0b1010, 0b1111111111, 0b0101010101):
             kernel.set_mask(mask)
-            reference.set_mask(mask)
-            r_max, _max_total = kernel.cheap_bounds()
-            assert r_max == reference.failure_free_dominant()
+            assert (kernel.failure_free_dominant(), kernel.dominant_cost()) \
+                == _naive_scores(plan, stats, mask)
 
     def test_window_scorers_match_reference_per_mask(self, setup):
-        plan, _stats, kernel, reference = setup
+        plan, stats, kernel = setup
         n = len(plan.free_operators)
         kernel.set_mask(0)
         kernel.prepare_window((1 << n) - 1)
@@ -238,30 +243,26 @@ class TestKernelBitIdentity:
         probes = [i ^ (i >> 1) for i in range(64)]
         probes += [0, (1 << n) - 1, 0b1100110011 % (1 << n)]
         for mask in probes:
-            reference.set_mask(mask)
-            r_max, _max_total = kernel.window_bounds(mask)
+            r_max = kernel.window_bound(mask)
             total = kernel.window_cost()
-            assert r_max == reference.failure_free_dominant()
-            assert total == reference.dominant_cost()
+            assert (r_max, total) == _naive_scores(plan, stats, mask)
 
     def test_windowed_subspace_matches_reference(self, setup):
-        plan, _stats, kernel, _reference = setup
+        plan, stats, kernel = setup
         n = len(plan.free_operators)
         count, shift, pinned = subspace_params(n, 32)
-        fresh = SearchContext(plan, kernel.stats)
         kernel.set_mask(subspace_mask(0, shift, pinned))
         kernel.prepare_window(((1 << n) - 1) ^ pinned)
         for i in range(count):
             mask = subspace_mask(i, shift, pinned)
-            fresh.set_mask(mask)
-            r_max, _ = kernel.window_bounds(mask)
-            assert r_max == fresh.failure_free_dominant()
-            assert kernel.window_cost() == fresh.dominant_cost()
+            r_max = kernel.window_bound(mask)
+            assert (r_max, kernel.window_cost()) \
+                == _naive_scores(plan, stats, mask)
 
     def test_flip_outside_window_invalidates(self):
         plan = _plan(8, seed=1)
         stats = _rare_failure_stats(plan)
-        kernel = ShardKernel(plan, stats)
+        kernel = SearchContext(plan, stats)
         n = len(plan.free_operators)
         count, shift, pinned = subspace_params(n, 4)
         window = ((1 << n) - 1) ^ pinned
@@ -272,20 +273,18 @@ class TestKernelBitIdentity:
         kernel.set_mask(kernel.mask ^ 1)
         assert kernel._window_mask is None
         with pytest.raises(RuntimeError):
-            kernel.window_bounds(0)
+            kernel.window_bound(0)
         # and a re-prepare restores exact scoring
         kernel.set_mask(subspace_mask(0, shift, pinned))
         kernel.prepare_window(window)
-        reference = SearchContext(plan, stats)
         mask = subspace_mask(count - 1, shift, pinned)
-        reference.set_mask(mask)
-        r_max, _ = kernel.window_bounds(mask)
-        assert r_max == reference.failure_free_dominant()
-        assert kernel.window_cost() == reference.dominant_cost()
+        r_max = kernel.window_bound(mask)
+        assert (r_max, kernel.window_cost()) \
+            == _naive_scores(plan, stats, mask)
 
 
 # ----------------------------------------------------------------------
-# the headline property: sharded == serial fast == naive
+# the headline property: sharded == naive
 # ----------------------------------------------------------------------
 class TestShardedEqualsSerial:
     PRUNINGS = [
@@ -306,8 +305,8 @@ class TestShardedEqualsSerial:
             for limit in (1, 7, 100, None):
                 naive = _find_best_naive([plan], stats, pruning, False,
                                          config_limit=limit)
-                fast = _find_best_fast([plan], stats, pruning, False,
-                                       config_limit=limit)
+                fast = find_best_ft_plan([plan], stats, pruning=pruning,
+                                         config_limit=limit)
                 assert _result_key(naive) == _result_key(fast)
                 for shards in (1, 3, 8):
                     key, _stats_out = sharded_search(
@@ -323,8 +322,8 @@ class TestShardedEqualsSerial:
         plan = _plan(12, seed=5)
         stats = _rare_failure_stats(plan)
         pruning = PruningConfig.all()
-        fast = _find_best_fast([plan], stats, pruning, False,
-                               config_limit=1024)
+        fast = find_best_ft_plan([plan], stats, pruning=pruning,
+                                 config_limit=1024)
         key, _ = sharded_search(
             [plan], stats, pruning,
             parallelism=2, shards=6, config_limit=1024,
@@ -333,13 +332,13 @@ class TestShardedEqualsSerial:
 
     def test_multi_plan_tie_ordering(self):
         # identical plans tie on cost; the reduce must prefer the lower
-        # plan index, exactly like the serial engines' first-wins scan
+        # plan index, exactly like the naive engine's first-wins scan
         plan = _plan(8, seed=2)
         stats = _rare_failure_stats(plan)
         pruning = PruningConfig.none()
         key, _ = sharded_search([plan, plan], stats, pruning, shards=5)
-        fast = _find_best_fast([plan, plan], stats, pruning, False)
-        assert key == _result_key(fast)
+        naive = _find_best_naive([plan, plan], stats, pruning, False)
+        assert key == _result_key(naive)
         assert key[1] == 0
 
     def test_find_best_ft_plan_routes_to_sharded(self):
@@ -352,6 +351,27 @@ class TestShardedEqualsSerial:
                                     shards=4)
         assert sharded.cost == serial.cost
         assert sharded.mat_config == serial.mat_config
+
+    def test_serial_search_runs_the_shard_kernel(self):
+        # parallelism=1 has no separate engine: it scans shards in-process,
+        # and the shard count changes neither the answer nor the
+        # deterministic accounting
+        plans = [_plan(10, seed=3), _plan(10, seed=4)]
+        stats = _rare_failure_stats(plans[0])
+        pruning = PruningConfig.all()
+        with obs.recording() as recorder:
+            default = find_best_ft_plan(plans, stats, pruning=pruning,
+                                        parallelism=1)
+        assert recorder.counters.get("search.shards", 0) >= 1
+        eight = find_best_ft_plan(plans, stats, pruning=pruning,
+                                  parallelism=1, shards=8)
+        assert (default.cost, default.mat_config) \
+            == (eight.cost, eight.mat_config)
+        assert plan_fingerprint(default.plan) == plan_fingerprint(eight.plan)
+        for field in ("configs_total", "configs_enumerated",
+                      "rule1_marked", "rule2_marked"):
+            assert getattr(default.pruning, field) \
+                == getattr(eight.pruning, field), field
 
     def test_argument_validation(self):
         plan = _plan(8, seed=2)
@@ -380,8 +400,8 @@ class TestWorkerCrashResilience:
         stats = _rare_failure_stats(plan)
         pruning = PruningConfig.all()
         expected = _result_key(
-            _find_best_fast([plan], stats, pruning, False,
-                            config_limit=256)
+            find_best_ft_plan([plan], stats, pruning=pruning,
+                              config_limit=256)
         )
         key, _ = sharded_search(
             [plan], stats, pruning,
@@ -451,57 +471,4 @@ class TestBoundPropagation:
                 shards=4, config_limit=512,
             )
         assert recorder.counters.get("search.bound_skips", 0) == 0
-        assert recorder.counters.get("search.batch_prefiltered", 0) == 0
         assert stats_out.paths_estimated == stats_out.configs_enumerated
-
-
-# ----------------------------------------------------------------------
-# the certified batch prefilter's ulp envelope
-# ----------------------------------------------------------------------
-class TestBatchCertification:
-    MTBF_COST = 10.0
-
-    def test_rejects_non_finite_batch_value(self):
-        assert not batch_certified_exceeds(
-            float("inf"), 100.0, 5.0, self.MTBF_COST)
-        assert not batch_certified_exceeds(
-            float("nan"), 100.0, 5.0, self.MTBF_COST)
-
-    def test_rejects_outside_certified_ratio(self):
-        # total_cost / mtbf_cost beyond the certified regime: the ulp
-        # bound on the vectorized formula no longer holds, so no skip
-        total = BATCH_CERTIFIED_MAX_RATIO * self.MTBF_COST
-        assert batch_certified_exceeds(200.0, 100.0, total,
-                                       self.MTBF_COST)
-        assert not batch_certified_exceeds(
-            200.0, 100.0, math.nextafter(total, math.inf),
-            self.MTBF_COST)
-
-    def test_envelope_boundary_is_exclusive(self):
-        incumbent = 100.0
-        boundary = incumbent * (1.0 + BATCH_ENVELOPE)
-        assert not batch_certified_exceeds(
-            boundary, incumbent, 5.0, self.MTBF_COST)
-        assert batch_certified_exceeds(
-            math.nextafter(boundary, math.inf), incumbent, 5.0,
-            self.MTBF_COST)
-
-    def test_within_envelope_never_skips(self):
-        # a batch value above the incumbent but inside the ulp envelope
-        # could be vectorization noise on an exact tie: must score it
-        incumbent = 100.0
-        just_above = math.nextafter(incumbent, math.inf)
-        assert just_above > incumbent
-        assert not batch_certified_exceeds(
-            just_above, incumbent, 5.0, self.MTBF_COST)
-
-    def test_batch_runtime_matches_scalar_within_envelope(self):
-        # the envelope must actually contain the vectorized/scalar gap
-        # on realistic magnitudes
-        stats = ClusterStats(mtbf=900.0, mttr=1.0, const_pipe=0.9)
-        totals = [0.5, 1.0, 7.3, 42.0, 900.0 * 6.9]
-        batch = cost_model.operator_runtime_batch(totals, stats)
-        for total, vectorized in zip(totals, batch):
-            scalar = cost_model.operator_runtime(total, stats)
-            assert abs(vectorized - scalar) <= \
-                scalar * BATCH_ENVELOPE
