@@ -5,7 +5,7 @@ see a seed that dies two calls up the stack.  This module gives the flow
 rules (:mod:`repro.analysis.flow.seedflow` and friends) the structure
 they need: every analyzed file is parsed once into a :class:`ModuleInfo`
 (imports, module-level bindings, functions with their AST), functions
-get stable qualified names (``repro.engine.campaign:_maybe_crash``,
+get stable qualified names (``repro.core.pool:maybe_crash``,
 ``mod:Class.method``), and calls between analyzed functions are resolved
 best-effort into a call graph with forward (:meth:`Program.callees`) and
 reverse (:meth:`Program.callers`) edges plus cached transitive

@@ -7,8 +7,9 @@ workers stay purely computational.  These rules certify both properties
 statically:
 
 * ``S001`` -- a pool payload (a ``submit``/``map`` function or argument,
-  an ``initializer``/``initargs`` entry, a ``campaign_map`` function)
-  is statically unpicklable: a lambda, a function or class defined
+  an ``initializer``/``initargs`` entry, a ``campaign_map`` function, a
+  ``resilient_map`` task or ``init``/``initargs`` entry) is statically
+  unpicklable: a lambda, a function or class defined
   inside the enclosing function (pickling captures the local frame), a
   generator expression, or an open file handle.
 * ``S002`` -- a function reachable from a pool-worker entry point
@@ -22,8 +23,9 @@ statically:
 
 Worker entry points are discovered from the call sites themselves: any
 function passed in the callable position of ``submit``/``map``/
-``apply_async``/``campaign_map`` or as a pool ``initializer=``.  The
-reachable set is the transitive call-graph closure from those entries.
+``apply_async``/``campaign_map``/``resilient_map`` or as a pool
+``initializer=`` / runner ``init=``.  The reachable set is the
+transitive call-graph closure from those entries.
 """
 
 from __future__ import annotations
@@ -89,8 +91,9 @@ _POOL_DISPATCH_METHODS = frozenset({
     "apply_async", "map_async",
 })
 
-#: program functions that behave like a pool dispatch (callable first)
-_DISPATCH_FUNCTIONS = frozenset({"campaign_map"})
+#: program functions that behave like a pool dispatch (callable first,
+#: optional per-worker ``init=`` / ``initargs=``)
+_DISPATCH_FUNCTIONS = frozenset({"campaign_map", "resilient_map"})
 
 #: list-mutating / dict-mutating method names counting as a write
 _MUTATING_METHODS = frozenset({
@@ -153,29 +156,31 @@ def _payloads_of(function: FunctionInfo, module: ModuleInfo,
             for index, arg in enumerate(call.args):
                 payloads.append(_Payload(arg, call, index == 0))
             continue
-        # pool constructors: initializer= / initargs=
-        if _is_pool_constructor(call, module):
-            for keyword in call.keywords:
-                if keyword.arg == "initializer":
-                    payloads.append(_Payload(keyword.value, call, True))
-                elif keyword.arg == "initargs":
-                    value = keyword.value
-                    elements = (
-                        value.elts
-                        if isinstance(value, (ast.Tuple, ast.List))
-                        else [value]
-                    )
-                    for element in elements:
-                        payloads.append(_Payload(element, call, False))
-            continue
-        # campaign_map-style dispatch helpers
+        # dispatch helpers (campaign_map, the resilient runner) ship
+        # their first argument
         name = dotted_name(func)
         base = name.split(".")[-1] if name else ""
-        if (base in _DISPATCH_FUNCTIONS
-                or (resolved is not None
-                    and resolved.split(":")[-1] in _DISPATCH_FUNCTIONS)):
-            if call.args:
-                payloads.append(_Payload(call.args[0], call, True))
+        dispatch = (base in _DISPATCH_FUNCTIONS
+                    or (resolved is not None
+                        and resolved.split(":")[-1] in _DISPATCH_FUNCTIONS))
+        if dispatch and call.args:
+            payloads.append(_Payload(call.args[0], call, True))
+        # ... and, like pool constructors, a per-worker initializer
+        # (initializer= / init=) plus its initargs=
+        if not dispatch and not _is_pool_constructor(call, module):
+            continue
+        for keyword in call.keywords:
+            if keyword.arg in ("initializer", "init"):
+                payloads.append(_Payload(keyword.value, call, True))
+            elif keyword.arg == "initargs":
+                value = keyword.value
+                elements = (
+                    value.elts
+                    if isinstance(value, (ast.Tuple, ast.List))
+                    else [value]
+                )
+                for element in elements:
+                    payloads.append(_Payload(element, call, False))
     return payloads
 
 

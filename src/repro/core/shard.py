@@ -4,10 +4,10 @@
 parallel.  This module chops the (join order x Gray-code config
 subspace) space into shards: with ``parallelism=1`` they are scanned
 in-process, one after another; otherwise there are many more shards
-than workers, dispatched over a
-:class:`concurrent.futures.ProcessPoolExecutor` work queue so a slow
-shard never idles the other workers (work stealing by
-over-partitioning).  One algorithm runs per partition either way.
+than workers, dispatched over the resilient process pool
+(:func:`repro.core.pool.resilient_map`) so a slow shard never idles the
+other workers (work stealing by over-partitioning) and a dead worker
+only costs its shards a retry.  One algorithm runs per partition.
 
 Two mechanisms make the scan fast and still *bit-identical* to the
 naive oracle:
@@ -38,19 +38,13 @@ count and bound propagation timing.  ``python -m repro sanitize``
 replays a sharded search at ``shards=1`` vs ``shards=N`` and diffs
 result fingerprints
 (:func:`repro.analysis.sanitizer.replay_sharded_search`).
-
-Resilience mirrors the campaign engine: failed futures stay pending,
-each retry round gets a fresh pool with exponential backoff, and
-whatever remains after the retry budget runs serially in-process (which
-cannot crash), reading the shared cell so it still benefits from every
-bound the dead workers published.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -58,6 +52,7 @@ from .. import obs
 from ..chaos.policy import FaultPolicy
 from .cost_model import ClusterStats
 from .plan import Plan
+from .pool import maybe_crash, resilient_map, worker_state
 from .pruning import PruningConfig, PruningStats, apply_rule1, apply_rule2
 from .search_context import SearchContext
 
@@ -150,7 +145,6 @@ class ShardOutcome:
     scored: int              #: exact scoring DP runs
     bound_skips: int         #: Rule-3 skips against the shared bound
     bound_updates: int       #: strict improvements published to the bound
-    snapshot: Optional[obs.RecorderSnapshot] = None
     duration: float = 0.0    #: wall seconds the scan took (telemetry only)
 
 
@@ -374,62 +368,19 @@ def scan_shard(
 
 
 # ----------------------------------------------------------------------
-# process-pool plumbing (mirrors repro.engine.campaign's resilient runner)
+# pool workers (run through repro.core.pool.resilient_map)
 # ----------------------------------------------------------------------
-_WORKER_STATE: Dict[str, Any] = {}
-
-
 def _shard_init(
     plans: Sequence[Plan],
     stats: ClusterStats,
     pruning: PruningConfig,
     exact_waste: bool,
     cell: Any,
-    observe: bool = False,
-    chaos: Optional[FaultPolicy] = None,
-    round_no: int = 0,
-) -> None:
-    _WORKER_STATE["plans"] = plans  # already Rule 1/2-pruned by the parent
-    _WORKER_STATE["stats"] = stats
-    _WORKER_STATE["pruning"] = pruning
-    _WORKER_STATE["exact_waste"] = exact_waste
-    _WORKER_STATE["channel"] = BoundChannel(cell)
-    _WORKER_STATE["kernels"] = {}
-    _WORKER_STATE["folded"] = {}
-    _WORKER_STATE["chaos"] = chaos
-    _WORKER_STATE["round_no"] = round_no
-    #: crash injection only ever fires inside pool workers -- the serial
-    #: path and the serial fallback never set this flag
-    _WORKER_STATE["in_worker"] = True
-    if observe:
-        # parent had a recorder on: record in this worker too; snapshots
-        # ride back with each shard outcome and merge in shard order
-        obs.enable()
-
-
-def _maybe_crash(shard_index: int) -> None:
-    """Hard-exit the worker process when the chaos policy says so.
-
-    The kill is the chaos layer's
-    :func:`~repro.chaos.inject.crash_worker_process` primitive (the only
-    sanctioned hard-exit in the tree; lint rule S003).  Decisions are
-    keyed by the retry round, so a crashed shard draws fresh dice on
-    every retry and the resilient loop terminates for any rate < 1.
-    """
-    chaos: Optional[FaultPolicy] = _WORKER_STATE.get("chaos")
-    if (
-        chaos is None or not chaos.pool_active()
-        or not _WORKER_STATE.get("in_worker")
-    ):
-        return
-    from ..chaos.inject import crash_worker_process, worker_crash_decision
-
-    assert chaos.worker_crashes is not None
-    if worker_crash_decision(
-        chaos.seed, chaos.worker_crashes.rate,
-        _WORKER_STATE.get("round_no", 0), shard_index,
-    ):
-        crash_worker_process(17)
+) -> Dict[str, Any]:
+    # plans arrive Rule 1/2-pruned; kernels persist across shards
+    return dict(plans=plans, stats=stats, pruning=pruning,
+                exact_waste=exact_waste, channel=BoundChannel(cell),
+                kernels={}, folded={})
 
 
 def _fold_kernel_counters(
@@ -455,29 +406,24 @@ def _fold_kernel_counters(
 
 def _scan_shard_task(spec: ShardSpec) -> ShardOutcome:
     """Worker-side entry: scan one shard with worker-local state."""
-    _maybe_crash(spec.index)
-    kernels: Dict[int, SearchContext] = _WORKER_STATE["kernels"]
+    maybe_crash(spec.index)
+    state = worker_state()
+    kernels: Dict[int, SearchContext] = state["kernels"]
     kernel = kernels.get(spec.plan_index)
     if kernel is None:
         kernel = kernels[spec.plan_index] = SearchContext(
-            _WORKER_STATE["plans"][spec.plan_index], _WORKER_STATE["stats"],
-            exact_waste=_WORKER_STATE["exact_waste"],
+            state["plans"][spec.plan_index], state["stats"],
+            exact_waste=state["exact_waste"],
         )
-    pruning: PruningConfig = _WORKER_STATE["pruning"]
     outcome = scan_shard(
-        kernel, spec, pruning.rule3, _WORKER_STATE["channel"]
+        kernel, spec, state["pruning"].rule3, state["channel"]
     )
     recorder = obs.get_recorder()
-    if recorder is None:
-        return outcome
-    _fold_kernel_counters(
-        recorder, kernel, spec.plan_index, _WORKER_STATE["folded"]
-    )
-    snapshot = recorder.snapshot()
-    # fresh recorder per task so recycled workers don't re-ship spans
-    # and counters an earlier shard already delivered
-    obs.enable()
-    return replace(outcome, snapshot=snapshot)
+    if recorder is not None:
+        _fold_kernel_counters(
+            recorder, kernel, spec.plan_index, state["folded"]
+        )
+    return outcome
 
 
 def _scan_serial(
@@ -489,7 +435,7 @@ def _scan_serial(
     channel: Optional[BoundChannel] = None,
 ) -> List[ShardOutcome]:
     """In-process shard scan: the ``parallelism=1`` path and the
-    resilient runner's serial fallback (which passes a cell-backed
+    pooled search's in-process fallback (which passes a cell-backed
     channel so bounds published by dead workers still apply).
 
     Specs are plan-ordered and never span plans, so one kernel is live
@@ -513,85 +459,6 @@ def _scan_serial(
     return outcomes
 
 
-def _scan_resilient(
-    plans: Sequence[Plan],
-    stats: ClusterStats,
-    pruning: PruningConfig,
-    exact_waste: bool,
-    specs: Sequence[ShardSpec],
-    workers: int,
-    chaos: Optional[FaultPolicy],
-    max_retries: int,
-    retry_backoff: float,
-) -> List[ShardOutcome]:
-    """Pooled shard execution surviving worker deaths.
-
-    Each round submits the still-unfinished shards to a fresh
-    :class:`~concurrent.futures.ProcessPoolExecutor`; a shard whose
-    future fails (a worker died mid-shard, breaking the pool) stays
-    pending for the next round.  After the retry budget, pending shards
-    degrade gracefully to in-process execution.  Shards are pure up to
-    the bound (which only affects *how much* work a scan does, never its
-    best key), so a shard scanned on any round -- or in-process --
-    contributes the identical key to the reduce.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    recorder = obs.get_recorder()
-    cell = multiprocessing.Value("d", float("inf"))
-    outcomes: List[Optional[ShardOutcome]] = [None] * len(specs)
-    pending = list(range(len(specs)))
-    for round_no in range(max_retries + 1):
-        if not pending:
-            break
-        if round_no > 0:
-            if recorder is not None:
-                recorder.add("search.retries", len(pending))
-            time.sleep(retry_backoff * (2.0 ** (round_no - 1)))
-        executor = ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)),
-            initializer=_shard_init,
-            initargs=(plans, stats, pruning, exact_waste, cell,
-                      recorder is not None, chaos, round_no),
-        )
-        still_pending: List[int] = []
-        try:
-            futures = [
-                (index, executor.submit(_scan_shard_task, specs[index]))
-                for index in pending
-            ]
-            for index, future in futures:
-                try:
-                    outcomes[index] = future.result()
-                except Exception:
-                    # the worker died under this shard (or took the
-                    # whole pool down): retry it on a fresh pool
-                    still_pending.append(index)
-        finally:
-            executor.shutdown(wait=True)
-        pending = still_pending
-    if pending:
-        # graceful degradation: finish in-process.  The serial path never
-        # injects crashes, so this terminates even at crash rate 1.0; the
-        # cell-backed channel keeps every bound the workers published.
-        if recorder is not None:
-            recorder.add("search.serial_fallbacks", len(pending))
-        fallback = _scan_serial(
-            plans, stats, pruning, exact_waste,
-            [specs[index] for index in pending],
-            channel=BoundChannel(cell),
-        )
-        for index, outcome in zip(pending, fallback):
-            outcomes[index] = outcome
-    complete: List[ShardOutcome] = []
-    for index, outcome in enumerate(outcomes):
-        if outcome is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"search shard {index} was never run")
-        complete.append(outcome)
-    return complete
-
-
 # ----------------------------------------------------------------------
 # the driver
 # ----------------------------------------------------------------------
@@ -612,8 +479,6 @@ def sharded_search(
     shards: Optional[int] = None,
     config_limit: Optional[int] = None,
     chaos: Optional[FaultPolicy] = None,
-    max_retries: int = 3,
-    retry_backoff: float = 0.05,
     shard_observer: Optional[
         Callable[[Sequence[ShardOutcome]], None]
     ] = None,
@@ -671,9 +536,21 @@ def sharded_search(
                 pruned_plans, stats, pruning, exact_waste, specs
             )
         else:
-            outcomes = _scan_resilient(
-                pruned_plans, stats, pruning, exact_waste, specs,
-                workers, chaos, max_retries, retry_backoff,
+            import multiprocessing
+
+            # the shared best-cost bound; the in-process fallback reads
+            # it too, keeping every bound the dead workers published
+            cell = multiprocessing.Value("d", float("inf"))
+            outcomes = resilient_map(
+                _scan_shard_task, specs, workers,
+                fallback=lambda batch: _scan_serial(
+                    pruned_plans, stats, pruning, exact_waste, batch,
+                    channel=BoundChannel(cell),
+                ),
+                namespace="search", track="search-shard",
+                init=_shard_init,
+                initargs=(pruned_plans, stats, pruning, exact_waste, cell),
+                chaos=chaos,
             )
 
     best_key: Optional[_BestKey] = None
@@ -683,9 +560,6 @@ def sharded_search(
         pruning_stats.paths_estimated += outcome.scored
         pruning_stats.rule3_plan_cutoffs += outcome.bound_skips
         bound_updates += outcome.bound_updates
-        if recorder is not None and outcome.snapshot is not None:
-            recorder.merge(outcome.snapshot,
-                           track=f"search-shard-{outcome.index}")
         if outcome.best is not None and (
             best_key is None or outcome.best < best_key
         ):

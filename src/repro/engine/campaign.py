@@ -22,12 +22,11 @@ grid explicit and executes it fast:
   pure functions.
 * **Resilience.**  A unit that raises is reported as an error row (its
   :class:`CellResult` carries the exception in ``error``) instead of
-  poisoning the whole campaign; completed rows are never lost.  A worker
-  *process* that dies (OOM killer, or an injected
-  :class:`~repro.chaos.WorkerCrashes` policy) triggers bounded retries
-  of the unfinished chunks with exponential backoff, then graceful
-  degradation to in-process serial execution -- no lost cells, no hang,
-  and because units are pure the merged results still equal ``jobs=1``.
+  poisoning the whole campaign.  A worker *process* that dies (OOM
+  killer, or an injected :class:`~repro.chaos.WorkerCrashes` policy)
+  costs retries, never rows: the fan-out runs on
+  :func:`repro.core.pool.resilient_map`, and because units are pure the
+  merged results still equal ``jobs=1``.
 * **Fault injection.**  ``run_campaign(..., chaos=policy)`` applies a
   :class:`~repro.chaos.FaultPolicy` to every unit: correlated bursts
   enter the shared trace sets, executor-level injections ride on the
@@ -48,16 +47,15 @@ rankings, the workload runner's per-scheme runs).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar,
 )
 
 from .. import obs
-from ..chaos.inject import crash_worker_process, worker_crash_decision
 from ..chaos.policy import FaultPolicy
 from ..core.plan import Plan
+from ..core.pool import maybe_crash, resilient_map, worker_state
 from ..core.strategies import (
     ConfiguredPlan,
     FaultToleranceScheme,
@@ -298,21 +296,8 @@ def _measure_unit(
             recorder.add("sim.restarts.query", query_restarts)
             recorder.add("sim.restarts.share", share_restarts)
             recorder.add("sim.aborts", aborted)
-        materialized = tuple(
-            op_id for op_id, op in configured.plan.operators.items()
-            if op.materialize and cell.plan[op_id].free
-        )
-        return CellResult(
-            cell_index=cell_index,
-            label=cell.label,
-            scheme=configured.scheme,
-            mtbf=cell.mtbf,
-            const_pipe=cell.const_pipe,
-            baseline=baseline,
-            runtimes=tuple(runtimes),
-            aborted_runs=aborted,
-            materialized_ids=materialized,
-        )
+        return _unit_row(cell, cell_index, configured, baseline,
+                         runtimes, aborted)
 
 
 def _measure_adaptive_unit(
@@ -363,10 +348,20 @@ def _measure_adaptive_unit(
         recorder.add("campaign.trace_runs", len(traces))
         recorder.add("sim.failures_injected", failures)
         recorder.add("sim.restarts.share", share_restarts)
-    materialized = tuple(
-        op_id for op_id, op in configured.plan.operators.items()
-        if op.materialize and cell.plan[op_id].free
-    )
+    return _unit_row(cell, cell_index, configured, baseline, runtimes,
+                     aborted=0, replans=replans)
+
+
+def _unit_row(
+    cell: CampaignCell,
+    cell_index: int,
+    configured: ConfiguredPlan,
+    baseline: float,
+    runtimes: List[float],
+    aborted: int,
+    replans: int = 0,
+) -> CellResult:
+    """The result row of one measured (cell, configured target) unit."""
     return CellResult(
         cell_index=cell_index,
         label=cell.label,
@@ -375,8 +370,11 @@ def _measure_adaptive_unit(
         const_pipe=cell.const_pipe,
         baseline=baseline,
         runtimes=tuple(runtimes),
-        aborted_runs=0,
-        materialized_ids=materialized,
+        aborted_runs=aborted,
+        materialized_ids=tuple(
+            op_id for op_id, op in configured.plan.operators.items()
+            if op.materialize and cell.plan[op_id].free
+        ),
         replans=replans,
     )
 
@@ -425,69 +423,35 @@ def _measure_unit_safe(
         )
 
 
+def _measure_units(
+    cells: Sequence[CampaignCell],
+    cluster: Cluster,
+    units: Sequence[Tuple[int, int, int]],
+    chaos: Optional[FaultPolicy],
+) -> List[CellResult]:
+    """In-process rows of ``(unit, cell, target)`` units: the ``jobs=1``
+    path and the pooled campaign's in-process fallback."""
+    return [
+        _measure_unit_safe(cells[cell_index], cell_index, target_index,
+                           cluster, chaos=chaos)
+        for _, cell_index, target_index in units
+    ]
+
+
 # ----------------------------------------------------------------------
-# process-pool plumbing (worker state installed once per worker)
+# pool workers (run through repro.core.pool.resilient_map)
 # ----------------------------------------------------------------------
-_WORKER_STATE: Dict[str, Any] = {}
+def _campaign_init(cells: Sequence[CampaignCell],
+                   cluster: Cluster) -> Dict[str, Any]:
+    return {"cells": cells, "cluster": cluster}
 
 
-def _campaign_init(cells: Sequence[CampaignCell], cluster: Cluster,
-                   observe: bool = False,
-                   chaos: Optional[FaultPolicy] = None,
-                   round_no: int = 0) -> None:
-    _WORKER_STATE["cells"] = cells
-    _WORKER_STATE["cluster"] = cluster
-    _WORKER_STATE["chaos"] = chaos
-    _WORKER_STATE["round_no"] = round_no
-    #: crash injection only ever fires inside pool workers -- the serial
-    #: path and the serial fallback never set this flag
-    _WORKER_STATE["in_worker"] = True
-    if observe:
-        # parent had a recorder on: record in this worker too; snapshots
-        # ride back with each chunk result and merge in unit order
-        obs.enable()
-
-
-def _maybe_crash(unit_index: int) -> None:
-    """Hard-exit the worker process when the policy says so.
-
-    The kill itself is the chaos layer's
-    :func:`~repro.chaos.inject.crash_worker_process` primitive (the only
-    sanctioned hard-exit in the tree; see lint rule S003).  The decision
-    is keyed by the retry round, so a crashed unit draws fresh dice on
-    every retry.
-    """
-    chaos: Optional[FaultPolicy] = _WORKER_STATE.get("chaos")
-    if (
-        chaos is None or not chaos.pool_active()
-        or not _WORKER_STATE.get("in_worker")
-    ):
-        return
-    assert chaos.worker_crashes is not None
-    if worker_crash_decision(
-        chaos.seed, chaos.worker_crashes.rate,
-        _WORKER_STATE.get("round_no", 0), unit_index,
-    ):
-        crash_worker_process(17)
-
-
-def _campaign_chunk(
-    chunk: Sequence[Tuple[int, int, int]],
-) -> Tuple[List[CellResult], Optional[obs.RecorderSnapshot]]:
-    results = []
-    for unit_index, cell_index, target_index in chunk:
-        _maybe_crash(unit_index)
-        results.append(_measure_unit_safe(
-            _WORKER_STATE["cells"][cell_index], cell_index, target_index,
-            _WORKER_STATE["cluster"], chaos=_WORKER_STATE.get("chaos"),
-        ))
-    recorder = obs.get_recorder()
-    snapshot = recorder.snapshot() if recorder is not None else None
-    if recorder is not None:
-        # fresh recorder per chunk so recycled workers don't re-ship
-        # spans/counters a previous chunk already delivered
-        obs.enable()
-    return results, snapshot
+def _campaign_chunk(chunk: Sequence[Tuple[int, int, int]]) -> List[CellResult]:
+    for unit_index, _, _ in chunk:
+        maybe_crash(unit_index)  # crash decisions are keyed per unit
+    state = worker_state()
+    return _measure_units(state["cells"], state["cluster"], chunk,
+                          state["chaos"])
 
 
 def _preflight_cells(
@@ -519,8 +483,6 @@ def run_campaign(
     jobs: int = 1,
     preflight_lint: bool = True,
     chaos: Optional[FaultPolicy] = None,
-    max_retries: int = 3,
-    retry_backoff: float = 0.05,
 ) -> List[CellResult]:
     """Execute a sweep grid; results ordered by (cell, target).
 
@@ -537,21 +499,16 @@ def run_campaign(
     (and, via :class:`~repro.chaos.WorkerCrashes`, to the pool itself).
     Results stay bit-identical across job counts under any policy.
 
-    Dead worker processes never lose rows: unfinished chunks are retried
-    up to ``max_retries`` times on a fresh pool, sleeping
-    ``retry_backoff * 2**(round - 1)`` seconds before each retry, and
-    whatever still isn't done after the last round runs serially
-    in-process (which cannot crash).  A unit that *raises* is reported
-    as an error row (:attr:`CellResult.error`) rather than retried --
-    exceptions are deterministic, crashes are not.
+    Dead worker processes never lose rows: the chunks they held are
+    retried and finally run in-process by
+    :func:`~repro.core.pool.resilient_map` (counted as
+    ``campaign.retries`` / ``campaign.serial_fallbacks``).  A unit that
+    *raises* is reported as an error row (:attr:`CellResult.error`)
+    rather than retried -- exceptions are deterministic, crashes are not.
     """
     cells = list(cells)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    if retry_backoff < 0:
-        raise ValueError("retry_backoff must be >= 0")
     if preflight_lint:
         _preflight_cells(cells, cluster)
     units: List[Tuple[int, int, int]] = []
@@ -562,11 +519,7 @@ def run_campaign(
                   jobs=jobs):
         workers = min(jobs, len(units))
         if workers <= 1:
-            return [
-                _measure_unit_safe(cells[cell_index], cell_index,
-                                   target_index, cluster, chaos=chaos)
-                for _, cell_index, target_index in units
-            ]
+            return _measure_units(cells, cluster, units, chaos)
         # Parallel grain: one chunk per *cell* when there are enough
         # cells to keep every worker busy -- a cell's targets share its
         # trace set, and process-local caches only pay off when they run
@@ -578,103 +531,17 @@ def run_campaign(
                 chunks[unit[1]].append(unit)
         else:
             chunks = [[unit] for unit in units]
-        return _run_chunks_resilient(
-            cells, cluster, chunks, workers, chaos,
-            max_retries, retry_backoff,
+        rows = resilient_map(
+            _campaign_chunk, chunks, workers,
+            fallback=lambda batch: [
+                _measure_units(cells, cluster, chunk, chaos)
+                for chunk in batch
+            ],
+            namespace="campaign", track="campaign-worker",
+            init=_campaign_init, initargs=(cells, cluster), chaos=chaos,
         )
-
-
-def _run_chunks_resilient(
-    cells: Sequence[CampaignCell],
-    cluster: Cluster,
-    chunks: Sequence[Sequence[Tuple[int, int, int]]],
-    workers: int,
-    chaos: Optional[FaultPolicy],
-    max_retries: int,
-    retry_backoff: float,
-) -> List[CellResult]:
-    """Pooled chunk execution surviving worker deaths.
-
-    Each round submits the still-unfinished chunks to a fresh
-    :class:`~concurrent.futures.ProcessPoolExecutor`; a chunk whose
-    future fails (a worker died mid-chunk, breaking the pool) stays
-    pending for the next round.  After the retry budget, pending chunks
-    degrade gracefully to in-process execution.  Units are pure, so a
-    chunk computes identical rows no matter which round -- or which
-    process -- finally runs it, and the unit-order merge equals the
-    ``jobs=1`` list.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    recorder = obs.get_recorder()
-    ChunkOutcome = Tuple[List[CellResult], Optional[obs.RecorderSnapshot]]
-    outcomes: List[Optional[ChunkOutcome]] = [None] * len(chunks)
-    pending = list(range(len(chunks)))
-    for round_no in range(max_retries + 1):
-        if not pending:
-            break
-        if round_no > 0:
-            if recorder is not None:
-                recorder.add("campaign.retries", len(pending))
-            time.sleep(retry_backoff * (2.0 ** (round_no - 1)))
-        executor = ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)),
-            initializer=_campaign_init,
-            initargs=(cells, cluster, recorder is not None, chaos,
-                      round_no),
-        )
-        still_pending: List[int] = []
-        try:
-            futures = [
-                (index, executor.submit(_campaign_chunk, chunks[index]))
-                for index in pending
-            ]
-            for index, future in futures:
-                try:
-                    outcomes[index] = future.result()
-                except Exception:
-                    # the worker died under this chunk (or took the
-                    # whole pool down): retry it on a fresh pool
-                    still_pending.append(index)
-        finally:
-            executor.shutdown(wait=True)
-        pending = still_pending
-    if pending:
-        # graceful degradation: finish in-process.  The serial path
-        # never injects crashes, so this terminates even at crash
-        # rate 1.0; counters recorded here land directly in the parent
-        # recorder, exactly like the jobs=1 path.
-        if recorder is not None:
-            recorder.add("campaign.serial_fallbacks", len(pending))
-        for index in pending:
-            rows = [
-                _measure_unit_safe(cells[cell_index], cell_index,
-                                   target_index, cluster, chaos=chaos)
-                for _, cell_index, target_index in chunks[index]
-            ]
-            outcomes[index] = (rows, None)
-    merged: List[CellResult] = []
-    for index, outcome in enumerate(outcomes):
-        if outcome is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"campaign chunk {index} was never run")
-        chunk_results, snapshot = outcome
-        if recorder is not None and snapshot is not None:
-            # unit-order merge: counter totals equal the jobs=1 run
-            # for every counter derived from the (bit-identical)
-            # results; only cache.* effectiveness is process-local
-            recorder.merge(snapshot, track=f"campaign-worker-{index}")
-        merged.extend(chunk_results)
-    return merged
-
-
-def _observed_map_call(
-    payload: Tuple[Callable[[_T], _R], _T],
-) -> Tuple[_R, Optional[obs.RecorderSnapshot]]:
-    """Worker-side wrapper: run one item under a fresh recorder."""
-    fn, item = payload
-    with obs.recording() as recorder:
-        result = fn(item)
-        return result, recorder.snapshot()
+        # unit-order merge: equals the jobs=1 list
+        return [row for chunk_rows in rows for row in chunk_rows]
 
 
 def campaign_map(
@@ -689,9 +556,10 @@ def campaign_map(
     experiment loops that are not trace-set simulations (perturbation
     rankings, per-scheme workload runs).  ``fn`` must be picklable (a
     module-level function) when ``jobs > 1``; results always merge in
-    item order, so job count never changes the output.  When a recorder
-    is installed, worker recordings are shipped back per item and merged
-    in item order.
+    item order, so job count never changes the output.  Runs on
+    :func:`~repro.core.pool.resilient_map`: a dead worker's items are
+    retried, then computed in-process, and worker recordings merge in
+    item order.
     """
     items = list(items)
     if jobs < 1:
@@ -699,23 +567,9 @@ def campaign_map(
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    import multiprocessing
-
-    recorder = obs.get_recorder()
-    pool = multiprocessing.Pool(processes=workers)
-    try:
-        if recorder is None:
-            return pool.map(fn, items)
-        with obs.span("campaign.map", items=len(items), jobs=jobs):
-            outcomes = pool.map(
-                _observed_map_call, [(fn, item) for item in items]
-            )
-            results: List[_R] = []
-            for index, (result, snapshot) in enumerate(outcomes):
-                if snapshot is not None:
-                    recorder.merge(snapshot, track=f"map-worker-{index}")
-                results.append(result)
-            return results
-    finally:
-        pool.close()
-        pool.join()
+    with obs.span("campaign.map", items=len(items), jobs=jobs):
+        return resilient_map(
+            fn, items, workers,
+            fallback=lambda batch: [fn(item) for item in batch],
+            namespace="campaign", track="map-worker",
+        )

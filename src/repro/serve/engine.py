@@ -158,7 +158,10 @@ class AdvisoryEngine:
         scheme.  Only the result-relevant knobs join the cache key.
     adaptive_shards:
         Let the :class:`~repro.core.shard.ShardSizer` learn shard counts
-        from observed scan rates (sharded searches only).
+        from observed scan rates.  Only engages when the search is
+        configured to fan out (``parallelism > 1``) or to cut explicit
+        shards (``shards > 1``); the default single-worker scan is never
+        repartitioned.
     """
 
     def __init__(
@@ -187,6 +190,10 @@ class AdvisoryEngine:
         self.config_limit = config_limit
         self.adaptive_shards = adaptive_shards
         self.sizer = ShardSizer()
+        #: does the sizer learn from (and repartition) our searches?
+        self._adaptive_sizing = adaptive_shards and (
+            parallelism > 1 or (shards is not None and shards > 1)
+        )
         self._lock = threading.Lock()
         self._inflight: Dict[Hashable, _Inflight] = {}
         #: last pushed canonical stats (see push_cluster_stats)
@@ -321,21 +328,16 @@ class AdvisoryEngine:
         """Run the actual configuration search / scheme configuration."""
         obs.add("serve.searches")
         if scheme == "cost-based":
-            shards = self._pick_shards(plan)
-            sharded = self.parallelism > 1 or (
-                shards is not None and shards > 1
-            )
             result = find_best_ft_plan(
                 [plan], canonical,
                 pruning=self.pruning,
                 exact_waste=self.exact_waste,
                 engine=self.search_engine,
                 parallelism=self.parallelism,
-                shards=shards,
+                shards=self._pick_shards(plan),
                 config_limit=self.config_limit,
                 shard_observer=(
-                    self.sizer.observe
-                    if sharded and self.adaptive_shards else None
+                    self.sizer.observe if self._adaptive_sizing else None
                 ),
             )
             return Advice(
@@ -367,19 +369,12 @@ class AdvisoryEngine:
         )
 
     def _pick_shards(self, plan: Plan) -> Optional[int]:
-        """The shard count for this search: configured, or sizer-learned.
-
-        Adaptive sizing only engages when the search is configured to
-        fan out (``parallelism > 1``) or to cut explicit shards; it never
-        repartitions the default single-worker scan.  A recommendation
-        differing from what the static default would use counts as a
-        ``search.shard_resize``.
+        """The shard count for this search: configured, or sizer-learned
+        (under adaptive sizing).  A recommendation differing from what
+        the static default would use counts as a ``search.shard_resize``.
         """
         shards = self.shards
-        sharded = self.parallelism > 1 or (
-            shards is not None and shards > 1
-        )
-        if not sharded or not self.adaptive_shards:
+        if not self._adaptive_sizing:
             return shards
         recommended = self.sizer.recommend(
             config_space(plan, self.config_limit), self.parallelism

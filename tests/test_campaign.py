@@ -12,7 +12,11 @@ The load-bearing guarantees:
   extension is written back so later sharers reuse it.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -421,6 +425,67 @@ class TestCampaignMap:
 
 def _square(value):
     return value * value
+
+
+#: a standalone program: ``campaign_map`` over a task whose first
+#: attempt at item 3 hard-kills its worker (the marker file makes every
+#: later attempt, and the serial reference, survive)
+_CRASH_ONCE_SCRIPT = '''
+import json
+import os
+import sys
+
+from repro import obs
+from repro.chaos.inject import crash_worker_process
+from repro.engine.campaign import campaign_map
+
+MARKER = sys.argv[1]
+
+
+def crash_once(value):
+    if value == 3:
+        try:
+            os.close(os.open(MARKER, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            crash_worker_process(17)
+    return value * value
+
+
+if __name__ == "__main__":
+    with obs.recording() as recorder:
+        pooled = campaign_map(crash_once, range(8), jobs=2)
+    serial = campaign_map(crash_once, range(8), jobs=1)
+    print(json.dumps({
+        "pooled": pooled,
+        "serial": serial,
+        "retries": recorder.counters.get("campaign.retries", 0),
+    }))
+'''
+
+
+class TestCampaignMapWorkerCrash:
+    def test_dying_worker_is_retried(self, tmp_path):
+        # in a subprocess with a timeout: a pool without a retry path
+        # never returns once a worker hard-exits under an item
+        script = tmp_path / "crash_once.py"
+        script.write_text(_CRASH_ONCE_SCRIPT)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        try:
+            proc = subprocess.run(
+                [sys.executable, str(script), str(tmp_path / "crashed")],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("campaign_map hung after a worker died")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["pooled"] == report["serial"]
+        assert report["serial"] == [value * value for value in range(8)]
+        assert report["retries"] >= 1
 
 
 class TestMutedTimeline:

@@ -33,6 +33,7 @@ from repro.chaos import (
     worker_crash_decision,
 )
 from repro.cli import main
+from repro.core import pool
 from repro.core.plan import linear_plan
 from repro.core.strategies import AllMat, NoMatRestart
 from repro.engine.campaign import CampaignCell, run_campaign
@@ -409,18 +410,18 @@ class TestCampaignChaos:
         assert run_campaign(cells, cluster, chaos=policy, jobs=3) == \
             run_campaign(cells, cluster, chaos=policy, jobs=1)
 
-    def test_validates_retry_arguments(self, chain, cluster):
-        with pytest.raises(ValueError, match="max_retries"):
-            run_campaign([_cell(chain)], cluster, max_retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            run_campaign([_cell(chain)], cluster, retry_backoff=-0.1)
-
 
 class TestWorkerCrashes:
     """The pool-resilience acceptance bar: a crashing worker costs
     retries, never rows."""
 
-    def test_certain_crashes_degrade_to_serial(self, chain, cluster):
+    @pytest.fixture(autouse=True)
+    def _no_backoff(self, monkeypatch):
+        monkeypatch.setattr(pool, "RETRY_BACKOFF", 0.0)
+
+    def test_certain_crashes_degrade_to_serial(self, chain, cluster,
+                                               monkeypatch):
+        monkeypatch.setattr(pool, "MAX_RETRIES", 2)
         policy = FaultPolicy(seed=7,
                              worker_crashes=WorkerCrashes(rate=1.0))
         cells = [_cell(chain, trace_count=2),
@@ -428,8 +429,7 @@ class TestWorkerCrashes:
                  _cell(chain, base_seed=9, trace_count=2)]
         clean = run_campaign(cells, cluster, jobs=1)
         with obs.recording() as recorder:
-            crashed = run_campaign(cells, cluster, jobs=2, chaos=policy,
-                                   max_retries=2, retry_backoff=0.0)
+            crashed = run_campaign(cells, cluster, jobs=2, chaos=policy)
             counters = recorder.summary()["counters"]
         assert crashed == clean
         # 3 chunks survive 2 retry rounds, then all fall back serially
@@ -443,8 +443,7 @@ class TestWorkerCrashes:
         cells = [_cell(chain, base_seed=seed, trace_count=2)
                  for seed in (0, 4, 8, 12)]
         clean = run_campaign(cells, cluster, jobs=1)
-        crashed = run_campaign(cells, cluster, jobs=2, chaos=policy,
-                               retry_backoff=0.0)
+        crashed = run_campaign(cells, cluster, jobs=2, chaos=policy)
         assert crashed == clean
 
     def test_serial_path_never_crashes(self, chain, cluster):

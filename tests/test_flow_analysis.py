@@ -194,6 +194,26 @@ class TestPoolSafetyRules:
         """)
         assert "S001" in flow_ids(diags)
 
+    def test_s002_reached_through_runner_init(self):
+        diags = lint_snippets("""
+            from repro.core.pool import resilient_map
+
+            _SEEN = []
+
+            def _init(x):
+                _SEEN.append(x)
+                return {}
+
+            def _work(x):
+                return x
+
+            def fan_out(items):
+                return resilient_map(_work, items, 2, fallback=list,
+                                     namespace="n", track="t",
+                                     init=_init, initargs=(1,))
+        """)
+        assert "S002" in flow_ids(diags)
+
     def test_s001_open_handle_in_initargs(self):
         diags = lint_snippets("""
             from concurrent.futures import ProcessPoolExecutor
@@ -355,15 +375,34 @@ class TestCleanTree:
         assert main(["lint", "--flow", "--path", SRC_ROOT]) == 0
         assert "clean" in capsys.readouterr().out
 
+    def test_runner_tasks_are_worker_entry_points(self):
+        # tasks and inits handed to resilient_map never reach an
+        # executor.submit / initializer= site themselves; S002 must
+        # still walk from them
+        from repro.analysis.code_lint import iter_python_files
+        from repro.analysis.flow.poolsafety import _worker_entry_points
+
+        program = Program.build(iter_python_files([SRC_ROOT]))
+        assert {
+            "repro.core.shard:_scan_shard_task",
+            "repro.core.shard:_shard_init",
+            "repro.engine.campaign:_campaign_chunk",
+            "repro.engine.campaign:_campaign_init",
+        } <= _worker_entry_points(program)
+
 
 class TestRealFindingRegressions:
     def test_campaign_no_longer_hard_exits_directly(self):
-        # the S003 finding: os._exit lived in engine/campaign.py
-        with open(os.path.join(SRC_ROOT, "engine", "campaign.py"),
-                  encoding="utf-8") as handle:
-            source = handle.read()
-        assert "os._exit" not in source
-        assert "crash_worker_process" in source
+        # the S003 finding: os._exit lived in engine/campaign.py; crash
+        # injection now lives in the shared pool runner
+        def read(*parts):
+            with open(os.path.join(SRC_ROOT, *parts),
+                      encoding="utf-8") as handle:
+                return handle.read()
+
+        assert "os._exit" not in read("engine", "campaign.py")
+        assert "os._exit" not in read("core", "pool.py")
+        assert "crash_worker_process" in read("core", "pool.py")
 
     def test_crash_worker_process_hard_exits(self):
         code = ("from repro.chaos.inject import crash_worker_process; "

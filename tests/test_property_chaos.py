@@ -26,6 +26,7 @@ from repro.chaos import (
     Stragglers,
     WorkerCrashes,
 )
+from repro.core import pool
 from repro.core.plan import linear_plan
 from repro.core.strategies import AllMat
 from repro.engine.campaign import CampaignCell, run_campaign
@@ -182,7 +183,8 @@ class TestScheduleIndependence:
         parallel = run_campaign(cells, cluster, jobs=4, chaos=policy)
         assert serial == parallel
 
-    def test_jobs4_equals_jobs1_with_worker_crashes(self):
+    def test_jobs4_equals_jobs1_with_worker_crashes(self, monkeypatch):
+        monkeypatch.setattr(pool, "RETRY_BACKOFF", 0.0)
         policy = FaultPolicy(
             seed=11,
             stragglers=Stragglers(rate=0.5, factor=2.0),
@@ -196,6 +198,5 @@ class TestScheduleIndependence:
             for seed in (0, 5, 10)
         ]
         serial = run_campaign(cells, cluster, jobs=1, chaos=policy)
-        parallel = run_campaign(cells, cluster, jobs=4, chaos=policy,
-                                retry_backoff=0.0)
+        parallel = run_campaign(cells, cluster, jobs=4, chaos=policy)
         assert serial == parallel

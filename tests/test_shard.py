@@ -29,6 +29,7 @@ import pytest
 
 from repro import obs
 from repro.chaos import FaultPolicy, WorkerCrashes
+from repro.core import pool
 from repro.core.collapse import collapse_plan
 from repro.core.cost_model import ClusterStats, path_cost_failure_free
 from repro.core.enumeration import (
@@ -395,7 +396,12 @@ class TestShardedEqualsSerial:
 # resilience: crashing workers
 # ----------------------------------------------------------------------
 class TestWorkerCrashResilience:
-    def _search(self, chaos, max_retries=1):
+    @pytest.fixture(autouse=True)
+    def _no_backoff(self, monkeypatch):
+        monkeypatch.setattr(pool, "RETRY_BACKOFF", 0.0)
+        monkeypatch.setattr(pool, "MAX_RETRIES", 1)
+
+    def _search(self, chaos):
         plan = _plan(10, seed=3)
         stats = _rare_failure_stats(plan)
         pruning = PruningConfig.all()
@@ -406,21 +412,22 @@ class TestWorkerCrashResilience:
         key, _ = sharded_search(
             [plan], stats, pruning,
             parallelism=2, shards=4, config_limit=256,
-            chaos=chaos, max_retries=max_retries, retry_backoff=0.0,
+            chaos=chaos,
         )
         assert key == expected
 
-    def test_intermittent_crashes_retry_to_same_answer(self):
+    def test_intermittent_crashes_retry_to_same_answer(self, monkeypatch):
+        monkeypatch.setattr(pool, "MAX_RETRIES", 3)
         chaos = FaultPolicy(seed=13,
                             worker_crashes=WorkerCrashes(rate=0.5))
-        self._search(chaos, max_retries=3)
+        self._search(chaos)
 
     def test_total_crash_falls_back_to_serial(self):
         # every worker dies every round: retries exhaust and the driver
         # must finish in-process, not hang or surface BrokenProcessPool
         chaos = FaultPolicy(seed=7,
                             worker_crashes=WorkerCrashes(rate=1.0))
-        self._search(chaos, max_retries=1)
+        self._search(chaos)
 
     def test_fallback_is_counted(self):
         plan = _plan(8, seed=2)
@@ -430,8 +437,7 @@ class TestWorkerCrashResilience:
         with obs.recording() as recorder:
             sharded_search([plan], stats, PruningConfig.all(),
                            parallelism=2, shards=4, config_limit=64,
-                           chaos=chaos, max_retries=1,
-                           retry_backoff=0.0)
+                           chaos=chaos)
         counters = recorder.counters
         assert counters.get("search.retries", 0) >= 1
         # every shard still pending when retries exhausted is counted
