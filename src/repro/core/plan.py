@@ -139,23 +139,23 @@ class Plan:
         return operator
 
     def add_edge(self, producer_id: int, consumer_id: int) -> None:
-        """Connect ``producer -> consumer``; both must already exist."""
-        for op_id in (producer_id, consumer_id):
-            if op_id not in self.operators:
-                raise PlanError(f"unknown operator id {op_id}")
-        if producer_id == consumer_id:
-            raise PlanError(f"self edge on operator {producer_id}")
+        """Connect ``producer -> consumer``; both must already exist.
+
+        The edge closes a cycle exactly when the consumer already
+        reaches the producer, so one walk from the consumer decides it
+        and a rejected edge never touches the plan.  Building a whole
+        plan edge by edge repeats that walk per edge; bulk construction
+        goes through :meth:`from_edges`, which checks once.
+        """
+        self._check_edge(producer_id, consumer_id)
         if consumer_id in self._consumers[producer_id]:
             raise PlanError(f"duplicate edge {producer_id} -> {consumer_id}")
-        self._consumers[producer_id].append(consumer_id)
-        self._producers[consumer_id].append(producer_id)
-        if self._has_cycle():
-            # roll back so the plan stays usable
-            self._consumers[producer_id].remove(consumer_id)
-            self._producers[consumer_id].remove(producer_id)
+        if self._reaches(consumer_id, producer_id):
             raise PlanError(
                 f"edge {producer_id} -> {consumer_id} would create a cycle"
             )
+        self._consumers[producer_id].append(consumer_id)
+        self._producers[consumer_id].append(producer_id)
 
     @classmethod
     def from_edges(
@@ -163,13 +163,36 @@ class Plan:
         operators: Iterable[Operator],
         edges: Iterable[Tuple[int, int]],
     ) -> "Plan":
-        """Build a plan from an operator list and producer->consumer edges."""
+        """Build a plan from an operator list and producer->consumer edges.
+
+        Adjacency lists keep the edges' order, as repeated
+        :meth:`add_edge` calls would; acyclicity is checked once, by one
+        topological sort, so construction is ``O(V log V + E)`` whatever
+        order the edges arrive in.
+        """
         plan = cls()
         for operator in operators:
             plan.add_operator(operator)
+        seen = set()
         for producer_id, consumer_id in edges:
-            plan.add_edge(producer_id, consumer_id)
+            plan._check_edge(producer_id, consumer_id)
+            edge = (producer_id, consumer_id)
+            if edge in seen:
+                raise PlanError(
+                    f"duplicate edge {producer_id} -> {consumer_id}"
+                )
+            seen.add(edge)
+            plan._consumers[producer_id].append(consumer_id)
+            plan._producers[consumer_id].append(producer_id)
+        plan.topological_order()  # raises on cycles
         return plan
+
+    def _check_edge(self, producer_id: int, consumer_id: int) -> None:
+        for op_id in (producer_id, consumer_id):
+            if op_id not in self.operators:
+                raise PlanError(f"unknown operator id {op_id}")
+        if producer_id == consumer_id:
+            raise PlanError(f"self edge on operator {producer_id}")
 
     # ------------------------------------------------------------------
     # structure queries
@@ -243,11 +266,17 @@ class Plan:
             raise PlanError("plan contains a cycle")
         return order
 
-    def _has_cycle(self) -> bool:
-        try:
-            self.topological_order()
-        except PlanError:
-            return True
+    def _reaches(self, start_id: int, target_id: int) -> bool:
+        """Whether ``target_id`` is a transitive consumer of ``start_id``."""
+        stack = [start_id]
+        visited = {start_id}
+        while stack:
+            for consumer_id in self._consumers[stack.pop()]:
+                if consumer_id == target_id:
+                    return True
+                if consumer_id not in visited:
+                    visited.add(consumer_id)
+                    stack.append(consumer_id)
         return False
 
     def ancestors(self, op_id: int) -> List[int]:
@@ -289,16 +318,14 @@ class Plan:
         *different* flag raises :class:`PlanError`.
         """
         mapping = dict(mat_config)
-        new_plan = Plan()
-        for op_id, operator in self.operators.items():
-            if op_id in mapping:
-                operator = operator.with_materialize(mapping.pop(op_id))
-            new_plan.add_operator(operator)
+        operators = [
+            operator.with_materialize(mapping.pop(op_id))
+            if op_id in mapping else operator
+            for op_id, operator in self.operators.items()
+        ]
         if mapping:
             raise PlanError(f"unknown operator ids in config: {sorted(mapping)}")
-        for producer_id, consumer_id in self.edges():
-            new_plan.add_edge(producer_id, consumer_id)
-        return new_plan
+        return Plan.from_edges(operators, self.edges())
 
     def mat_config(self) -> Dict[int, bool]:
         """The current materialization configuration ``M_P`` as a dict."""

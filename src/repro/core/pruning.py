@@ -174,15 +174,13 @@ def apply_rule2(plan: Plan, stats: ClusterStats,
 def _bind_non_materializable(plan: Plan, op_ids: Sequence[int]) -> Plan:
     if not op_ids:
         return plan
-    new_plan = Plan()
     to_bind = set(op_ids)
-    for op_id, operator in plan.operators.items():
-        if op_id in to_bind:
-            operator = operator.as_bound(materialize=False)
-        new_plan.add_operator(operator)
-    for producer_id, consumer_id in plan.edges():
-        new_plan.add_edge(producer_id, consumer_id)
-    return new_plan
+    return Plan.from_edges(
+        (operator.as_bound(materialize=False) if op_id in to_bind
+         else operator
+         for op_id, operator in plan.operators.items()),
+        plan.edges(),
+    )
 
 
 # ----------------------------------------------------------------------

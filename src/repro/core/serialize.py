@@ -48,9 +48,8 @@ def plan_from_dict(payload: Dict[str, Any]) -> Plan:
             f"unsupported plan format: {payload.get('format')!r} "
             f"(expected {FORMAT!r})"
         )
-    plan = Plan()
-    for entry in payload["operators"]:
-        plan.add_operator(Operator(
+    operators = [
+        Operator(
             op_id=int(entry["op_id"]),
             name=str(entry["name"]),
             runtime_cost=float(entry["runtime_cost"]),
@@ -64,9 +63,12 @@ def plan_from_dict(payload: Dict[str, Any]) -> Plan:
                 None if entry.get("state_ckpt_cost") is None
                 else float(entry["state_ckpt_cost"])
             ),
-        ))
-    for producer, consumer in payload["edges"]:
-        plan.add_edge(int(producer), int(consumer))
+        )
+        for entry in payload["operators"]
+    ]
+    edges = [(int(producer), int(consumer))
+             for producer, consumer in payload["edges"]]
+    plan = Plan.from_edges(operators, edges)
     plan.validate()
     return plan
 

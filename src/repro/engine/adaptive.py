@@ -624,11 +624,11 @@ def frontier_plan(
     recorded re-plan's search on every engine from the
     :class:`Reconfiguration` record alone.
     """
-    remaining = Plan()
+    operators = []
     for op_id, operator in estimated_plan.operators.items():
         if op_id in completed_ops:
             # sunk work: keep the executed flag, zero remaining cost
-            remaining.add_operator(replace(
+            operators.append(replace(
                 operator,
                 runtime_cost=0.0,
                 mat_cost=0.0,
@@ -636,15 +636,13 @@ def frontier_plan(
                 free=False,
             ))
         else:
-            remaining.add_operator(replace(
+            operators.append(replace(
                 operator,
                 runtime_cost=operator.runtime_cost * correction,
                 mat_cost=operator.mat_cost * correction,
                 materialize=config[op_id],
             ))
-    for producer, consumer in estimated_plan.edges():
-        remaining.add_edge(producer, consumer)
-    return remaining
+    return Plan.from_edges(operators, estimated_plan.edges())
 
 
 class AdaptiveCostBased(FaultToleranceScheme):

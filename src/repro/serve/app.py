@@ -21,12 +21,23 @@ Status codes: 200 success, 400 malformed payload, 404 unknown path,
 429 queue full (shed -- retry later), 500 a search raised.
 
 Concurrency model: :class:`ThreadingHTTPServer` gives each connection a
-thread, which then *blocks* on the engine's bounded queue handle --
-connection concurrency can exceed search concurrency, and when the gap
-exceeds the queue bound the service sheds instead of building unbounded
-latency.  A batch request coalesces internally like any other traffic:
-its entries are submitted together and identical entries dedupe onto
-one search.
+thread.  That thread decodes the request, canonicalizes its stats and
+probes the engine's cache; a hit is answered right there, so it never
+waits behind searches and is never shed.  A miss takes a slot in the
+engine's bounded queue and the connection thread *blocks* until a
+worker answers -- connection concurrency can exceed search concurrency,
+and when the gap exceeds the queue bound the service sheds misses
+instead of building unbounded latency.  A batch request coalesces
+internally like any other traffic: its entries are submitted together
+and identical entries dedupe onto one search.
+
+Each response leaves in one ``send()`` (when it fits the 8 KiB write
+buffer): the handler buffers its writes (``wbufsize = -1``) and
+``http.server`` flushes once per request.  Nagle's algorithm is off
+(``TCP_NODELAY``).  With it on, a response written as
+headers then body waits on a keep-alive connection for the client's
+delayed ACK of the first segment -- about 40 ms per request, a cap of
+roughly 25 requests/s per connection.
 """
 
 from __future__ import annotations
@@ -77,6 +88,9 @@ class AdvisoryRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: one buffered write per response, sent at once (module docstring)
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     # -- plumbing ------------------------------------------------------
     @property
@@ -160,6 +174,9 @@ class AdvisoryRequestHandler(BaseHTTPRequestHandler):
                 pendings.append((None, str(error)))
             except ServiceOverloaded as error:
                 pendings.append((None, f"shed: {error}"))
+            except ValueError as error:  # an unknown scheme
+                pendings.append((None, f"{type(error).__name__}: "
+                                       f"{error}"))
         results: List[Dict[str, Any]] = []
         for pending, error_text in pendings:
             if pending is None:

@@ -56,6 +56,15 @@ class AdviceCache:
             obs.add("serve.cache.hits")
         return value
 
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """:meth:`get` without the hit/miss tally: a second look for a
+        request whose miss was already counted."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+        return value
+
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) an entry, evicting the LRU on overflow."""
         evicted = 0

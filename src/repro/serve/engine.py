@@ -35,11 +35,12 @@ lookup":
 
 The bounded-queue/backpressure frontend (:meth:`AdvisoryEngine.start` /
 :meth:`submit`) is part of the engine so the HTTP layer stays a thin
-codec: workers are plain ``threading.Thread`` s draining a
+codec.  :meth:`submit` answers a cache hit on the caller's thread;
+only misses reach the workers, plain ``threading.Thread`` s draining a
 ``queue.Queue`` (each blocks in its own search's process pool, so
-threads are the right concurrency primitive here), and a full queue
-sheds immediately with :class:`ServiceOverloaded` -- the HTTP layer maps
-that to 429.
+threads are the right concurrency primitive here).  A full queue sheds
+a miss immediately with :class:`ServiceOverloaded` -- the HTTP layer
+maps that to 429.
 """
 
 from __future__ import annotations
@@ -117,23 +118,28 @@ class _Inflight:
 
 
 class _Pending:
-    """Handle for a request submitted to the worker queue."""
+    """Handle for a submitted request.
+
+    A cache hit is answered on the submitting thread, so its handle is
+    born finished and carries no event; a miss waits for a worker.
+    """
 
     __slots__ = ("_event", "_advice", "_error")
 
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._advice: Optional[Advice] = None
+    def __init__(self, advice: Optional[Advice] = None) -> None:
+        self._event = None if advice is not None else threading.Event()
+        self._advice = advice
         self._error: Optional[BaseException] = None
 
     def _finish(self, advice: Optional[Advice],
                 error: Optional[BaseException]) -> None:
+        assert self._event is not None
         self._advice = advice
         self._error = error
         self._event.set()
 
     def result(self, timeout: Optional[float] = None) -> Advice:
-        if not self._event.wait(timeout):
+        if self._event is not None and not self._event.wait(timeout):
             raise TimeoutError("advisory request still pending")
         if self._error is not None:
             raise self._error
@@ -238,21 +244,44 @@ class AdvisoryEngine:
         wait for the leader's result.  Otherwise compute, publish to the
         cache and the followers atomically, and return.
         """
+        canonical, key = self._identify(plan, stats, scheme)
+        return self._advise_keyed(plan, canonical, scheme, key,
+                                  probed=False)
+
+    def _identify(self, plan: Plan, stats: ClusterStats,
+                  scheme: str) -> Tuple[ClusterStats, Hashable]:
+        """Validate and count one request; its canonical stats and key."""
         if scheme not in SCHEME_NAMES:
             raise ValueError(f"unknown fault-tolerance scheme {scheme!r} "
                              f"(expected one of {SCHEME_NAMES})")
         obs.add("serve.requests")
         canonical = self.canonical_stats(stats)
-        key = self.advice_key(plan, canonical, scheme)
+        return canonical, self.advice_key(plan, canonical, scheme)
+
+    def _advise_keyed(self, plan: Plan, canonical: ClusterStats,
+                      scheme: str, key: Hashable, probed: bool) -> Advice:
+        """The single-flight core behind :meth:`advise` and the workers.
+
+        ``probed`` requests already missed the cache in :meth:`submit`:
+        they look again without counting a second miss, and an entry
+        published since (by the leader they raced) answers them as a
+        coalesced follower, so every miss is a search, a follower or a
+        shed.
+        """
         with self._lock:
+            cached = None
             if self.cache is not None:
-                cached = self.cache.get(key)
-                if cached is not None:
-                    return cached
-            entry = self._inflight.get(key)
-            leader = entry is None
-            if leader:
-                entry = self._inflight[key] = _Inflight()
+                cached = (self.cache.peek(key) if probed
+                          else self.cache.get(key))
+            if cached is None:
+                entry = self._inflight.get(key)
+                leader = entry is None
+                if leader:
+                    entry = self._inflight[key] = _Inflight()
+        if cached is not None:
+            if probed:
+                obs.add("serve.coalesced")
+            return cached
         if not leader:
             obs.add("serve.coalesced")
             assert entry is not None
@@ -435,15 +464,27 @@ class AdvisoryEngine:
 
     def submit(self, plan: Plan, stats: ClusterStats,
                scheme: str = "cost-based") -> _Pending:
-        """Enqueue a request; raises :class:`ServiceOverloaded` when the
-        bounded queue is full (the backpressure signal)."""
+        """Answer a cache hit at once; enqueue a miss.
+
+        The hit path is one cache probe on the caller's thread: no queue
+        slot, no worker wake-up, so a hit is never shed.  A miss carries
+        its canonical stats and key to a worker and raises
+        :class:`ServiceOverloaded` when the bounded queue is full (the
+        backpressure signal).
+        """
         with self._lock:
             request_queue = self._queue
         if request_queue is None:
             raise RuntimeError("engine not started (call start())")
+        canonical, key = self._identify(plan, stats, scheme)
+        if self.cache is not None:
+            cached = self.cache.get(key)
+            if cached is not None:
+                return _Pending(cached)
         pending = _Pending()
         try:
-            request_queue.put_nowait((plan, stats, scheme, pending))
+            request_queue.put_nowait((plan, canonical, scheme, key,
+                                      pending))
         except queue.Full:
             obs.add("serve.shed")
             raise ServiceOverloaded(
@@ -457,9 +498,10 @@ class AdvisoryEngine:
             item = self._queue.get()
             if item is None:
                 return
-            plan, stats, scheme, pending = item
+            plan, canonical, scheme, key, pending = item
             try:
-                pending._finish(self.advise(plan, stats, scheme), None)
+                pending._finish(self._advise_keyed(
+                    plan, canonical, scheme, key, probed=True), None)
             except BaseException as error:  # delivered to the waiter
                 pending._finish(None, error)
 

@@ -115,9 +115,8 @@ def build_plan(
     always-materialized operators are bound with ``m(o) = 1``; everything
     else is bound with ``m(o) = 0``.
     """
-    plan = Plan()
-    for logical in logical_ops:
-        plan.add_operator(
+    plan = Plan.from_edges(
+        (
             Operator(
                 op_id=logical.op_id,
                 name=logical.name,
@@ -128,10 +127,11 @@ def build_plan(
                 cardinality=round(logical.out_rows),
                 base_inputs=logical.base_inputs,
             )
-        )
-    for logical in logical_ops:
-        for input_id in logical.inputs:
-            plan.add_edge(input_id, logical.op_id)
+            for logical in logical_ops
+        ),
+        [(input_id, logical.op_id)
+         for logical in logical_ops for input_id in logical.inputs],
+    )
     plan.validate()
     return plan
 

@@ -56,9 +56,8 @@ def perturb_plan(
         return plan
 
     scale_runtime = kind is PerturbationKind.COMPUTE_AND_IO
-    new_plan = Plan()
-    for op_id, operator in plan.operators.items():
-        new_plan.add_operator(
+    return Plan.from_edges(
+        (
             replace(
                 operator,
                 runtime_cost=(
@@ -67,10 +66,10 @@ def perturb_plan(
                 ),
                 mat_cost=operator.mat_cost * factor,
             )
-        )
-    for producer_id, consumer_id in plan.edges():
-        new_plan.add_edge(producer_id, consumer_id)
-    return new_plan
+            for operator in plan.operators.values()
+        ),
+        plan.edges(),
+    )
 
 
 def _check_factor(factor: float) -> None:

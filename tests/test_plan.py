@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.plan import Operator, Plan, PlanError, linear_plan
+from repro.core.serialize import plan_from_dict, plan_to_dict
 
 
 class TestOperator:
@@ -70,7 +71,7 @@ class TestPlanConstruction:
 
     def test_cycle_rejected_and_rolled_back(self):
         plan = linear_plan([(1, 1), (1, 1), (1, 1)])
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError, match="would create a cycle"):
             plan.add_edge(3, 1)
         # the offending edge was rolled back; the plan stays valid
         plan.validate()
@@ -80,6 +81,34 @@ class TestPlanConstruction:
         assert set(paper_plan.edges()) == {
             (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7)
         }
+
+    def test_from_edges_rejects_a_cycle(self):
+        operators = [Operator(i, f"op{i}", 1.0, 1.0) for i in (1, 2, 3)]
+        with pytest.raises(PlanError, match="cycle"):
+            Plan.from_edges(operators, [(1, 2), (2, 3), (3, 1)])
+
+    @pytest.mark.parametrize("edges", [
+        [(1, 2), (1, 2)],   # duplicate
+        [(1, 1)],           # self edge
+        [(1, 9)],           # unknown operator
+    ])
+    def test_from_edges_rejects_bad_edges(self, edges):
+        operators = [Operator(i, f"op{i}", 1.0, 1.0) for i in (1, 2)]
+        with pytest.raises(PlanError):
+            Plan.from_edges(operators, edges)
+
+    def test_from_edges_keeps_add_edge_adjacency_order(self, paper_plan):
+        edges = [(5, 7), (2, 3), (5, 6), (1, 3), (4, 5), (3, 4)]
+        incremental = Plan()
+        for operator in paper_plan.operators.values():
+            incremental.add_operator(operator)
+        for producer, consumer in edges:
+            incremental.add_edge(producer, consumer)
+        bulk = Plan.from_edges(paper_plan.operators.values(), edges)
+        for op_id in paper_plan.operators:
+            assert bulk.consumers(op_id) == incremental.consumers(op_id)
+            assert bulk.producers(op_id) == incremental.producers(op_id)
+        assert list(bulk.edges()) == list(incremental.edges())
 
     def test_empty_plan_fails_validation(self):
         with pytest.raises(PlanError):
@@ -182,3 +211,55 @@ class TestHelpers:
         rendering = paper_plan.pretty()
         for op_id in paper_plan.operators:
             assert f"[{op_id}]" in rendering
+
+
+class TestLinearConstruction:
+    """Building a plan sorts it a constant number of times, not once per
+    edge (counted, not timed)."""
+
+    CHAIN = 2000
+
+    @staticmethod
+    def _count_sorts(monkeypatch):
+        calls = []
+        original = Plan.topological_order
+
+        def counting(self):
+            calls.append(len(self))
+            return original(self)
+
+        monkeypatch.setattr(Plan, "topological_order", counting)
+        return calls
+
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["forward", "reverse"])
+    def test_decode_sorts_constant_times(self, monkeypatch, reverse):
+        plan = linear_plan([(1.0, 1.0)] * self.CHAIN)
+        payload = plan_to_dict(plan)
+        if reverse:
+            payload["edges"].reverse()
+        calls = self._count_sorts(monkeypatch)
+        decoded = plan_from_dict(payload)
+        assert len(calls) <= 2
+        assert set(decoded.edges()) == set(plan.edges())
+        assert decoded.topological_order() == list(
+            range(1, self.CHAIN + 1)
+        )
+
+    def test_copies_sort_constant_times(self, monkeypatch):
+        plan = linear_plan([(1.0, 1.0)] * self.CHAIN)
+        calls = self._count_sorts(monkeypatch)
+        configured = plan.with_mat_config({1: True})
+        assert len(calls) <= 2
+        assert list(configured.edges()) == list(plan.edges())
+
+    def test_add_edge_checks_cycles_without_sorting(self, monkeypatch):
+        calls = self._count_sorts(monkeypatch)
+        plan = Plan()
+        for op_id in range(1, 51):
+            plan.add_operator(Operator(op_id, f"op{op_id}", 1.0, 1.0))
+        for op_id in range(50, 1, -1):  # reverse topological order
+            plan.add_edge(op_id - 1, op_id)
+        with pytest.raises(PlanError, match="would create a cycle"):
+            plan.add_edge(50, 1)
+        assert calls == []

@@ -2,16 +2,21 @@
 
 Covers stats bucketing (boundary determinism, canonical round-trips),
 the LRU advice cache (eviction order, counters), the engine's
-single-flight dedup and cache-on/cache-off bit-identity, adaptive shard
-sizing, and the HTTP frontend (round-trip, batch, backpressure shed,
-error codes).
+single-flight dedup and cache-on/cache-off bit-identity, the queue
+frontend (hits answered without a queue slot, counter invariants under
+concurrent submits), adaptive shard sizing, and the HTTP frontend
+(round-trip, batch, backpressure shed, error codes, keep-alive latency).
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
+import statistics
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -473,6 +478,8 @@ class TestFrontend:
 
     def test_full_queue_sheds(self, paper_plan, monkeypatch):
         engine = small_engine()
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        warm = engine.advise(paper_plan, stats, scheme="no-mat (lineage)")
         started = threading.Event()
         release = threading.Event()
         original = AdvisoryEngine._compute
@@ -486,7 +493,6 @@ class TestFrontend:
                             blocking_compute)
         engine.start(workers=1, max_queue=1)
         try:
-            stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
             first = engine.submit(paper_plan, stats)
             assert started.wait(10.0)  # worker is busy on request 1
             # second request fills the queue; the third must shed --
@@ -495,12 +501,88 @@ class TestFrontend:
             with pytest.raises(ServiceOverloaded):
                 engine.submit(paper_plan, stats,
                               scheme="no-mat (restart)")
+            # a cached key is answered on the submitting thread: never
+            # shed, never queued behind the blocked search
+            hit = engine.submit(paper_plan, stats,
+                                scheme="no-mat (lineage)")
+            assert hit.result(timeout=0.0) == warm
             release.set()
             first.result(timeout=30.0)
             second.result(timeout=30.0)
         finally:
             release.set()
             engine.stop()
+
+    def test_submit_hammer_counters_consistent(
+        self, paper_plan, chain_plan, monkeypatch
+    ):
+        """Four threads of mixed hits and misses through submit(): each
+        request is one hit or one miss, each miss one search or one
+        coalesced follower, one cache entry per canonical key."""
+        engine = small_engine()
+        original = AdvisoryEngine._compute
+
+        def slow_compute(self, plan, canonical, scheme):
+            time.sleep(0.005)  # widen the publish race
+            return original(self, plan, canonical, scheme)
+
+        monkeypatch.setattr(AdvisoryEngine, "_compute", slow_compute)
+        cells = [
+            (plan, ClusterStats(mtbf=mtbf, mttr=1.0, nodes=4), scheme)
+            for plan in (paper_plan, chain_plan)
+            for mtbf in (60.0, 3600.0, 86400.0)
+            for scheme in ("cost-based", "all-mat")
+        ]
+        # every thread walks the same order, so each key is wanted by
+        # four threads at once: leaders, in-flight followers, and queued
+        # misses that find the leader's entry already published
+        requests = cells * 3
+        answers = {}
+        errors = []
+
+        def client(thread_index):
+            for index, (plan, stats, scheme) in enumerate(requests):
+                try:
+                    answers[thread_index, index] = engine.submit(
+                        plan, stats, scheme).result(timeout=30.0)
+                except BaseException as error:  # pragma: no cover
+                    errors.append(error)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        engine.start(workers=2, max_queue=8)
+        try:
+            with obs.recording() as recorder:
+                threads = [threading.Thread(target=client, args=(index,))
+                           for index in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                counters = dict(recorder.counters)
+        finally:
+            sys.setswitchinterval(switch_interval)
+            engine.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(answers) == 4 * len(requests)
+        cache = engine.cache.stats()
+        assert cache["hits"] > 0 and cache["misses"] > 0
+        assert cache["hits"] + cache["misses"] \
+            == counters["serve.requests"] == 4 * len(requests)
+        assert counters.get("serve.shed", 0) == 0
+        assert cache["misses"] == (counters["serve.searches"]
+                                   + counters.get("serve.coalesced", 0))
+        keys = {engine.advice_key(plan, engine.canonical_stats(stats),
+                                  scheme)
+                for plan, stats, scheme in requests}
+        assert cache["size"] == len(keys) == counters["serve.searches"]
+        monkeypatch.setattr(AdvisoryEngine, "_compute", original)
+        for (_, index), advice in answers.items():
+            plan, stats, scheme = requests[index]
+            assert advice == engine.advise(plan, stats, scheme)
+        for plan, stats, scheme in cells:
+            assert engine.advise(plan, stats, scheme) \
+                == direct_advice(plan, stats, engine, scheme)
 
     def test_submit_requires_start(self, paper_plan):
         engine = small_engine()
@@ -683,6 +765,46 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(f"{base}/nope", {})
         assert excinfo.value.code == 404
+
+    def test_keepalive_hits_do_not_stall(self, http_service, paper_plan):
+        """Back-to-back hits on one persistent connection answer far
+        under the ~40 ms a two-write response waits for the client's
+        delayed ACK while Nagle's algorithm is on."""
+        base, engine = http_service
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        body = json.dumps({"plan": plan_to_dict(paper_plan),
+                           "stats": stats_to_dict(stats)})
+        expected = {"advice": engine.advise(paper_plan, stats).to_dict()}
+        host, port = base[len("http://"):].split(":")
+        connection = http.client.HTTPConnection(host, int(port),
+                                                timeout=30.0)
+        round_trips = []
+        try:
+            for _ in range(30):
+                started = time.perf_counter()
+                connection.request(
+                    "POST", "/advise", body=body,
+                    headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                round_trips.append(time.perf_counter() - started)
+                assert response.status == 200
+                assert payload == expected
+        finally:
+            connection.close()
+        assert statistics.median(round_trips) < 0.015
+
+    def test_batch_unknown_scheme_is_a_per_entry_error(
+        self, http_service, paper_plan
+    ):
+        base, _ = http_service
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        good = {"plan": plan_to_dict(paper_plan),
+                "stats": stats_to_dict(stats)}
+        payload = _post(f"{base}/advise/batch",
+                        {"requests": [good, dict(good, scheme="nope")]})
+        assert "advice" in payload["results"][0]
+        assert "unknown fault-tolerance" in payload["results"][1]["error"]
 
     def test_batch_reports_per_entry_errors(
         self, http_service, paper_plan
