@@ -20,17 +20,31 @@ so the per-trace work dominates fixed costs.  Three modes are timed:
 Every mode's rows are asserted equal to the oracle's before any number
 is reported -- the speedup is only meaningful if the outputs match.
 
+What the oracle can and cannot catch: it runs through the same
+:class:`~repro.engine.executor.SimulatedEngine` as the campaign, so the
+equality checks the *campaign* layer (prepared executions, caches,
+muted timelines, process fan-out) and nothing below it.  A bug in the
+executor's own shortcuts (segment templates, the uniform-share window
+check, the merged failure stream of query restarts) would change the
+oracle and the campaign alike and pass here.  Those are pinned instead
+by ``tests/golden/executor_fast_path.json``: per-run results, event-log
+digests and counters of a seeded battery recorded with the executor
+that predates the shortcuts (``tests/test_property_executor.py``).
+
 Besides the pytest-benchmark tests, the module doubles as a script::
 
     PYTHONPATH=src python benchmarks/bench_simulator.py
 
-which writes ``BENCH_simulator.json`` (wall time and speedup per mode)
-at the repository root.  ``--quick`` shrinks the sweep for CI.  See
+which writes ``BENCH_simulator.json`` (wall time and speedup per mode,
+plus the CPU count, Python version and platform it ran on) at the
+repository root.  ``--quick`` shrinks the sweep for CI.  See
 ``docs/perf.md`` for how to read it.
 """
 
 import argparse
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -172,6 +186,9 @@ def run_comparison(scale_factor=100.0, trace_count=200, jobs=(4, 8)):
         "units": sum(len(cell.targets()) for cell in cells),
         "oracle_seconds": round(oracle_s, 6),
         "modes": modes,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
     }
 
 

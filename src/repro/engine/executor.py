@@ -50,9 +50,11 @@ measures.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..chaos.inject import ChaosRun
@@ -62,6 +64,9 @@ from ..core.strategies import ConfiguredPlan, RecoveryMode
 from .cluster import Cluster
 from .timeline import EventKind, MutedTimeline, Timeline
 from .traces import FailureTrace
+
+if TYPE_CHECKING:
+    from ..core.checkpointing import CheckpointSpec
 
 
 class TraceExhausted(RuntimeError):
@@ -93,13 +98,37 @@ class ExecutionResult:
         return not self.aborted
 
 
-@dataclass(frozen=True)
-class _Segment:
-    """One dominant-path step of a group share."""
+#: one dominant-path step of a group share in one run: (gate, duration)
+_Segment = Tuple[float, float]
 
-    op_id: int
-    gate: float        #: earliest start (external producers' completion)
-    duration: float
+
+@dataclass(frozen=True)
+class _GroupTemplate:
+    """Trace-independent shape of one collapsed group's shares.
+
+    ``steps`` has one ``(external anchors, duration)`` pair per
+    dominant-path operator.  The anchors are the sorted producer groups
+    outside this group that feed the operator or any of its in-group
+    ancestors; a run's segment gate is the latest of their completions
+    (0 without any).  Durations are ``CONST_pipe``-scaled and the final
+    step carries the group's materialization cost ``tm``.
+    """
+
+    anchor: int
+    steps: Tuple[Tuple[Tuple[int, ...], float], ...]
+    materializes: bool          #: the group writes its output (tm > 0)
+    recovery_extra: float       #: storage surcharge per failure restart
+    refetch_extra: float        #: input restore after a failed write
+    spec: Optional["CheckpointSpec"]
+
+    def segments(self, completion: Dict[int, float]) -> List[_Segment]:
+        """This run's ``(gate, duration)`` segments, given the producer
+        groups' completion times."""
+        return [
+            (max([completion[a] for a in anchors]) if anchors else 0.0,
+             duration)
+            for anchors, duration in self.steps
+        ]
 
 
 class PreparedExecution:
@@ -112,24 +141,35 @@ class PreparedExecution:
     ``prepare()`` hoists everything trace-independent out of the loop;
     ``execute_prepared`` then replays any number of traces against it
     with results bit-identical to fresh ``execute()`` calls (the cached
-    pieces are deterministic functions of the configured plan alone).
+    pieces are deterministic functions of the configured plan alone):
+
+    * ``collapsed`` -- the collapsed plan (its sinks end the query);
+    * ``templates`` -- one :class:`_GroupTemplate` per collapsed group,
+      in collapsed topological order: each dominant-path operator's
+      sorted external producer anchors and scaled duration, plus the
+      group's storage surcharges and checkpoint spec.  A run only takes
+      the max of the anchors' completion times to gate each segment;
+    * the failure-free attempt makespan of ``RESTART_QUERY`` plans,
+      filled in by the first run that needs it.
     """
 
-    __slots__ = (
-        "configured", "collapsed", "topo_order", "collapsed_order",
-        "ancestor_cost", "checkpoints", "_coarse_makespan",
-    )
+    __slots__ = ("configured", "collapsed", "templates", "_coarse_makespan")
 
     def __init__(self, engine: "SimulatedEngine",
                  configured: ConfiguredPlan) -> None:
         self.configured = configured
-        self.collapsed = collapse_plan(
-            configured.plan, const_pipe=engine.const_pipe
+        plan = configured.plan
+        self.collapsed = collapse_plan(plan, const_pipe=engine.const_pipe)
+        topo_order = plan.topological_order()
+        ancestor_cost = engine._ancestor_costs(self.collapsed)
+        checkpoints = configured.op_checkpoints or {}
+        self.templates = tuple(
+            engine._group_template(
+                plan, topo_order, self.collapsed[anchor],
+                ancestor_cost[anchor], checkpoints.get(anchor),
+            )
+            for anchor in self.collapsed.topological_order()
         )
-        self.topo_order = configured.plan.topological_order()
-        self.collapsed_order = self.collapsed.topological_order()
-        self.ancestor_cost = engine._ancestor_costs(self.collapsed)
-        self.checkpoints = dict(configured.op_checkpoints or {})
         #: failure-free makespan, lazily cached for RESTART_QUERY runs
         self._coarse_makespan: Optional[float] = None
 
@@ -239,34 +279,20 @@ class SimulatedEngine:
         trace: FailureTrace,
         chaos_run: Optional[ChaosRun] = None,
     ) -> ExecutionResult:
-        plan = prepared.configured.plan
-        collapsed = prepared.collapsed
-        topo_order = prepared.topo_order
-        checkpoints = prepared.checkpoints
-        ancestor_cost = prepared.ancestor_cost
         timeline = self._new_timeline()
         seen_failures: Set[Tuple[int, float]] = set()
         completion: Dict[int, float] = {}
         share_restarts = 0
 
-        for anchor in prepared.collapsed_order:
-            done, restarts = self.run_group(
-                plan=plan,
-                collapsed=collapsed,
-                anchor=anchor,
-                completion=completion,
-                trace=trace,
-                timeline=timeline,
-                seen_failures=seen_failures,
-                checkpoints=checkpoints,
-                topo_order=topo_order,
-                ancestor_cost=ancestor_cost,
-                chaos_run=chaos_run,
+        for template in prepared.templates:
+            done, restarts = self._execute_group(
+                template, completion, trace, timeline, seen_failures,
+                chaos_run,
             )
-            completion[anchor] = done
+            completion[template.anchor] = done
             share_restarts += restarts
 
-        runtime = max(completion[sink] for sink in collapsed.sinks)
+        runtime = max(completion[sink] for sink in prepared.collapsed.sinks)
         timeline.record(runtime, EventKind.QUERY_COMPLETED)
         return ExecutionResult(
             runtime=runtime,
@@ -278,51 +304,54 @@ class SimulatedEngine:
             timeline=timeline,
         )
 
-    def _segments(
+    def _group_template(
         self,
         plan,
         topo_order: Sequence[int],
         group: CollapsedOperator,
-        completion: Dict[int, float],
-    ) -> List[_Segment]:
-        """Build the share's segment sequence for one collapsed group.
+        ancestor_cost: float,
+        spec: Optional["CheckpointSpec"] = None,
+    ) -> _GroupTemplate:
+        """Build one collapsed group's trace-independent share template.
 
-        Each group member's *external gate* is the latest completion of a
-        producer group feeding it; gates propagate to in-group consumers
-        so that a dominant-path segment also waits for the external
-        inputs of its off-path ancestors.
+        Each group member's external anchors are the producer groups
+        feeding it directly plus those of its in-group producers, so a
+        dominant-path segment also waits for the external inputs of its
+        off-path ancestors.
         """
         member_set = set(group.members)
-        egate: Dict[int, float] = {}
+        external: Dict[int, Set[int]] = {}
         for op_id in topo_order:
             if op_id not in member_set:
                 continue
-            gate = 0.0
+            anchors: Set[int] = set()
             for producer in plan.producers(op_id):
                 if producer in member_set:
-                    gate = max(gate, egate[producer])
+                    anchors |= external[producer]
                 else:
                     # external producers are materialized anchors
-                    gate = max(gate, completion[producer])
-            egate[op_id] = gate
+                    anchors.add(producer)
+            external[op_id] = anchors
 
         pipe = self.const_pipe if len(group.dominant_path) > 1 else 1.0
-        segments = [
-            _Segment(
-                op_id=op_id,
-                gate=egate[op_id],
-                duration=plan[op_id].runtime_cost * pipe,
-            )
+        steps = [
+            (tuple(sorted(external[op_id])), plan[op_id].runtime_cost * pipe)
             for op_id in group.dominant_path
         ]
         if group.mat_cost > 0:
-            last = segments[-1]
-            segments[-1] = _Segment(
-                op_id=last.op_id,
-                gate=last.gate,
-                duration=last.duration + group.mat_cost,
-            )
-        return segments
+            anchors, duration = steps[-1]
+            steps[-1] = (anchors, duration + group.mat_cost)
+        storage = self.cluster.storage
+        return _GroupTemplate(
+            anchor=group.anchor_id,
+            steps=tuple(steps),
+            materializes=group.mat_cost > 0,
+            recovery_extra=storage.recovery_extra_cost(ancestor_cost),
+            refetch_extra=storage.refetch_cost_after_failed_write(
+                ancestor_cost
+            ),
+            spec=spec,
+        )
 
     def run_group(
         self,
@@ -343,73 +372,96 @@ class SimulatedEngine:
         Producer completions must already be present in ``completion``.
         Returns ``(group completion time, share restarts)``.  Exposed so
         the adaptive executor (:mod:`repro.engine.adaptive`) can
-        re-optimize between groups.
+        re-optimize between groups; its plan changes at every re-plan,
+        so the group's template is built afresh on each call.
         """
-        checkpoints = checkpoints or {}
         if topo_order is None:
             topo_order = plan.topological_order()
         if ancestor_cost is None:
             ancestor_cost = self._ancestor_costs(collapsed)
-        group = collapsed[anchor]
-        segments = self._segments(plan, topo_order, group, completion)
-        timeline.record(
-            segments[0].gate, EventKind.GROUP_STARTED, group=anchor
+        template = self._group_template(
+            plan, topo_order, collapsed[anchor], ancestor_cost[anchor],
+            (checkpoints or {}).get(anchor),
         )
-        recovery_extra = self.cluster.storage.recovery_extra_cost(
-            ancestor_cost[anchor]
+        return self._execute_group(
+            template, completion, trace, timeline, seen_failures, chaos_run
         )
-        spec = checkpoints.get(anchor)
+
+    def _shares_uniform(self, chaos_run: Optional[ChaosRun]) -> bool:
+        """Do all nodes run identical segments (no skew, no stragglers)?"""
+        if chaos_run is not None and chaos_run.has_stragglers:
+            return False
+        return all(
+            math.isclose(factor, 1.0, rel_tol=1e-12, abs_tol=0.0)
+            for factor in self.cluster.node_skew
+        )
+
+    def _execute_group(
+        self,
+        template: _GroupTemplate,
+        completion: Dict[int, float],
+        trace: FailureTrace,
+        timeline: Timeline,
+        seen_failures: Set[Tuple[int, float]],
+        chaos_run: Optional[ChaosRun] = None,
+    ) -> Tuple[float, int]:
+        """Run one group's shares from its template; see :meth:`run_group`."""
+        anchor = template.anchor
+        segments = template.segments(completion)
+        timeline.record(segments[0][0], EventKind.GROUP_STARTED, group=anchor)
+        spec = template.spec
         recorder = obs.get_recorder()
         # checkpoint-write injection targets group materializations; the
         # mid-operator snapshot path keeps its own durability semantics
         flaky = (
             chaos_run is not None and chaos_run.has_flaky_writes
-            and spec is None and group.mat_cost > 0
+            and spec is None and template.materializes
         )
-        refetch_extra = 0.0
-        if flaky:
-            refetch_extra = self.cluster.storage.refetch_cost_after_failed_write(
-                ancestor_cost[anchor]
-            )
-        share_restarts = 0
         write_fallbacks = 0
         straggling_shares = 0
-        node_done: List[float] = []
-        for node in range(self.cluster.nodes):
-            scaled = self._scale_for_node(segments, node, chaos_run)
-            if chaos_run is not None and chaos_run.straggler_factor(node) > 1.0:
-                straggling_shares += 1
-            if spec is not None:
-                done, restarts = self._share_completion_chunked(
-                    node=node,
-                    segments=scaled,
-                    spec=spec,
-                    trace=trace,
-                    timeline=timeline,
-                    group=anchor,
-                    seen_failures=seen_failures,
-                )
-            else:
-                done, restarts, fallbacks = self._share_completion(
-                    node=node,
-                    segments=scaled,
-                    recovery_extra=recovery_extra,
-                    trace=trace,
-                    timeline=timeline,
-                    group=anchor,
-                    seen_failures=seen_failures,
-                    chaos_run=chaos_run if flaky else None,
-                    refetch_extra=refetch_extra,
-                )
-                write_fallbacks += fallbacks
-            timeline.record(
-                done, EventKind.GROUP_COMPLETED, group=anchor, node=node
+        if spec is None and not flaky and self._shares_uniform(chaos_run):
+            group_done, share_restarts = self._uniform_shares(
+                template, segments, trace, timeline, seen_failures
             )
-            node_done.append(done)
-            share_restarts += restarts
-        group_done = max(node_done)
+        else:
+            share_restarts = 0
+            node_done: List[float] = []
+            for node in range(self.cluster.nodes):
+                scaled = self._scale_for_node(segments, node, chaos_run)
+                if (chaos_run is not None
+                        and chaos_run.straggler_factor(node) > 1.0):
+                    straggling_shares += 1
+                if spec is not None:
+                    done, restarts = self._share_completion_chunked(
+                        node=node,
+                        segments=scaled,
+                        spec=spec,
+                        trace=trace,
+                        timeline=timeline,
+                        group=anchor,
+                        seen_failures=seen_failures,
+                    )
+                else:
+                    done, restarts, fallbacks = self._share_completion(
+                        node=node,
+                        segments=scaled,
+                        recovery_extra=template.recovery_extra,
+                        trace=trace,
+                        timeline=timeline,
+                        group=anchor,
+                        seen_failures=seen_failures,
+                        chaos_run=chaos_run if flaky else None,
+                        refetch_extra=template.refetch_extra,
+                    )
+                    write_fallbacks += fallbacks
+                timeline.record(
+                    done, EventKind.GROUP_COMPLETED, group=anchor, node=node
+                )
+                node_done.append(done)
+                share_restarts += restarts
+            group_done = max(node_done)
         timeline.record(group_done, EventKind.GROUP_COMPLETED, group=anchor)
-        if recorder is not None and spec is None and group.mat_cost > 0:
+        if recorder is not None and spec is None and template.materializes:
             # each node's share persists its partition of the group output
             recorder.add("sim.checkpoint.writes", self.cluster.nodes)
         if recorder is not None and write_fallbacks > 0:
@@ -419,8 +471,57 @@ class SimulatedEngine:
             recorder.add("chaos.injected.straggler_shares", straggling_shares)
         return group_done, share_restarts
 
+    def _uniform_shares(
+        self,
+        template: _GroupTemplate,
+        segments: Sequence[_Segment],
+        trace: FailureTrace,
+        timeline: Timeline,
+        seen_failures: Set[Tuple[int, float]],
+    ) -> Tuple[float, int]:
+        """Every node's share when all nodes run identical segments.
+
+        The failure-free attempt is the same on every node, so it is
+        computed once; a node whose first failure after ``work_start``
+        lies at or beyond ``finish`` completes at ``finish`` exactly as
+        :meth:`_share_completion` would.  Only the nodes the trace fails
+        strictly inside ``(work_start, finish)`` replay through it.
+        Per-node events are emitted for every node (in node order, as
+        the per-node path does) only when the timeline records them.
+        """
+        anchor = template.anchor
+        work_start = segments[0][0]
+        finish = work_start
+        for gate, duration in segments:
+            finish = max(finish, gate) + duration
+        failing = trace.failing_nodes(work_start, finish)
+        group_done = finish
+        share_restarts = 0
+        muted = isinstance(timeline, MutedTimeline)
+        for node in failing if muted else range(self.cluster.nodes):
+            if node in failing:
+                done, restarts, _ = self._share_completion(
+                    node=node,
+                    segments=segments,
+                    recovery_extra=template.recovery_extra,
+                    trace=trace,
+                    timeline=timeline,
+                    group=anchor,
+                    seen_failures=seen_failures,
+                )
+                share_restarts += restarts
+                group_done = max(group_done, done)
+            else:
+                done = finish
+                timeline.record(work_start, EventKind.GROUP_STARTED,
+                                group=anchor, node=node)
+            timeline.record(
+                done, EventKind.GROUP_COMPLETED, group=anchor, node=node
+            )
+        return group_done, share_restarts
+
     def _scale_for_node(
-        self, segments: Sequence[_Segment], node: int,
+        self, segments: List[_Segment], node: int,
         chaos_run: Optional[ChaosRun] = None,
     ) -> List[_Segment]:
         """Apply the node's skew (and straggler) factor to its durations."""
@@ -428,12 +529,8 @@ class SimulatedEngine:
         if chaos_run is not None:
             factor *= chaos_run.straggler_factor(node)
         if math.isclose(factor, 1.0, rel_tol=1e-12, abs_tol=0.0):
-            return list(segments)
-        return [
-            _Segment(op_id=segment.op_id, gate=segment.gate,
-                     duration=segment.duration * factor)
-            for segment in segments
-        ]
+            return segments
+        return [(gate, duration * factor) for gate, duration in segments]
 
     def _share_completion_chunked(
         self,
@@ -458,9 +555,9 @@ class SimulatedEngine:
         restarts = 0
         started = False
         flat: List[Tuple[float, float]] = []   # (gate, chunk work)
-        for segment in segments:
-            for chunk in spec.chunks_for(segment.duration):
-                flat.append((segment.gate, chunk))
+        for gate, duration in segments:
+            for chunk in spec.chunks_for(duration):
+                flat.append((gate, chunk))
         for index, (gate, work) in enumerate(flat):
             is_last = index == len(flat) - 1
             duration = work + (0.0 if is_last else spec.snapshot_cost)
@@ -525,7 +622,7 @@ class SimulatedEngine:
         extra = 0.0
         first_attempt = True
         while True:
-            work_start = max(resume, segments[0].gate)
+            work_start = max(resume, segments[0][0])
             if first_attempt:
                 timeline.record(
                     work_start, EventKind.GROUP_STARTED,
@@ -533,8 +630,8 @@ class SimulatedEngine:
                 )
                 first_attempt = False
             current = work_start + extra
-            for segment in segments:
-                current = max(current, segment.gate) + segment.duration
+            for gate, duration in segments:
+                current = max(current, gate) + duration
             finish = current
             failure = trace.next_failure(node, work_start)
             if failure is None or failure >= finish:
@@ -612,12 +709,21 @@ class SimulatedEngine:
                 empty = FailureTrace.empty(self.cluster.nodes)
                 makespan = self._run_fine(prepared, empty).runtime
                 prepared._coarse_makespan = makespan
+        # every node's failures as one (time, node) stream in time order,
+        # ties on the lowest node -- the failure that restarts an attempt
+        # is the first one after its start, as in trace.first_failure
+        stream = heapq.merge(*(
+            zip(failures, repeat(node))
+            for node, failures in enumerate(trace.node_failures)
+        ))
+        pending = next(stream, None)
         attempt_start = 0.0
         restarts = 0
         while True:
             finish = attempt_start + makespan
-            hit = trace.first_failure(attempt_start, finish)
-            if hit is None:
+            while pending is not None and pending[0] <= attempt_start:
+                pending = next(stream, None)
+            if pending is None or pending[0] > finish:
                 timeline.record(finish, EventKind.QUERY_COMPLETED)
                 return ExecutionResult(
                     runtime=finish,
@@ -628,7 +734,7 @@ class SimulatedEngine:
                     scheme=scheme,
                     timeline=timeline,
                 )
-            failure_time, node = hit
+            failure_time, node = pending
             timeline.record(failure_time, EventKind.NODE_FAILED, node=node)
             restarts += 1
             if restarts > self.cluster.max_restarts:

@@ -87,8 +87,9 @@ class FailureTrace:
     def first_failure(self, start: float, end: float) -> Optional[Tuple[float, int]]:
         """Earliest ``(time, node)`` failure in the window ``(start, end]``.
 
-        Used by the coarse-grained restart scheme: any failure anywhere in
-        the cluster during a query attempt restarts the query.
+        Ties go to the lowest node.  This is the failure that restarts a
+        coarse-grained query attempt; the executor finds it by walking a
+        merged failure stream of all nodes, in the same order.
         """
         best: Optional[Tuple[float, int]] = None
         for node in range(self.nodes):
@@ -97,6 +98,20 @@ class FailureTrace:
                 if best is None or failure < best[0]:
                     best = (failure, node)
         return best
+
+    def failing_nodes(self, start: float, end: float) -> List[int]:
+        """Nodes with a failure strictly inside ``(start, end)``, ascending.
+
+        Used by the fine-grained executor when every node runs the same
+        share from ``start`` to ``end``: exactly these nodes lose their
+        attempt, the others finish undisturbed.
+        """
+        failing: List[int] = []
+        for node, failures in enumerate(self.node_failures):
+            index = bisect.bisect_right(failures, start)
+            if index < len(failures) and failures[index] < end:
+                failing.append(node)
+        return failing
 
     def count_in(self, start: float, end: float) -> int:
         """Number of failures (over all nodes) in ``(start, end]``."""
@@ -153,15 +168,15 @@ def _arrival_times(
     times: List[float] = []
     offset = 0.0
     # expected count plus slack; later chunks only cover the tail
-    expected = horizon / mean_gap if np.isfinite(mean_gap) else 0.0
-    chunk = int(min(expected + 4.0 * np.sqrt(expected) + 16.0, 1e6))
+    expected = horizon / mean_gap if math.isfinite(mean_gap) else 0.0
+    chunk = int(min(expected + 4.0 * math.sqrt(expected) + 16.0, 1e6))
     while True:
         gaps = draw(chunk)
         cumulative = np.cumsum(np.concatenate(([offset], gaps)))[1:]
         # number of arrivals at or before the horizon (arrivals are
         # strictly increasing, matching the scalar `> horizon` cutoff)
         covered = int(np.searchsorted(cumulative, horizon, side="right"))
-        times.extend(float(value) for value in cumulative[:covered])
+        times.extend(cumulative[:covered].tolist())
         if covered < len(cumulative):
             return tuple(times)
         offset = float(cumulative[-1])

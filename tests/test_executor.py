@@ -79,6 +79,23 @@ class TestFailureFreeExecution:
         # op 2 runs [0, 60], join [60, 71]; not 51 + 71
         assert result.runtime == pytest.approx(71.0)
 
+    def test_off_path_member_gates_the_dominant_path(self):
+        """A group member off the dominant path passes its external
+        input's completion on to the dominant-path operator it feeds."""
+        operators = [
+            Operator(1, "upstream", 50.0, 1.0, materialize=True),
+            Operator(2, "off-path", 1.0, 1.0),
+            Operator(3, "heavy", 10.0, 1.0),
+            Operator(4, "sink", 5.0, 0.0, materialize=True, free=False),
+        ]
+        plan = Plan.from_edges(operators, [(1, 2), (2, 4), (3, 4)])
+        result = SimulatedEngine(Cluster(nodes=2)).execute(ConfiguredPlan(
+            plan=plan, recovery=RecoveryMode.FINE_GRAINED, scheme="test",
+        ))
+        # group {2, 3, 4}: path 3 -> 4 dominates; op 4 still waits for
+        # op 1 (done at 51) through op 2, so it runs [51, 56]
+        assert result.runtime == pytest.approx(56.0)
+
 
 class TestFineGrainedRecovery:
     def test_single_failure_adds_lost_work_and_mttr(self):
@@ -179,6 +196,97 @@ class TestCoarseRecovery:
         configured = NoMatLineage().configure(chain_plan, _stats(1))
         result = engine.execute(configured, _trace([[10.0, 60.0]]))
         assert result.timeline.count(EventKind.QUERY_RESTARTED) == 0
+
+
+class TestFailureBoundaries:
+    """Failure instants that coincide with a share's or attempt's edges.
+
+    Fine-grained shares lose an attempt only to a failure strictly
+    inside ``(work_start, finish)``; a coarse attempt restarts on any
+    failure in ``(attempt_start, end]``.
+    """
+
+    @pytest.mark.parametrize("record_events", [True, False])
+    def test_failure_at_work_start_kills_nothing(self, record_events):
+        plan = linear_plan([(100.0, 0.0)])
+        engine = SimulatedEngine(Cluster(nodes=2, mttr=1.0),
+                                 record_events=record_events)
+        configured = NoMatLineage().configure(plan, _stats(2))
+        result = engine.execute(configured, _trace([[0.0], []]))
+        assert result.runtime == 100.0
+        assert result.share_restarts == 0
+        assert result.failures_hit == 0
+
+    @pytest.mark.parametrize("record_events", [True, False])
+    def test_failure_at_gate_kills_nothing(self, record_events):
+        # node 1 fails at 10.0: the instant its group-1 share finishes
+        # and its group-2 share starts
+        plan = linear_plan([(10.0, 0.0), (10.0, 0.0)])
+        configured = ConfiguredPlan(
+            plan=plan.with_mat_config({1: True, 2: False}),
+            recovery=RecoveryMode.FINE_GRAINED, scheme="test",
+        )
+        engine = SimulatedEngine(Cluster(nodes=2, mttr=0.0),
+                                 record_events=record_events)
+        result = engine.execute(configured, _trace([[], [10.0]]))
+        assert result.runtime == 20.0
+        assert result.share_restarts == 0
+
+    @pytest.mark.parametrize("record_events", [True, False])
+    def test_failure_at_finish_kills_nothing(self, record_events):
+        plan = linear_plan([(100.0, 0.0)])
+        engine = SimulatedEngine(Cluster(nodes=3, mttr=1.0),
+                                 record_events=record_events)
+        configured = NoMatLineage().configure(plan, _stats(3))
+        at_finish = engine.execute(configured, _trace([[], [100.0], []]))
+        assert at_finish.runtime == 100.0
+        assert at_finish.share_restarts == 0
+        just_before = engine.execute(configured, _trace([[], [99.5], []]))
+        assert just_before.runtime == pytest.approx(200.5)
+        assert just_before.share_restarts == 1
+
+    def test_failure_at_attempt_end_restarts_the_query(self, chain_plan):
+        engine = SimulatedEngine(Cluster(nodes=2, mttr=1.0))
+        configured = NoMatRestart().configure(chain_plan, _stats(2))
+        # the failure-free attempt ends at 36.5 exactly
+        result = engine.execute(configured, _trace([[], [36.5]]))
+        assert result.restarts == 1
+        assert result.runtime == pytest.approx(36.5 + 1.0 + 36.5)
+
+    def test_coincident_failures_restart_on_lowest_node(self, chain_plan):
+        engine = SimulatedEngine(Cluster(nodes=3, mttr=1.0))
+        configured = NoMatRestart().configure(chain_plan, _stats(3))
+        result = engine.execute(configured, _trace([[], [10.0], [10.0]]))
+        assert result.restarts == 1
+        failed = result.timeline.of_kind(EventKind.NODE_FAILED)
+        assert [(event.time, event.node) for event in failed] == [(10.0, 1)]
+        assert result.runtime == pytest.approx(10.0 + 1.0 + 36.5)
+
+    def test_coincident_failures_restart_both_fine_shares(self):
+        plan = linear_plan([(100.0, 0.0)])
+        engine = SimulatedEngine(Cluster(nodes=3, mttr=1.0))
+        configured = NoMatLineage().configure(plan, _stats(3))
+        result = engine.execute(configured, _trace([[], [10.0], [10.0]]))
+        assert result.share_restarts == 2
+        assert result.failures_hit == 2
+        assert result.runtime == pytest.approx(111.0)
+
+
+class TestFailingNodes:
+    def test_empty_trace(self):
+        assert FailureTrace.empty(3).failing_nodes(0.0, 1e12) == []
+
+    def test_one_node_window_is_open_at_both_ends(self):
+        trace = _trace([[5.0, 10.0]])
+        assert trace.failing_nodes(0.0, 5.0) == []
+        assert trace.failing_nodes(0.0, 5.5) == [0]
+        assert trace.failing_nodes(5.0, 10.0) == []
+        assert trace.failing_nodes(5.0, 10.5) == [0]
+        assert trace.failing_nodes(10.0, 1e12) == []
+
+    def test_nodes_come_back_ascending(self):
+        trace = _trace([[7.0], [], [3.0], [20.0]])
+        assert trace.failing_nodes(0.0, 10.0) == [0, 2]
 
 
 class TestStorageMedia:
