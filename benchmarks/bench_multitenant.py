@@ -21,8 +21,8 @@ Reported numbers:
   equality payload).
 
 Exit status is non-zero when any acceptance gate fails: error rows in
-the campaign, advice-cache hit rate below the floor, or a ``jobs``
-mismatch.
+the campaign, a failed query, advice-cache hit rate below the floor, or
+a ``jobs`` mismatch.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ def run_bench(queries: int, trace_count: int, templates_per_class: int,
         "hit_rate": serial.advice.hit_rate,
         "hit_rate_floor": HIT_RATE_FLOOR,
         "jobs_equal": jobs_equal,
+        "failed_queries": serial.failed_queries,
         "passed": (serial.error_rows == 0
+                   and serial.failed_queries == 0
                    and serial.advice.hit_rate >= HIT_RATE_FLOOR
                    and jobs_equal),
     }

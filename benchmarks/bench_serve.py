@@ -27,6 +27,10 @@ Reported numbers:
   fresh, cache-less, serial :func:`repro.serve.direct_advice` call; the
   bit-identity acceptance gate.
 
+Exit status 1 when a gate fails: any request error, a sampled response
+that differs from direct search, no sampled response at all, or (in
+--quick mode) a cache hit rate below 0.5.
+
 The zipf sampling and the stats jitter are seeded: two runs issue the
 same request sequence.
 """
@@ -53,6 +57,8 @@ from repro.stats.calibration import default_parameters
 from repro.tpch.queries import build_query_plan
 
 SEED = 20150531  # SIGMOD'15
+#: --quick gate: the fixed zipf mix must be served mostly from cache
+QUICK_HIT_RATE_FLOOR = 0.5
 
 
 def paper_plan() -> Plan:
@@ -341,9 +347,28 @@ def main(argv=None) -> int:
           f"({report['equality_samples']} sampled)  "
           f"errors={report['errors']}")
     print(f"wrote {args.output}")
-    if report["errors"] or not report["advice_equal_direct"]:
-        return 1
-    return 0
+    failures = gate_failures(report, quick=args.quick)
+    for failure in failures:
+        print(f"GATE FAILED: {failure}")
+    return 1 if failures else 0
+
+
+def gate_failures(report: Dict[str, Any], quick: bool) -> List[str]:
+    """The acceptance gates: no request errors, every sampled response
+    bit-identical to a direct search (and at least one sampled), and in
+    --quick mode a warm enough cache on the fixed zipf mix."""
+    failures = []
+    if report["errors"]:
+        failures.append(f"{report['errors']} request errors")
+    if not report["advice_equal_direct"]:
+        failures.append("a sampled response differs from direct search")
+    if report["equality_samples"] <= 0:
+        failures.append("no response was compared against direct search")
+    hit_rate = (report["cache"] or {}).get("hit_rate", 0.0)
+    if quick and hit_rate < QUICK_HIT_RATE_FLOOR:
+        failures.append(f"hit rate {hit_rate:.3f} < "
+                        f"{QUICK_HIT_RATE_FLOOR}")
+    return failures
 
 
 if __name__ == "__main__":

@@ -72,6 +72,8 @@ SANCTIONED_WORKER_GLOBALS: FrozenSet[str] = frozenset({
     "_RECORDER",
     "_TRACE_SET_CACHE",
     "_TRACE_CACHE_STATS",
+    "_STREAM_CACHE",
+    "_STREAM_CACHE_SIZE",
     "_BASELINE_MEMO",
     "_PREFLIGHT_SEEN",
     "_preflight_check",

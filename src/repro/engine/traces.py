@@ -8,6 +8,14 @@ module reproduces that protocol with seeded NumPy RNGs.
 
 A :class:`FailureTrace` holds one strictly increasing failure-time sequence
 per node.  Times are in seconds from query start.
+
+Node ``i`` of seed ``s`` always draws from the RNG key ``[s, i]``
+(``[s, i, 7]`` for Weibull gaps), whatever the MTBF.  The gaps are drawn
+at unit scale, cached per ``(seed, nodes, shape)`` in the process, and
+multiplied by each cell's mean gap before the running sum -- so a sweep
+that replays the same seeds at many MTBFs (Figure 8's grid) builds each
+stream's generator once, and every trace stays bit-identical to drawing
+``rng.exponential(mtbf)`` gap by gap.
 """
 
 from __future__ import annotations
@@ -152,35 +160,84 @@ class FailureTrace:
         )
 
 
-def _arrival_times(
-    draw: Callable[[int], np.ndarray],
+#: per-process cache of unit-scale inter-arrival gaps, keyed
+#: ``(seed, nodes, shape)`` (see :func:`_unit_gaps`); holds plain arrays,
+#: never ``Generator`` objects, and resets once it holds
+#: ``_STREAM_CACHE_CAPACITY`` floats
+_STREAM_CACHE: Dict[Tuple[int, int, Optional[float]], np.ndarray] = {}
+_STREAM_CACHE_SIZE = {"floats": 0}
+_STREAM_CACHE_CAPACITY = 1 << 20
+
+
+def _unit_gaps(
+    seed: int, nodes: int, shape: Optional[float], width: int,
+) -> np.ndarray:
+    """A ``(nodes, >= width)`` array of unit-scale gaps for ``seed``.
+
+    Row ``node`` is the stream keyed ``[seed, node]`` (standard
+    exponential) or ``[seed, node, 7]`` (Weibull of ``shape``).  These
+    draws do not depend on the MTBF, so every cell that reuses a seed
+    shares one array and scales it by its own mean gap.  A request wider
+    than the cached array redraws it longer from the same keys; the
+    streams are prefix-stable, so the old columns are unchanged.
+    """
+    key = (seed, nodes, shape)
+    gaps = _STREAM_CACHE.get(key)
+    if gaps is not None and gaps.shape[1] >= width:
+        obs.add("cache.trace_stream.hit")
+        return gaps
+    gaps = np.empty((nodes, width))
+    for node in range(nodes):
+        if shape is None:
+            np.random.default_rng([seed, node]).standard_exponential(
+                out=gaps[node])
+        else:
+            gaps[node] = np.random.default_rng([seed, node, 7]).weibull(
+                shape, width)
+    if _STREAM_CACHE_SIZE["floats"] + gaps.size > _STREAM_CACHE_CAPACITY:
+        _STREAM_CACHE.clear()
+        _STREAM_CACHE_SIZE["floats"] = 0
+    _STREAM_CACHE[key] = gaps
+    _STREAM_CACHE_SIZE["floats"] += gaps.size
+    obs.add("cache.trace_stream.miss")
+    return gaps
+
+
+def _arrivals(
+    units: Callable[[int], np.ndarray],
+    scale: float,
     mean_gap: float,
     horizon: float,
-) -> Tuple[float, ...]:
-    """Cumulative arrival times up to ``horizon`` from an RNG draw.
+) -> List[Tuple[float, ...]]:
+    """Per-row arrival times up to ``horizon``: ``units(width)`` (at
+    least ``width`` unit-scale gaps per row) times ``scale``, summed
+    along each row.
 
-    Vectorized but *bit-identical* to the scalar loop it replaced
-    (``current += float(draw_one())``): batched Generator draws produce
-    the same variate stream as repeated single draws, and the running sum
-    is formed by seeding ``np.cumsum`` with the previous chunk's offset,
-    which performs the exact same left-to-right float64 additions.
+    Bit-identical to drawing ``rng.exponential(scale)`` (or
+    ``scale * rng.weibull(shape)``) one gap at a time and summing as it
+    goes: NumPy computes ``exponential(m)`` as
+    ``m * standard_exponential()``, batched draws equal repeated single
+    draws, and a row-wise ``np.cumsum`` performs the same left-to-right
+    float64 additions.  The scaling must come before the sum; scaling
+    summed unit arrivals would round differently.
     """
-    times: List[float] = []
-    offset = 0.0
-    # expected count plus slack; later chunks only cover the tail
+    # expected count plus slack; widened until every row passes horizon
     expected = horizon / mean_gap if math.isfinite(mean_gap) else 0.0
-    chunk = int(min(expected + 4.0 * math.sqrt(expected) + 16.0, 1e6))
+    width = int(min(expected + 4.0 * math.sqrt(expected) + 16.0, 1e6))
     while True:
-        gaps = draw(chunk)
-        cumulative = np.cumsum(np.concatenate(([offset], gaps)))[1:]
-        # number of arrivals at or before the horizon (arrivals are
-        # strictly increasing, matching the scalar `> horizon` cutoff)
-        covered = int(np.searchsorted(cumulative, horizon, side="right"))
-        times.extend(cumulative[:covered].tolist())
-        if covered < len(cumulative):
-            return tuple(times)
-        offset = float(cumulative[-1])
-        chunk = max(16, chunk // 4)
+        arrivals = np.cumsum(scale * units(width)[:, :width], axis=1)
+        if (arrivals[:, -1] > horizon).all():
+            break
+        width *= 2
+    # rows are increasing, so each row's covered arrivals are a prefix
+    covered = arrivals <= horizon
+    times = arrivals[covered].tolist()
+    rows: List[Tuple[float, ...]] = []
+    start = 0
+    for count in covered.sum(axis=1).tolist():
+        rows.append(tuple(times[start:start + count]))
+        start += count
+    return rows
 
 
 def _base_node_failures(
@@ -194,28 +251,15 @@ def _base_node_failures(
     ``shape`` is given) -- the exact streams of :func:`generate_trace` /
     :func:`generate_weibull_trace`, factored out so the correlated
     overlay layers on bit-identical base sequences."""
-    node_failures: List[Tuple[float, ...]] = []
-    if shape is None:
-        for node in range(nodes):
-            # one RNG stream per node, keyed by (seed, node): extending
-            # the horizon then lengthens each node's sequence without
-            # perturbing the prefix or the other nodes' streams.
-            rng = np.random.default_rng([seed, node])
-            node_failures.append(_arrival_times(
-                lambda size: rng.exponential(mtbf, size=size),
-                mtbf, horizon,
-            ))
-        return node_failures
-    # scale chosen so the mean inter-arrival equals mtbf:
-    # E[X] = scale * Gamma(1 + 1/shape)
-    scale = mtbf / math.gamma(1.0 + 1.0 / shape)
-    for node in range(nodes):
-        rng = np.random.default_rng([seed, node, 7])
-        node_failures.append(_arrival_times(
-            lambda size: scale * rng.weibull(shape, size=size),
-            mtbf, horizon,
-        ))
-    return node_failures
+    scale = mtbf
+    if shape is not None:
+        # scale chosen so the mean inter-arrival equals mtbf:
+        # E[X] = scale * Gamma(1 + 1/shape)
+        scale = mtbf / math.gamma(1.0 + 1.0 / shape)
+    return _arrivals(
+        lambda width: _unit_gaps(seed, nodes, shape, width),
+        scale, mtbf, horizon,
+    )
 
 
 def generate_trace(
@@ -354,11 +398,12 @@ def _apply_burst_overlay(
     extra: Dict[int, List[float]] = {}
     injected = 0
     if spec.active:
-        rng = np.random.default_rng([chaos_seed, seed, BURST_STREAM])
-        opportunities = _arrival_times(
-            lambda size: rng.exponential(spec.burst_mtbf, size=size),
-            spec.burst_mtbf, horizon,
-        )
+        key = [chaos_seed, seed, BURST_STREAM]
+        opportunities = _arrivals(
+            lambda width: np.random.default_rng(key).standard_exponential(
+                (1, width)),
+            spec.burst_mtbf, spec.burst_mtbf, horizon,
+        )[0]
         width = min(spec.rack_size, nodes)
         for index, burst_time in enumerate(opportunities):
             burst_rng = np.random.default_rng(
@@ -437,12 +482,8 @@ def generate_drifting_trace(
     max_factor = drift.max_factor
     base_gap = mtbf / max_factor
     base: List[Tuple[float, ...]] = []
-    for node in range(nodes):
-        rng = np.random.default_rng([seed, node])
-        arrivals = _arrival_times(
-            lambda size: rng.exponential(base_gap, size=size),
-            base_gap, horizon,
-        )
+    envelope = _base_node_failures(nodes, base_gap, horizon, seed)
+    for node, arrivals in enumerate(envelope):
         accept_rng = np.random.default_rng(
             [chaos_seed, seed, node, DRIFT_STREAM]
         )
@@ -559,8 +600,11 @@ def trace_cache_stats() -> Dict[str, int]:
 
 
 def reset_trace_cache() -> None:
-    """Drop all cached trace sets and zero the counters (test hook)."""
+    """Drop all cached trace sets and unit-gap streams and zero the
+    counters (test hook)."""
     _TRACE_SET_CACHE.clear()
+    _STREAM_CACHE.clear()
+    _STREAM_CACHE_SIZE["floats"] = 0
     for key in _TRACE_CACHE_STATS:
         _TRACE_CACHE_STATS[key] = 0
 
@@ -592,6 +636,14 @@ def cached_trace_set(
     own copy and never share mutable state across processes.  Hits and
     misses are counted (:func:`trace_cache_stats`) and mirrored into the
     observability layer as ``cache.trace_set.hit`` / ``.miss``.
+
+    A miss generates the set from the per-process unit-gap cache, which
+    is keyed by seed rather than by MTBF: cells that differ only in MTBF
+    (or horizon) reuse the same unit streams and scale them by their own
+    mean gap.  Those lookups count as ``cache.trace_stream.hit`` /
+    ``.miss`` (a miss is one draw of a seed's streams); the stream cache
+    is bounded by its total floats and cleared, like this one, by
+    :func:`reset_trace_cache`.
     """
     key: _TraceSetKey = (nodes, mtbf, horizon, count, base_seed,
                          correlated, chaos_seed, drift)

@@ -346,7 +346,7 @@ def _run_battery(record_events: bool) -> dict:
             trace = _battery_trace(kind, cluster, baseline, seed)
         with obs.recording() as recorder:
             result, _ = run_with_extension(engine, configured, trace)
-        pins[key] = _pin(result, recorder.counters)
+        pins[key] = _pin(result, recorder.deterministic_counters())
     return pins
 
 

@@ -2,13 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.chaos.policy import CorrelatedFailures
 from repro.core.checkpointing import CheckpointSpec, checkpointed_runtime
 from repro.core.cost_model import ClusterStats, operator_runtime
-from repro.engine.traces import extend_trace, generate_trace
+from repro.engine.traces import (
+    cached_trace_set,
+    extend_trace,
+    generate_trace,
+    generate_weibull_trace,
+    reset_trace_cache,
+)
 
 seeds = st.integers(min_value=0, max_value=200)
 mtbfs = st.floats(min_value=1.0, max_value=1e5)
@@ -62,6 +71,127 @@ class TestTraceProperties:
             for f in failures if f > offset
         )
         assert sum(len(f) for f in shifted.node_failures) == expected
+
+
+def _draw(mtbf, horizon, seed, shape):
+    if shape is None:
+        return generate_trace(3, mtbf, horizon, seed)
+    return generate_weibull_trace(3, mtbf, horizon, seed, shape=shape)
+
+
+class TestSharedStreams:
+    """Cells sharing a seed share one cached unit-scale gap array; the
+    cache must never change a trace."""
+
+    @given(seed=seeds,
+           mtbfs=st.tuples(mtbfs, mtbfs),
+           spans=st.tuples(st.floats(min_value=0.5, max_value=80.0),
+                           st.floats(min_value=0.5, max_value=80.0)),
+           shapes=st.tuples(*[st.sampled_from((None, 0.5, 0.7, 1.0, 2.5))]
+                            * 2))
+    @settings(max_examples=40, deadline=None)
+    def test_order_independent(self, seed, mtbfs, spans, shapes):
+        """A-then-B == B-then-A == each drawn alone from a cold cache."""
+        a, b = ((mtbf, mtbf * span, seed, shape)
+                for mtbf, span, shape in zip(mtbfs, spans, shapes))
+        reset_trace_cache()
+        alone_a = _draw(*a)
+        reset_trace_cache()
+        alone_b = _draw(*b)
+        reset_trace_cache()
+        a_first = (_draw(*a), _draw(*b))
+        reset_trace_cache()
+        b_first = (_draw(*b), _draw(*a))
+        reset_trace_cache()
+        assert a_first[0].node_failures == alone_a.node_failures
+        assert a_first[1].node_failures == alone_b.node_failures
+        assert b_first[1].node_failures == alone_a.node_failures
+        assert b_first[0].node_failures == alone_b.node_failures
+
+    @given(seed=seeds,
+           scale=st.floats(min_value=1e-3, max_value=1e7),
+           size=st.integers(min_value=1, max_value=300),
+           split=st.integers(min_value=0, max_value=300),
+           shape=st.floats(min_value=0.2, max_value=5.0))
+    @settings(max_examples=60, deadline=None)
+    def test_numpy_scaling_identities(self, seed, scale, size, split,
+                                      shape):
+        """The NumPy behaviour the shared streams rely on: exponential(m)
+        is m * standard_exponential(), Weibull scales the same way, and
+        a batched draw equals its chunks drawn in sequence."""
+        def rng():
+            return np.random.default_rng([seed, 3])
+
+        unit = rng().standard_exponential(size)
+        assert np.array_equal(rng().exponential(scale, size), scale * unit)
+        buffer = np.empty((2, size))
+        rng().standard_exponential(out=buffer[1])
+        assert np.array_equal(buffer[1], unit)
+        assert np.array_equal(rng().standard_exponential((1, size))[0],
+                              unit)
+        split = min(split, size)
+        for draw in (lambda g, n: g.standard_exponential(n),
+                     lambda g, n: scale * g.weibull(shape, n)):
+            whole = draw(rng(), size)
+            stream = rng()
+            pieces = np.concatenate((draw(stream, split),
+                                     draw(stream, size - split)))
+            assert np.array_equal(whole, pieces)
+            assert np.array_equal(draw(rng(), split), whole[:split])
+
+    @given(seed=seeds, scale=st.floats(min_value=1e-3, max_value=1e7))
+    @settings(max_examples=40, deadline=None)
+    def test_rowwise_cumsum_is_sequential(self, seed, scale):
+        gaps = scale * np.random.default_rng(seed).standard_exponential(
+            (4, 97))
+        running = []
+        for row in gaps.tolist():
+            total, sums = 0.0, []
+            for gap in row:
+                total += gap
+                sums.append(total)
+            running.append(sums)
+        assert np.cumsum(gaps, axis=1).tolist() == running
+
+    def test_weibull_shapes_never_share_a_stream(self):
+        """Regression: the cache key carries the shape, so a Weibull
+        trace never reuses gaps drawn for another shape (or for the
+        exponential, whose RNG keys differ)."""
+        cold = {}
+        for shape in (None, 0.5, 0.7, 1.0):
+            reset_trace_cache()
+            cold[shape] = _draw(40.0, 2_000.0, 9, shape).node_failures
+        reset_trace_cache()
+        for shape in (None, 0.5, 0.7, 1.0, 0.7, None):
+            assert _draw(40.0, 2_000.0, 9, shape).node_failures \
+                == cold[shape], shape
+        reset_trace_cache()
+        assert len(set(cold.values())) == len(cold)
+
+
+class TestStreamCounters:
+    def test_figure8_grid_draws_each_seed_once(self):
+        """Ten cells, base seeds alternating b and b + 1, 150 traces per
+        cell: 151 distinct seeds, so one unit-stream draw per seed (and
+        per shape); every other trace is a cache hit."""
+        base = 2_015
+        baselines = (310.0, 95.0, 1_250.0, 42.0, 580.0)
+        cells = [(baseline * factor, base + offset)
+                 for baseline in baselines
+                 for offset, factor in ((0, 1.1), (1, 10.0))]
+        reset_trace_cache()
+        with obs.recording() as recorder:
+            for shape in (None, 0.7):
+                correlated = (None if shape is None else CorrelatedFailures(
+                    burst_mtbf=1.0, intensity=0.0, base_shape=shape))
+                for mtbf, base_seed in cells:
+                    cached_trace_set(10, mtbf, mtbf * 20.0, count=150,
+                                     base_seed=base_seed,
+                                     correlated=correlated)
+        reset_trace_cache()
+        assert recorder.counters["cache.trace_stream.miss"] == 2 * 151
+        assert recorder.counters["cache.trace_stream.hit"] \
+            == 2 * (10 * 150 - 151)
 
 
 class TestChunkingProperties:

@@ -1,13 +1,22 @@
 """Unit tests for failure-trace generation (Section 5.1's protocol)."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.chaos.policy import CorrelatedFailures, MtbfDrift
 from repro.engine.traces import (
     FailureTrace,
     empirical_mtbf,
     extend_trace,
+    generate_correlated_trace,
+    generate_drifting_trace,
     generate_trace,
     generate_trace_set,
+    generate_weibull_trace,
+    reset_trace_cache,
 )
 
 
@@ -120,16 +129,12 @@ class TestTraceSet:
 
 class TestWeibullTraces:
     def test_mean_interarrival_matches_mtbf(self):
-        from repro.engine.traces import generate_weibull_trace
-
         trace = generate_weibull_trace(10, mtbf=100.0,
                                        horizon=100_000.0, seed=4)
         observed = empirical_mtbf(trace)
         assert observed == pytest.approx(100.0, rel=0.1)
 
     def test_shape_one_behaves_like_exponential(self):
-        from repro.engine.traces import generate_weibull_trace
-
         trace = generate_weibull_trace(5, mtbf=50.0, horizon=50_000.0,
                                        seed=1, shape=1.0)
         assert empirical_mtbf(trace) == pytest.approx(50.0, rel=0.15)
@@ -137,7 +142,6 @@ class TestWeibullTraces:
     def test_bursty_shape_clusters_failures(self):
         """shape < 1 means a decreasing hazard: the variance of the
         inter-arrival times exceeds the exponential's."""
-        from repro.engine.traces import generate_weibull_trace
         import numpy as np
 
         def gap_cv(trace):
@@ -153,17 +157,106 @@ class TestWeibullTraces:
         assert gap_cv(bursty) > gap_cv(memoryless) * 1.3
 
     def test_sorted_and_bounded(self):
-        from repro.engine.traces import generate_weibull_trace
-
         trace = generate_weibull_trace(3, 20.0, 5_000.0, seed=7)
         for failures in trace.node_failures:
             assert list(failures) == sorted(failures)
             assert all(0 < f <= 5_000.0 for f in failures)
 
     def test_validation(self):
-        from repro.engine.traces import generate_weibull_trace
-
         with pytest.raises(ValueError):
             generate_weibull_trace(0, 1.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             generate_weibull_trace(1, 1.0, 1.0, seed=0, shape=0.0)
+
+
+# ----------------------------------------------------------------------
+# pinned failure streams
+# ----------------------------------------------------------------------
+#: exact-float digests of every trace generator; regenerate with
+#: ``pytest tests/test_traces.py --regen-golden`` only after an
+#: intentional change to the failure streams
+STREAM_GOLDEN = Path(__file__).parent / "golden" / "trace_streams.json"
+GOLDEN_NODES = 6
+GOLDEN_SEEDS = (0, 17, 40_961)
+GOLDEN_MTBF = 250.0
+GOLDEN_HORIZON = 25_000.0
+#: (name, generator(mtbf, horizon, seed) -> FailureTrace)
+GOLDEN_CASES = (
+    ("exponential", lambda mtbf, horizon, seed: generate_trace(
+        GOLDEN_NODES, mtbf, horizon, seed)),
+    *(
+        (f"weibull-{shape}",
+         lambda mtbf, horizon, seed, shape=shape: generate_weibull_trace(
+             GOLDEN_NODES, mtbf, horizon, seed, shape=shape))
+        for shape in (0.5, 0.7, 1.0)
+    ),
+    ("correlated-jitter0", lambda mtbf, horizon, seed:
+        generate_correlated_trace(
+            GOLDEN_NODES, mtbf, horizon, seed,
+            CorrelatedFailures(burst_mtbf=900.0, intensity=0.6,
+                               rack_size=3, jitter=0.0),
+            chaos_seed=5)),
+    ("correlated-jitter", lambda mtbf, horizon, seed:
+        generate_correlated_trace(
+            GOLDEN_NODES, mtbf, horizon, seed,
+            CorrelatedFailures(burst_mtbf=900.0, intensity=0.6,
+                               rack_size=3, jitter=4.0, base_shape=0.7),
+            chaos_seed=5)),
+    ("drifting", lambda mtbf, horizon, seed: generate_drifting_trace(
+        GOLDEN_NODES, mtbf, horizon, seed,
+        MtbfDrift(scale=0.5, amplitude=0.4, period=3_000.0, phase=0.3),
+        chaos_seed=3)),
+    ("extended", lambda mtbf, horizon, seed: extend_trace(
+        extend_trace(generate_trace(GOLDEN_NODES, mtbf, horizon / 16,
+                                    seed), horizon / 4), horizon)),
+)
+
+
+def _stream_digest(trace: FailureTrace) -> str:
+    """sha256 over every failure time's exact float64 bits."""
+    text = "|".join(",".join(time.hex() for time in failures)
+                    for failures in trace.node_failures)
+    text += f"#{trace.horizon.hex()}#{trace.injected}"
+    return hashlib.sha256(text.encode()).hexdigest()[:24]
+
+
+def _stream_pins() -> dict:
+    """Each case's digest in three cache states: cold, after the same
+    seed was drawn at another MTBF, and after a shorter horizon."""
+    pins = {}
+    for name, make in GOLDEN_CASES:
+        for seed in GOLDEN_SEEDS:
+            states = {}
+            reset_trace_cache()
+            states["cold"] = make(GOLDEN_MTBF, GOLDEN_HORIZON, seed)
+            reset_trace_cache()
+            make(GOLDEN_MTBF * 3.0, GOLDEN_HORIZON / 2, seed)
+            states["warm"] = make(GOLDEN_MTBF, GOLDEN_HORIZON, seed)
+            reset_trace_cache()
+            make(GOLDEN_MTBF, GOLDEN_HORIZON / 8, seed)
+            states["extended"] = make(GOLDEN_MTBF, GOLDEN_HORIZON, seed)
+            pins[f"{name}/seed{seed}"] = {
+                state: [_stream_digest(trace),
+                        sum(map(len, trace.node_failures))]
+                for state, trace in states.items()
+            }
+    reset_trace_cache()
+    return pins
+
+
+class TestStreamGolden:
+    """Every generator's failure times are pinned bit-for-bit, whatever
+    the per-process stream cache held when the trace was drawn."""
+
+    def test_streams_match_golden(self, request):
+        pins = _stream_pins()
+        if request.config.getoption("--regen-golden"):
+            lines = [f"  {json.dumps(key)}: {json.dumps(value)}"
+                     for key, value in pins.items()]
+            STREAM_GOLDEN.write_text(
+                "{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+            pytest.skip(f"regenerated {STREAM_GOLDEN.name}")
+        expected = json.loads(STREAM_GOLDEN.read_text(encoding="utf-8"))
+        assert list(pins) == list(expected)
+        for key, states in pins.items():
+            assert states == expected[key], key
