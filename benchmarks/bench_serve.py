@@ -41,6 +41,7 @@ import argparse
 import http.client
 import json
 import os
+import platform
 import random
 import threading
 import time
@@ -277,8 +278,10 @@ def run_load(
         "service": {
             "workers": workers,
             "cache_size": cache_size,
-            "transport": "http (ThreadingHTTPServer, stdlib), one "
-                         "keep-alive connection per client",
+            "transport": "http (one stdlib selectors event loop: hits "
+                         "answered inline, misses completed by worker "
+                         "callback), one keep-alive connection per "
+                         "client",
         },
         "latency_ms": {
             "p50": percentile(ordered, 0.50) * 1e3,
@@ -296,6 +299,8 @@ def run_load(
         "advice_equal_direct": equal,
         "equality_samples": sampled,
         "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
     }
 
 

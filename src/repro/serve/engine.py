@@ -38,9 +38,11 @@ The bounded-queue/backpressure frontend (:meth:`AdvisoryEngine.start` /
 codec.  :meth:`submit` answers a cache hit on the caller's thread;
 only misses reach the workers, plain ``threading.Thread`` s draining a
 ``queue.Queue`` (each blocks in its own search's process pool, so
-threads are the right concurrency primitive here).  A full queue sheds
-a miss immediately with :class:`ServiceOverloaded` -- the HTTP layer
-maps that to 429.
+threads are the right concurrency primitive here).  A finished miss
+wakes :meth:`_Pending.result` and runs the handle's done-callback on
+the worker, which is how the HTTP event loop learns of it without a
+thread of its own.  A full queue sheds a miss immediately with
+:class:`ServiceOverloaded` -- the HTTP layer maps that to 429.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
+)
 
 from .. import obs
 from ..core.cost_model import ClusterStats
@@ -121,22 +125,49 @@ class _Pending:
     """Handle for a submitted request.
 
     A cache hit is answered on the submitting thread, so its handle is
-    born finished and carries no event; a miss waits for a worker.
+    born finished and carries no event; a miss finishes on a worker,
+    which wakes :meth:`result` and runs the done-callback, if any.
     """
 
-    __slots__ = ("_event", "_advice", "_error")
+    __slots__ = ("_event", "_lock", "_callback", "_advice", "_error")
 
     def __init__(self, advice: Optional[Advice] = None) -> None:
-        self._event = None if advice is not None else threading.Event()
+        self._event: Optional[threading.Event] = None
+        self._lock: Optional[threading.Lock] = None
+        if advice is None:
+            self._event = threading.Event()
+            self._lock = threading.Lock()
+        self._callback: Optional[Callable[["_Pending"], None]] = None
         self._advice = advice
         self._error: Optional[BaseException] = None
 
+    def done(self) -> bool:
+        return self._event is None or self._event.is_set()
+
+    def add_done_callback(
+        self, callback: Callable[["_Pending"], None]
+    ) -> None:
+        """Call ``callback(self)`` once the request has finished: at
+        once on this thread if it already has, else on the worker that
+        finishes it.  One callback per handle; it must not raise."""
+        if self._lock is not None:
+            assert self._event is not None
+            with self._lock:
+                if not self._event.is_set():
+                    self._callback = callback
+                    return
+        callback(self)
+
     def _finish(self, advice: Optional[Advice],
                 error: Optional[BaseException]) -> None:
-        assert self._event is not None
-        self._advice = advice
-        self._error = error
-        self._event.set()
+        assert self._event is not None and self._lock is not None
+        with self._lock:
+            self._advice = advice
+            self._error = error
+            self._event.set()
+            callback = self._callback
+        if callback is not None:
+            callback(self)
 
     def result(self, timeout: Optional[float] = None) -> Advice:
         if self._event is not None and not self._event.wait(timeout):
@@ -500,10 +531,12 @@ class AdvisoryEngine:
                 return
             plan, canonical, scheme, key, pending = item
             try:
-                pending._finish(self._advise_keyed(
-                    plan, canonical, scheme, key, probed=True), None)
+                advice = self._advise_keyed(plan, canonical, scheme, key,
+                                            probed=True)
             except BaseException as error:  # delivered to the waiter
                 pending._finish(None, error)
+            else:
+                pending._finish(advice, None)
 
     # ------------------------------------------------------------------
     # introspection

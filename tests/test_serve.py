@@ -4,15 +4,19 @@ Covers stats bucketing (boundary determinism, canonical round-trips),
 the LRU advice cache (eviction order, counters), the engine's
 single-flight dedup and cache-on/cache-off bit-identity, the queue
 frontend (hits answered without a queue slot, counter invariants under
-concurrent submits), adaptive shard sizing, and the HTTP frontend
-(round-trip, batch, backpressure shed, error codes, keep-alive latency).
+concurrent submits), adaptive shard sizing, and the HTTP frontend (round-trip, batch,
+backpressure shed, error codes, keep-alive latency) with its event
+loop's framing, in-order pipelining, slow-client timeouts and fairness
+across connections.
 """
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import math
+import socket
 import statistics
 import sys
 import threading
@@ -42,7 +46,9 @@ from repro.serve import (
     log_bucket_index,
     log_bucket_representative,
 )
-from repro.serve.app import create_server
+from repro.serve.engine import _Pending
+from repro.serve import app
+from repro.serve.app import MAX_BODY_BYTES, create_server
 
 
 @pytest.fixture(autouse=True)
@@ -584,6 +590,36 @@ class TestFrontend:
             assert engine.advise(plan, stats, scheme) \
                 == direct_advice(plan, stats, engine, scheme)
 
+    def test_done_callback_runs_once_under_races(self, paper_plan):
+        """Callbacks added while workers finish the same handles run
+        exactly once each, on one side of the race or the other."""
+        engine = small_engine(cache_size=0)
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        calls = []
+        calls_lock = threading.Lock()
+
+        def callback(pending):
+            with calls_lock:
+                calls.append(pending)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        engine.start(workers=4, max_queue=512)
+        try:
+            pendings = [engine.submit(paper_plan, stats, "all-mat")
+                        for _ in range(300)]
+            for pending in pendings:
+                pending.add_done_callback(callback)
+            for pending in pendings:
+                pending.result(timeout=30.0)
+        finally:
+            sys.setswitchinterval(switch_interval)
+            engine.stop()
+        assert sorted(map(id, calls)) == sorted(map(id, pendings))
+        hit = _Pending(pendings[0].result())
+        hit.add_done_callback(callback)  # born finished: runs at once
+        assert calls[-1] is hit
+
     def test_submit_requires_start(self, paper_plan):
         engine = small_engine()
         with pytest.raises(RuntimeError, match="not started"):
@@ -698,20 +734,27 @@ def _post(url: str, payload: dict) -> dict:
         return json.loads(response.read())
 
 
-@pytest.fixture
-def http_service():
-    engine = small_engine()
-    engine.start(workers=2, max_queue=16)
+@contextlib.contextmanager
+def _serving(engine):
+    """Serve a started ``engine`` on an ephemeral port; yields the
+    server's ``(host, port)`` and stops server and engine on exit."""
     server = create_server(engine)
-    host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield f"http://{host}:{port}", engine
+        yield server.server_address[:2]
     finally:
         server.shutdown()
         server.server_close()
         engine.stop()
+
+
+@pytest.fixture
+def http_service():
+    engine = small_engine()
+    engine.start(workers=2, max_queue=16)
+    with _serving(engine) as (host, port):
+        yield f"http://{host}:{port}", engine
 
 
 class TestHTTP:
@@ -817,3 +860,372 @@ class TestHTTP:
                         {"requests": [good, {"nonsense": True}]})
         assert "advice" in payload["results"][0]
         assert "error" in payload["results"][1]
+
+
+# ----------------------------------------------------------------------
+# the event loop: framing, pipelining, slow clients, fairness
+# ----------------------------------------------------------------------
+def _address(base: str):
+    host, port = base[len("http://"):].split(":")
+    return host, int(port)
+
+
+def _advise_body(plan, stats, scheme: str = "cost-based") -> bytes:
+    return json.dumps({"plan": plan_to_dict(plan),
+                       "stats": stats_to_dict(stats),
+                       "scheme": scheme}).encode("utf-8")
+
+
+def _post_bytes(body: bytes, path: str = "/advise",
+                extra: str = "") -> bytes:
+    return (f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\n{extra}"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+def _read_until_eof(sock: socket.socket, timeout: float = 10.0) -> bytes:
+    sock.settimeout(timeout)
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def _split_responses(data: bytes):
+    """Parse raw bytes as back-to-back HTTP responses with JSON bodies:
+    ``[(status, headers, payload)]``; fails on anything left over."""
+    responses = []
+    while data:
+        head, separator, rest = data.partition(b"\r\n\r\n")
+        assert separator, f"incomplete response head: {data[:200]!r}"
+        lines = head.decode("latin-1").split("\r\n")
+        version, status, _ = lines[0].split(" ", 2)
+        assert version == "HTTP/1.1"
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        assert headers["content-type"] == "application/json"
+        assert headers["server"] == "repro-serve/1" and headers["date"]
+        length = int(headers["content-length"])
+        assert len(rest) >= length, "truncated response body"
+        responses.append((int(status), headers,
+                          json.loads(rest[:length])))
+        data = rest[length:]
+    return responses
+
+
+def _exchange(base: str, data: bytes):
+    """Send raw bytes on a fresh connection, read every response until
+    the server closes it."""
+    with socket.create_connection(_address(base), timeout=10.0) as sock:
+        sock.sendall(data)
+        return _split_responses(_read_until_eof(sock))
+
+
+#: a request the framing tests smuggle after a broken one: it must
+#: never be executed (answered)
+SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+class TestFraming:
+    def test_non_numeric_content_length_is_400_and_closes(
+        self, http_service
+    ):
+        base, _ = http_service
+        responses = _exchange(
+            base, b"POST /advise HTTP/1.1\r\nHost: test\r\n"
+                  b"Content-Length: abc\r\n\r\n" + SMUGGLED)
+        assert len(responses) == 1
+        status, headers, payload = responses[0]
+        assert status == 400 and headers["connection"] == "close"
+        assert "Content-Length" in payload["error"]
+
+    def test_oversized_body_is_413_and_closes(self, http_service):
+        base, _ = http_service
+        declared = MAX_BODY_BYTES + 1
+        responses = _exchange(
+            base, b"POST /advise HTTP/1.1\r\nHost: test\r\n"
+                  b"Content-Length: %d\r\n\r\n" % declared + SMUGGLED)
+        assert len(responses) == 1
+        status, headers, payload = responses[0]
+        assert status == 413 and headers["connection"] == "close"
+        assert "too large" in payload["error"]
+
+    def test_chunked_body_is_json_411_and_closes(self, http_service):
+        base, _ = http_service
+        chunk = SMUGGLED
+        responses = _exchange(
+            base, b"POST /advise HTTP/1.1\r\nHost: test\r\n"
+                  b"Transfer-Encoding: chunked\r\n\r\n"
+                  + b"%x\r\n" % len(chunk) + chunk + b"\r\n0\r\n\r\n")
+        assert len(responses) == 1
+        status, headers, payload = responses[0]
+        assert status == 411 and headers["connection"] == "close"
+        assert "Content-Length" in payload["error"]
+
+    def test_connection_close_and_http10_close_after_response(
+        self, http_service
+    ):
+        base, _ = http_service
+        for request in (
+            b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+            b"Connection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+        ):
+            # the trailing request is never answered: the server closes
+            responses = _exchange(base, request + SMUGGLED)
+            assert len(responses) == 1
+            status, headers, payload = responses[0]
+            assert status == 200 and payload == {"status": "ok"}
+            assert headers["connection"] == "close"
+
+    def test_a_failing_event_drops_only_its_connection(
+        self, http_service, monkeypatch
+    ):
+        base, engine = http_service
+
+        def broken_metrics():
+            raise RuntimeError("metrics broke")
+
+        monkeypatch.setattr(engine, "metrics", broken_metrics)
+        with pytest.raises(OSError):  # closed without a response
+            with urllib.request.urlopen(f"{base}/metrics",
+                                        timeout=10.0) as response:
+                response.read()
+        # the loop survived: other connections are still served
+        with urllib.request.urlopen(f"{base}/healthz",
+                                    timeout=10.0) as response:
+            assert json.loads(response.read()) == {"status": "ok"}
+
+    def test_pipelined_miss_then_hit_answer_in_order(
+        self, paper_plan, monkeypatch
+    ):
+        release = threading.Event()
+        original = AdvisoryEngine._compute
+
+        def gated_compute(self, plan, canonical, scheme):
+            release.wait(10.0)
+            return original(self, plan, canonical, scheme)
+
+        engine = small_engine()
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        hit = engine.advise(paper_plan, stats)  # warm: cost-based hits
+        monkeypatch.setattr(AdvisoryEngine, "_compute", gated_compute)
+        engine.start(workers=1, max_queue=4)
+        try:
+            with _serving(engine) as address, \
+                    socket.create_connection(address, timeout=10.0) as sock:
+                sock.sendall(
+                    _post_bytes(_advise_body(paper_plan, stats,
+                                             "all-mat"))
+                    + _post_bytes(_advise_body(paper_plan, stats),
+                                  extra="Connection: close\r\n"))
+                # the hit behind the blocked miss is not answered first
+                sock.settimeout(0.3)
+                with pytest.raises(socket.timeout):
+                    sock.recv(1)
+                release.set()
+                responses = _split_responses(_read_until_eof(sock))
+        finally:
+            release.set()
+        monkeypatch.setattr(AdvisoryEngine, "_compute", original)
+        assert [status for status, _, _ in responses] == [200, 200]
+        assert responses[0][2]["advice"] == direct_advice(
+            paper_plan, stats, engine, "all-mat").to_dict()
+        assert responses[1][2]["advice"] == hit.to_dict()
+
+    def test_slow_clients_neither_delay_hits_nor_linger(
+        self, http_service, paper_plan, monkeypatch
+    ):
+        timeout = 1.0
+        monkeypatch.setattr(app, "REQUEST_READ_TIMEOUT_S", timeout)
+        base, engine = http_service
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        body = _advise_body(paper_plan, stats)
+        expected = {"advice": engine.advise(paper_plan, stats).to_dict()}
+        address = _address(base)
+        slow_head = socket.create_connection(address, timeout=10.0)
+        partial_body = socket.create_connection(address, timeout=10.0)
+        try:
+            started = time.monotonic()
+            slow_head.sendall(b"POST /advise HTTP/1.1\r\nHost: te")
+            partial_body.sendall(_post_bytes(body)[:-10])
+            connection = http.client.HTTPConnection(*address,
+                                                    timeout=10.0)
+            try:
+                for _ in range(20):
+                    connection.request("POST", "/advise", body=body)
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    assert json.loads(response.read()) == expected
+            finally:
+                connection.close()
+            assert time.monotonic() - started < timeout / 2
+            # both are dropped once the timeout passes, with no response
+            for sock in (slow_head, partial_body):
+                assert _read_until_eof(sock, timeout=timeout + 10.0) \
+                    == b""
+            assert time.monotonic() - started >= timeout
+        finally:
+            slow_head.close()
+            partial_body.close()
+
+    def test_batch_mix_matches_direct_entry_by_entry(
+        self, http_service, paper_plan, chain_plan
+    ):
+        base, engine = http_service
+        warm = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        engine.advise(paper_plan, warm)
+        engine.advise(chain_plan, warm, "all-mat")
+        cold = ClusterStats(mtbf=86400.0, mttr=30.0, nodes=10)
+        cells = [(paper_plan, warm, "cost-based"),       # hit
+                 (chain_plan, cold, "cost-based"),       # miss
+                 None,                                   # bad entry
+                 (chain_plan, warm, "all-mat"),          # hit
+                 (paper_plan, cold, "no-mat (lineage)"),  # miss
+                 (chain_plan, cold, "cost-based")]       # coalesced
+        entries = [
+            {"nonsense": True} if cell is None else
+            {"plan": plan_to_dict(cell[0]),
+             "stats": stats_to_dict(cell[1]), "scheme": cell[2]}
+            for cell in cells
+        ]
+        entries.append(dict(entries[0], scheme="nope"))
+        results = _post(f"{base}/advise/batch",
+                        {"requests": entries})["results"]
+        assert len(results) == len(entries)
+        for cell, result in zip(cells, results):
+            if cell is None:
+                assert "missing 'plan'" in result["error"]
+            else:
+                assert result == {"advice": direct_advice(
+                    cell[0], cell[1], engine, cell[2]).to_dict()}
+        assert "unknown fault-tolerance" in results[-1]["error"]
+
+
+class TestMissCompletion:
+    def test_concurrent_misses_answer_by_callback(
+        self, paper_plan, chain_plan, monkeypatch
+    ):
+        """Many connections wait on misses at once; each response comes
+        back through a worker's callback on its own connection."""
+        original = AdvisoryEngine._compute
+
+        def slow_compute(self, plan, canonical, scheme):
+            time.sleep(0.002)
+            return original(self, plan, canonical, scheme)
+
+        monkeypatch.setattr(AdvisoryEngine, "_compute", slow_compute)
+        engine = small_engine(cache_size=0)  # every request searches
+        engine.start(workers=4, max_queue=256)
+        cells = [(plan, ClusterStats(mtbf=mtbf, mttr=1.0, nodes=4),
+                  scheme)
+                 for plan in (paper_plan, chain_plan)
+                 for mtbf in (60.0, 3600.0)
+                 for scheme in ("cost-based", "all-mat")]
+        answers = {}
+        failures = []
+        lock = threading.Lock()
+
+        def client(index: int) -> None:
+            try:
+                connection = http.client.HTTPConnection(*address,
+                                                        timeout=30.0)
+                try:
+                    for round_index in range(4):
+                        cell = (index + round_index) % len(cells)
+                        connection.request(
+                            "POST", "/advise",
+                            body=_advise_body(*cells[cell]))
+                        response = connection.getresponse()
+                        payload = json.loads(response.read())
+                        with lock:
+                            answers[index, round_index] = (
+                                cell, response.status, payload)
+                finally:
+                    connection.close()
+            except BaseException as error:
+                with lock:
+                    failures.append(repr(error))
+
+        threads = [threading.Thread(target=client, args=(index,))
+                   for index in range(16)]
+        with _serving(engine) as address:
+            for client_thread in threads:
+                client_thread.start()
+            for client_thread in threads:
+                client_thread.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads) and not failures
+        assert len(answers) == 16 * 4
+        monkeypatch.setattr(AdvisoryEngine, "_compute", original)
+        expected = [{"advice": direct_advice(*cell[:2], engine,
+                                             cell[2]).to_dict()}
+                    for cell in cells]
+        for cell, status, payload in answers.values():
+            assert status == 200 and payload == expected[cell]
+
+
+class TestFairness:
+    def test_late_connections_are_served_while_others_stream(
+        self, http_service, paper_plan
+    ):
+        """N keep-alive clients start together and stream cache hits;
+        every connection's first response arrives within a bound, so no
+        client waits on the ones already streaming.  (A thread-per-
+        connection server with one accept thread took ~2.7 s on 2 CPUs.)"""
+        clients, per_client, bound_s = 128, 20, 1.0
+        base, engine = http_service
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        body = _advise_body(paper_plan, stats)
+        expected = {"advice": engine.advise(paper_plan, stats).to_dict()}
+        address = _address(base)
+        barrier = threading.Barrier(clients)
+        lock = threading.Lock()
+        first_response_s = {}
+        failures = []
+        peak_threads = [0]
+
+        def client(index: int) -> None:
+            barrier.wait()
+            started = time.perf_counter()
+            try:
+                connection = http.client.HTTPConnection(*address,
+                                                        timeout=30.0)
+                try:
+                    for request in range(per_client):
+                        connection.request("POST", "/advise", body=body)
+                        response = connection.getresponse()
+                        payload = json.loads(response.read())
+                        if request == 0:
+                            with lock:
+                                first_response_s[index] = (
+                                    time.perf_counter() - started)
+                                peak_threads[0] = max(
+                                    peak_threads[0],
+                                    threading.active_count())
+                        if response.status != 200 or payload != expected:
+                            raise AssertionError(
+                                f"{response.status} {payload}")
+                finally:
+                    connection.close()
+            except BaseException as error:
+                with lock:
+                    failures.append(f"client {index}: {error!r}")
+
+        before = threading.active_count()
+        threads = [threading.Thread(target=client, args=(index,))
+                   for index in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        # the loop spawns no thread per connection
+        assert peak_threads[0] <= before + clients
+        assert len(first_response_s) == clients
+        assert max(first_response_s.values()) < bound_s, \
+            sorted(first_response_s.values())[-5:]
