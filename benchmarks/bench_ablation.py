@@ -12,6 +12,8 @@
    caveat: with local storage, failures destroy materialized inputs and
    the engine pays lineage recomputation, so the model becomes more
    optimistic than with the paper's assumed fault-tolerant medium.
+4. **Rule 3 memo variants** -- the bestT check alone vs the paper's
+   suggested Eq. 9 dominance memo, counted in cost-model calls.
 """
 
 import pytest
@@ -232,3 +234,63 @@ def test_fault_tolerant_vs_local_storage(benchmark, q5_plan, archive):
 
     # local storage pays lineage recomputation on every retry
     assert results["local"] >= results["fault-tolerant"]
+
+
+def test_rule3_memo_variants(benchmark, archive):
+    """Ablation 4: Rule 3's Eq. 9 dominance memo vs the bestT check alone.
+
+    The paper suggests memoizing *multiple* best dominant paths (one per
+    collapsed-operator count) for more aggressive pruning; this measures
+    how many cost-model calls the richer memo saves on the top-5 search.
+    """
+    from repro.core import cost_model
+    from repro.core.collapse import collapse_plan
+    from repro.core.enumeration import enumerate_mat_configs
+    from repro.core.paths import enumerate_paths, path_total_costs
+    from repro.core.pruning import DominantPathMemo
+    from repro.joinorder import q5_join_graph, top_k_plans, tree_to_plan
+
+    graph = q5_join_graph(100.0)
+    params = default_parameters()
+    plans = [tree_to_plan(ranked.tree, graph, params)
+             for ranked in top_k_plans(graph, k=5)]
+    stats = ClusterStats(mtbf=HOUR, mttr=1.0, nodes=10)
+
+    def search(use_dominance: bool) -> int:
+        memo = DominantPathMemo()
+        estimates = 0
+        for plan in plans:
+            for config in enumerate_mat_configs(plan):
+                candidate = plan.with_mat_config(config)
+                collapsed = collapse_plan(candidate)
+                dominant_costs, dominant_total = None, -1.0
+                skipped = False
+                for path in enumerate_paths(collapsed):
+                    costs = path_total_costs(path)
+                    if cost_model.path_cost_failure_free(costs) >= \
+                            memo.best_cost:
+                        skipped = True
+                        break
+                    if use_dominance and memo.dominates(costs):
+                        skipped = True
+                        break
+                    estimates += 1
+                    total = cost_model.path_cost(costs, stats)
+                    if total >= memo.best_cost:
+                        skipped = True
+                        break
+                    if total > dominant_total:
+                        dominant_total, dominant_costs = total, costs
+                if not skipped and dominant_costs is not None:
+                    memo.record_dominant(dominant_costs, dominant_total)
+        return estimates
+
+    with_dominance, without_dominance = benchmark.pedantic(
+        lambda: (search(True), search(False)), rounds=1, iterations=1)
+    archive("ablation_rule3_memo", "\n".join([
+        "Ablation: Rule 3 memo variants (Q5 top-5 join orders x 32 "
+        "configs, MTBF = 1 hour)",
+        f"bestT checks only:          {without_dominance} cost-model calls",
+        f"+ Eq. 9 dominance memo:     {with_dominance} cost-model calls",
+    ]))
+    assert with_dominance <= without_dominance

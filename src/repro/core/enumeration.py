@@ -29,8 +29,8 @@ Two engines implement the search:
   plan rebuild and DAG collapse per configuration.  It is kept as the
   correctness oracle: the engines return bit-identical results
   (``tests/test_property_enumeration.py``, ``tests/test_shard.py``),
-  the naive engine is just slower (see ``benchmarks/bench_optimizer.py``
-  and ``docs/perf.md``).
+  the naive engine is just slower (see ``docs/perf.md`` and the
+  ``search-*`` workloads of ``benchmarks/e2e``).
 
 Large plans make the full ``2^n`` space intractable for *any* engine, so
 every engine accepts ``config_limit=K``: only the first ``K``

@@ -27,8 +27,7 @@ even beat the *static* oracle on drifting regimes -- the oracle is the
 best *fixed* configuration, while re-planning switches configurations
 mid-flight.
 
-``benchmarks/bench_adaptive.py`` wraps this into ``BENCH_adaptive.json``
-and gates on it in CI (see ``docs/adaptive.md``).
+``tests/test_adaptive.py`` gates on this sweep (see ``docs/adaptive.md``).
 """
 
 from __future__ import annotations

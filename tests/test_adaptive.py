@@ -9,6 +9,7 @@ from repro.engine.adaptive import AdaptiveExecutor
 from repro.engine.cluster import Cluster
 from repro.engine.executor import SimulatedEngine
 from repro.engine.traces import FailureTrace, generate_trace
+from repro.experiments import adaptive_drift
 from repro.stats.perturbation import PerturbationKind, perturb_plan
 
 
@@ -188,3 +189,28 @@ class TestMtbfTracking:
         stats = ClusterStats(mtbf=604800.0, mttr=1.0, nodes=1)
         adaptive = AdaptiveExecutor(engine, stats, track_mtbf=False)
         assert adaptive._current_stats(100, 1000.0) is stats
+
+
+class TestDriftSweepGates:
+    """The ``adaptive-drift`` sweep's acceptance gates (docs/adaptive.md),
+    at the default operating point (Q5 @ sf 100, assumed MTBF 4 h) with
+    10 traces per regime."""
+
+    #: never-worse slack, as a fraction of the static regret
+    TOLERANCE = 0.005
+    #: how far below static the adaptive regret must fall somewhere
+    MARGIN = 1e-6
+
+    def test_identity_never_worse_and_pays_somewhere(self):
+        zero, *drifting = adaptive_drift.run(
+            query="Q5", scale_factor=100.0, mtbf=4.0 * 3600.0,
+            trace_count=10, jobs=1,
+        ).rows
+        assert zero.regime == "zero drift"
+        assert zero.replans == 0
+        assert zero.identical_to_static
+        for row in drifting:
+            assert row.adaptive_regret <= \
+                row.static_regret * (1.0 + self.TOLERANCE), row.regime
+        assert any(row.adaptive_regret < row.static_regret - self.MARGIN
+                   for row in drifting)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cost_model import ClusterStats
-from repro.core.enumeration import find_best_ft_plan
+from repro.core.enumeration import count_mat_configs, find_best_ft_plan
 from repro.core.pruning import PruningConfig
 from repro.joinorder.dp import top_k_plans
 from repro.joinorder.tpch_graphs import q3_join_graph, q5_join_graph
@@ -58,6 +58,7 @@ class TestFastVsNaive:
     ):
         plans = _candidate_plans(graph_name, scale_factor, k=2)
         stats = ClusterStats(mtbf=mtbf, mttr=1.0, nodes=10)
+        results = {}
         for pruning in (PruningConfig.none(), PruningConfig.only(3),
                         PruningConfig.all()):
             fast = find_best_ft_plan(plans, stats, engine="fast",
@@ -66,6 +67,16 @@ class TestFastVsNaive:
                                       pruning=pruning)
             assert fast.cost == naive.cost, pruning
             assert fast.mat_config == naive.mat_config, pruning
+            results[pruning] = fast
+        # without rules every configuration is scored; the rules score
+        # fewer paths and stay within the documented boundary gaps
+        brute = results[PruningConfig.none()]
+        pruned = results[PruningConfig.all()]
+        assert brute.pruning.configs_enumerated == \
+            sum(count_mat_configs(plan) for plan in plans)
+        assert pruned.pruning.paths_estimated < \
+            brute.pruning.paths_estimated
+        assert pruned.cost <= brute.cost * 1.01
 
 
 class TestFastVsNaiveUnderChaosStats:

@@ -58,6 +58,23 @@ def small_config(**overrides) -> MultiTenantConfig:
 
 
 # ----------------------------------------------------------------------
+# acceptance gates
+# ----------------------------------------------------------------------
+class TestQuickRunGates:
+    def test_no_errors_and_a_warm_cache(self):
+        """At the quick size (300 queries, 2 traces, 3 templates per
+        class) every cell measures, every query finishes, and the skewed
+        mix keeps the advice cache warm."""
+        result = run_multitenant(MultiTenantConfig(
+            queries=300, trace_count=2, templates_per_class=3,
+            churn=0.5, seed=0,
+        ))
+        assert result.error_rows == 0
+        assert result.failed_queries == 0
+        assert result.advice.hit_rate >= 0.5
+
+
+# ----------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------
 class TestDeterminism:

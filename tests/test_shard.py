@@ -48,7 +48,11 @@ from repro.core.shard import (
     subspace_mask,
     subspace_params,
 )
-from repro.joinorder.synthetic import SyntheticSpec, synthetic_plan
+from repro.joinorder.synthetic import (
+    SyntheticSpec,
+    scaling_specs,
+    synthetic_plan,
+)
 
 
 def _plan(n_joins: int, seed: int):
@@ -320,16 +324,25 @@ class TestShardedEqualsSerial:
                     )
 
     def test_worker_pool_matches_serial(self):
-        plan = _plan(12, seed=5)
-        stats = _rare_failure_stats(plan)
+        # plus the two smallest scaling_specs ladder plans at a
+        # 2048-config cap; the naive oracle certifies n <= 20
+        cases = [(_plan(12, seed=5), 1024)] + [
+            (synthetic_plan(spec), 2048) for spec in scaling_specs((20, 40))
+        ]
         pruning = PruningConfig.all()
-        fast = find_best_ft_plan([plan], stats, pruning=pruning,
-                                 config_limit=1024)
-        key, _ = sharded_search(
-            [plan], stats, pruning,
-            parallelism=2, shards=6, config_limit=1024,
-        )
-        assert key == _result_key(fast)
+        for plan, limit in cases:
+            stats = _rare_failure_stats(plan)
+            fast = find_best_ft_plan([plan], stats, pruning=pruning,
+                                     config_limit=limit)
+            key, _ = sharded_search(
+                [plan], stats, pruning,
+                parallelism=2, shards=6, config_limit=limit,
+            )
+            assert key == _result_key(fast)
+            if len(plan.free_operators) <= 20:
+                naive = _find_best_naive([plan], stats, pruning, False,
+                                         config_limit=limit)
+                assert key == _result_key(naive)
 
     def test_multi_plan_tie_ordering(self):
         # identical plans tie on cost; the reduce must prefer the lower
