@@ -345,11 +345,16 @@ def quick_workload() -> Tuple[List[Any], Any]:
     """A small (cells, cluster) pair for CI quick-mode replay.
 
     Two plans x two MTBFs, few traces: enough units to exercise the
-    chunking and merge paths at jobs=4 while staying fast.
+    chunking and merge paths at jobs=4 while staying fast.  The
+    ``quick-short`` cell has as many traces as the lockstep threshold
+    (:data:`~repro.engine.executor.LOCKSTEP_MIN_TRACES`), so its units
+    replay through the lockstep executor; the chain cells stay below it
+    and replay trace by trace.
     """
     from ..core.plan import linear_plan
     from ..engine.campaign import CampaignCell
     from ..engine.cluster import Cluster
+    from ..engine.executor import LOCKSTEP_MIN_TRACES
 
     chain = linear_plan([(4.0, 1.0), (6.0, 2.0), (3.0, 1.5), (5.0, 1.0)])
     short = linear_plan([(8.0, 2.5), (2.0, 0.5)])
@@ -359,6 +364,6 @@ def quick_workload() -> Tuple[List[Any], Any]:
         for mtbf in (25.0, 80.0)
     ] + [
         CampaignCell(label="quick-short", plan=short, mtbf=40.0,
-                     trace_count=3, base_seed=11),
+                     trace_count=LOCKSTEP_MIN_TRACES, base_seed=11),
     ]
     return cells, Cluster(nodes=4, mttr=1.0)

@@ -29,6 +29,7 @@ from .coordinator import (
     pure_baseline_runtime,
 )
 from .executor import (
+    BatchResult,
     ExecutionResult,
     PreparedExecution,
     SimulatedEngine,
@@ -47,11 +48,14 @@ from .timeline import (
 from .viz import render_gantt, render_line_chart, render_overhead_bars
 from .traces import (
     FailureTrace,
+    TraceBlock,
+    cached_trace_block,
     cached_trace_set,
     generate_weibull_trace,
     empirical_mtbf,
     extend_trace,
     generate_trace,
+    generate_trace_block,
     generate_trace_set,
 )
 
@@ -64,6 +68,7 @@ __all__ = [
     "DriftTrigger",
     "frontier_plan",
     "run_adaptive_with_extension",
+    "BatchResult",
     "CampaignCell",
     "CellResult",
     "Cluster",
@@ -83,7 +88,9 @@ __all__ = [
     "StorageMedium",
     "Timeline",
     "PreparedExecution",
+    "TraceBlock",
     "TraceExhausted",
+    "cached_trace_block",
     "cached_trace_set",
     "campaign_map",
     "compare_schemes",
@@ -93,6 +100,7 @@ __all__ = [
     "empirical_mtbf",
     "extend_trace",
     "generate_trace",
+    "generate_trace_block",
     "generate_trace_set",
     "generate_weibull_trace",
     "render_gantt",

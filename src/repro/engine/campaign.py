@@ -36,8 +36,11 @@ grid explicit and executes it fast:
 * **Hot-path caches.**  Each unit reuses one
   :class:`~repro.engine.executor.PreparedExecution` across all of its
   traces (collapse/topology/lineage costs computed once, not per run),
-  shares trace sets through :func:`~repro.engine.traces.cached_trace_set`
-  and the memoized :func:`~repro.engine.coordinator.pure_baseline_runtime`.
+  shares trace sets through :func:`~repro.engine.traces.cached_trace_block`
+  and the memoized :func:`~repro.engine.coordinator.pure_baseline_runtime`,
+  and runs them through
+  :meth:`~repro.engine.executor.SimulatedEngine.execute_many` -- in
+  lockstep over the set's flat failure array when the unit qualifies.
 
 ``campaign_map`` exposes the bare deterministic fan-out for experiment
 loops that are not trace-driven simulations (e.g. Table 3's perturbation
@@ -63,13 +66,9 @@ from ..core.strategies import (
 )
 from .adaptive import AdaptiveCostBased, run_adaptive_with_extension
 from .cluster import Cluster
-from .coordinator import (
-    _default_horizon,
-    pure_baseline_runtime,
-    run_with_extension,
-)
+from .coordinator import _default_horizon, pure_baseline_runtime
 from .executor import SimulatedEngine
-from .traces import FailureTrace, cached_trace_set
+from .traces import FailureTrace, cached_trace_block
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -228,25 +227,27 @@ def _measure_unit(
                 baseline = pure_baseline_runtime(
                     cell.plan, clean_engine, stats
                 )
-        if cell.traces is not None:
-            traces: List[FailureTrace] = list(cell.traces)
-        else:
-            horizon = cell.horizon
-            if horizon is None:
-                horizon = _default_horizon(baseline, cell.mtbf, cluster)
-            correlated = None
-            chaos_seed = 0
-            drift = None
-            if chaos is not None and chaos.trace_active():
-                correlated = chaos.correlated
-                chaos_seed = chaos.seed
-                drift = chaos.mtbf_drift
-            traces = cached_trace_set(
-                cluster.nodes, cell.mtbf, horizon,
-                count=cell.trace_count, base_seed=cell.base_seed,
-                correlated=correlated, chaos_seed=chaos_seed,
-                drift=drift,
-            )
+        traces: Sequence[FailureTrace]
+        with obs.span("campaign.traces", cell=cell_index):
+            if cell.traces is not None:
+                traces = list(cell.traces)
+            else:
+                horizon = cell.horizon
+                if horizon is None:
+                    horizon = _default_horizon(baseline, cell.mtbf, cluster)
+                correlated = None
+                chaos_seed = 0
+                drift = None
+                if chaos is not None and chaos.trace_active():
+                    correlated = chaos.correlated
+                    chaos_seed = chaos.seed
+                    drift = chaos.mtbf_drift
+                traces = cached_trace_block(
+                    cluster.nodes, cell.mtbf, horizon,
+                    count=cell.trace_count, base_seed=cell.base_seed,
+                    correlated=correlated, chaos_seed=chaos_seed,
+                    drift=drift,
+                )
         target = cell.targets()[target_index]
         if isinstance(target, AdaptiveCostBased):
             # the adaptive scheme decides *while* simulating, so it
@@ -264,40 +265,25 @@ def _measure_unit(
                 configured = target.configure(cell.plan, stats)
         unit_span.set(scheme=configured.scheme)
         prepared = engine.prepare(configured)
-        runtimes: List[float] = []
-        aborted = 0
-        failures = 0
-        query_restarts = 0
-        share_restarts = 0
-        for index, trace in enumerate(traces):
-            with obs.span("campaign.trace", cell=cell_index,
-                          target=target_index, trace=index):
-                result, extended = run_with_extension(
-                    engine, prepared, trace
-                )
-            if extended is not trace:
-                # write the extension back so the next target on this
-                # trace set (and other sharers of the cache entry)
-                # reuse it
-                traces[index] = extended
-            if result.aborted:
-                aborted += 1
-            else:
-                runtimes.append(result.runtime)
-            failures += result.failures_hit
-            query_restarts += result.restarts
-            share_restarts += result.share_restarts
+        with obs.span("campaign.execute", cell=cell_index,
+                      target=target_index,
+                      traces=len(traces)) as execute_span:
+            # extensions are written back into the trace set, so the
+            # next target on it (and other sharers of the cache entry)
+            # reuse them
+            batch = engine.execute_many(prepared, traces)
+            execute_span.set(lockstep=batch.lockstep)
         if recorder is not None:
             # derived from the (bit-identical) results, so these totals
             # are independent of the job count and the merge order
             recorder.add("campaign.units")
             recorder.add("campaign.trace_runs", len(traces))
-            recorder.add("sim.failures_injected", failures)
-            recorder.add("sim.restarts.query", query_restarts)
-            recorder.add("sim.restarts.share", share_restarts)
-            recorder.add("sim.aborts", aborted)
+            recorder.add("sim.failures_injected", sum(batch.failures_hit))
+            recorder.add("sim.restarts.query", sum(batch.restarts))
+            recorder.add("sim.restarts.share", sum(batch.share_restarts))
+            recorder.add("sim.aborts", batch.aborted_runs)
         return _unit_row(cell, cell_index, configured, baseline,
-                         runtimes, aborted)
+                         batch.finished_runtimes, batch.aborted_runs)
 
 
 def _measure_adaptive_unit(
@@ -307,7 +293,7 @@ def _measure_adaptive_unit(
     target: "AdaptiveCostBased",
     engine: SimulatedEngine,
     stats: Any,
-    traces: List[FailureTrace],
+    traces: Sequence[FailureTrace],
     baseline: float,
     recorder: Optional[obs.Recorder],
     unit_span: Any,
@@ -338,7 +324,7 @@ def _measure_adaptive_unit(
                 initial_config=initial_config,
             )
         if extended is not trace:
-            traces[index] = extended
+            traces[index] = extended  # type: ignore[index]
         runtimes.append(outcome.runtime)
         failures += outcome.result.failures_hit
         share_restarts += outcome.result.share_restarts
@@ -357,7 +343,7 @@ def _unit_row(
     cell_index: int,
     configured: ConfiguredPlan,
     baseline: float,
-    runtimes: List[float],
+    runtimes: Sequence[float],
     aborted: int,
     replans: int = 0,
 ) -> CellResult:

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (
-    Any, Dict, List, MutableSequence, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..chaos.policy import FaultPolicy
 from ..core.cost_model import ClusterStats
@@ -26,13 +24,8 @@ from ..core.strategies import (
     NoMatLineage,
 )
 from .cluster import Cluster
-from .executor import (
-    ExecutionResult,
-    PreparedExecution,
-    SimulatedEngine,
-    TraceExhausted,
-)
-from .traces import FailureTrace, extend_trace
+from .executor import ExecutionResult, PreparedExecution, SimulatedEngine
+from .traces import FailureTrace
 
 
 @dataclass(frozen=True)
@@ -130,25 +123,14 @@ def measure_scheme(
 
     Traces whose horizon proves too short are transparently extended
     (the extension preserves the original prefix, so results are
-    identical to having generated a longer trace up front).
+    identical to having generated a longer trace up front) and, when
+    ``traces`` is mutable, written back into it.  The traces run through
+    :meth:`~repro.engine.executor.SimulatedEngine.execute_many`.
     """
     if baseline is None:
         baseline = pure_baseline_runtime(plan, engine, stats)
     configured = scheme.configure(plan, stats)
-    prepared = engine.prepare(configured)
-    runtimes: List[float] = []
-    aborted = 0
-    writeback = isinstance(traces, MutableSequence)
-    for index, trace in enumerate(traces):
-        result, extended = run_with_extension(engine, prepared, trace)
-        if writeback and extended is not trace:
-            # hand the extended trace back so later schemes (and other
-            # sharers of a cached set) don't redo the extension work
-            traces[index] = extended
-        if result.aborted:
-            aborted += 1
-        else:
-            runtimes.append(result.runtime)
+    batch = engine.execute_many(engine.prepare(configured), traces)
     materialized = tuple(
         op_id for op_id, op in configured.plan.operators.items()
         if op.materialize and plan[op_id].free
@@ -156,8 +138,8 @@ def measure_scheme(
     return SchemeMeasurement(
         scheme=scheme.name,
         baseline=baseline,
-        runtimes=tuple(runtimes),
-        aborted_runs=aborted,
+        runtimes=batch.finished_runtimes,
+        aborted_runs=batch.aborted_runs,
         materialized_ids=materialized,
     )
 
@@ -183,15 +165,8 @@ def run_with_extension(
         target if isinstance(target, PreparedExecution)
         else engine.prepare(target)
     )
-    for _ in range(max_extensions):
-        try:
-            return engine.execute_prepared(prepared, trace), trace
-        except TraceExhausted:
-            trace = extend_trace(trace, trace.horizon * 4)
-    raise TraceExhausted(
-        "query did not finish within the maximum trace extension; "
-        "the configuration likely cannot make progress at this MTBF"
-    )
+    return engine.run_extending(prepared, trace,
+                                max_extensions=max_extensions)
 
 
 def execute_with_extension(
@@ -204,10 +179,6 @@ def execute_with_extension(
     result, _ = run_with_extension(engine, configured, trace,
                                    max_extensions=max_extensions)
     return result
-
-
-#: backwards-compatible private alias
-_execute_extending = execute_with_extension
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,11 @@ groups); what it adds over the model is *actual* failure arrival times,
 per-node max effects, full-DAG makespans, and real (not percentile)
 attempt counts -- exactly the gap the accuracy experiment (Figure 12)
 measures.
+
+:meth:`SimulatedEngine.execute_many` runs one prepared plan under a
+whole trace set: trace by trace, or -- when the runs depend on failure
+times alone -- in lockstep (:mod:`repro.engine.lockstep`), with
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -54,7 +59,10 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, MutableSequence, Optional, Sequence, Set,
+    Tuple,
+)
 
 from .. import obs
 from ..chaos.inject import ChaosRun
@@ -63,10 +71,15 @@ from ..core.collapse import CollapsedOperator, CollapsedPlan, collapse_plan
 from ..core.strategies import ConfiguredPlan, RecoveryMode
 from .cluster import Cluster
 from .timeline import EventKind, MutedTimeline, Timeline
-from .traces import FailureTrace
+from .traces import FailureTrace, TraceBlock, extend_trace
 
 if TYPE_CHECKING:
     from ..core.checkpointing import CheckpointSpec
+
+
+#: smallest trace set :meth:`SimulatedEngine.execute_many` runs in
+#: lockstep by default: the measured crossover (``docs/simulator.md``)
+LOCKSTEP_MIN_TRACES = 12
 
 
 class TraceExhausted(RuntimeError):
@@ -96,6 +109,45 @@ class ExecutionResult:
     @property
     def finished(self) -> bool:
         return not self.aborted
+
+
+@dataclass(frozen=True)
+class BatchResult:
+    """Outcomes of one prepared plan over a trace set, one entry per
+    trace in trace order (see :meth:`SimulatedEngine.execute_many`).
+
+    The same fields as :class:`ExecutionResult` without the event logs;
+    ``lockstep`` records which executor produced them (the results are
+    identical either way).
+    """
+
+    runtimes: Tuple[float, ...]
+    aborted: Tuple[bool, ...]
+    restarts: Tuple[int, ...]
+    share_restarts: Tuple[int, ...]
+    failures_hit: Tuple[int, ...]
+    lockstep: bool = False
+
+    @classmethod
+    def of(cls, results: Sequence[ExecutionResult]) -> "BatchResult":
+        return cls(
+            runtimes=tuple(result.runtime for result in results),
+            aborted=tuple(result.aborted for result in results),
+            restarts=tuple(result.restarts for result in results),
+            share_restarts=tuple(result.share_restarts
+                                 for result in results),
+            failures_hit=tuple(result.failures_hit for result in results),
+        )
+
+    @property
+    def finished_runtimes(self) -> Tuple[float, ...]:
+        """Runtimes of the runs that did not abort, in trace order."""
+        return tuple(runtime for runtime, aborted
+                     in zip(self.runtimes, self.aborted) if not aborted)
+
+    @property
+    def aborted_runs(self) -> int:
+        return sum(self.aborted)
 
 
 #: one dominant-path step of a group share in one run: (gate, duration)
@@ -207,6 +259,11 @@ class SimulatedEngine:
         self.const_pipe = const_pipe
         self.record_events = record_events
         self.chaos = chaos
+        #: every node runs at nominal speed (no ``node_skew``)
+        self.uniform_skew = all(
+            math.isclose(factor, 1.0, rel_tol=1e-12, abs_tol=0.0)
+            for factor in cluster.node_skew
+        )
 
     def _new_timeline(self) -> Timeline:
         return Timeline() if self.record_events else MutedTimeline()
@@ -262,6 +319,82 @@ class SimulatedEngine:
                 f"covers {trace.horizon:.1f}s"
             )
         return result
+
+    def run_extending(
+        self,
+        prepared: PreparedExecution,
+        trace: FailureTrace,
+        max_extensions: int = 20,
+    ) -> Tuple[ExecutionResult, FailureTrace]:
+        """Run one trace, extending its horizon when needed; return both.
+
+        Extension regenerates from the same seed, so the failure prefix
+        the run already consumed is unchanged -- the result is identical
+        to having generated a longer trace up front.  The (possibly
+        extended) trace is returned so callers can write it back into a
+        shared trace set instead of re-extending on every scheme.
+        """
+        for _ in range(max_extensions):
+            try:
+                return self.execute_prepared(prepared, trace), trace
+            except TraceExhausted:
+                trace = extend_trace(trace, trace.horizon * 4)
+        raise TraceExhausted(
+            "query did not finish within the maximum trace extension; "
+            "the configuration likely cannot make progress at this MTBF"
+        )
+
+    def lockstep_eligible(self, prepared: PreparedExecution,
+                          count: int) -> bool:
+        """Does :meth:`execute_many` run ``count`` traces in lockstep?
+
+        Only runs whose outcome is a function of failure times alone
+        qualify: a muted timeline (no event log to order), no
+        ``node_skew``, no straggler or flaky-write injection, no
+        mid-operator checkpoints, and a set of at least
+        :data:`LOCKSTEP_MIN_TRACES` traces -- below that the per-trace
+        executor is faster (``docs/simulator.md``).
+        """
+        return (
+            count >= LOCKSTEP_MIN_TRACES
+            and not self.record_events
+            and self.uniform_skew
+            and not (self.chaos is not None and self.chaos.sim_active())
+            and not prepared.configured.op_checkpoints
+        )
+
+    def execute_many(
+        self,
+        prepared: PreparedExecution,
+        traces: Sequence[FailureTrace],
+    ) -> BatchResult:
+        """Run a prepared plan under every trace of a set.
+
+        Equal, trace by trace, to :meth:`run_extending` on each trace in
+        order -- results, extended traces and ``obs`` counters alike.  A
+        trace that outlives its horizon is extended, and the extension
+        is written back into ``traces`` when the set is mutable (a list
+        or a :class:`~repro.engine.traces.TraceBlock`), so later schemes
+        on the same set reuse it.
+
+        Eligible sets (:meth:`lockstep_eligible`) run in lockstep: every
+        trace advances through the plan's groups together, as NumPy
+        lanes over one flat failure array (:mod:`repro.engine.lockstep`).
+        Every other set runs trace by trace.
+        """
+        if self.lockstep_eligible(prepared, len(traces)):
+            # deferred import: the lockstep executor builds on this module
+            from .lockstep import run_lockstep
+
+            return run_lockstep(self, prepared, traces)
+        writeback = isinstance(traces, (MutableSequence, TraceBlock))
+        results: List[ExecutionResult] = []
+        for index, trace in enumerate(traces):
+            result, extended = self.run_extending(prepared, trace)
+            if writeback and extended is not trace:
+                traces[index] = extended  # type: ignore[index]
+            results.append(result)
+        return BatchResult.of(results)
 
     def baseline_runtime(self, configured: ConfiguredPlan) -> float:
         """Failure-free runtime of the *configured* plan (including its
@@ -391,10 +524,7 @@ class SimulatedEngine:
         """Do all nodes run identical segments (no skew, no stragglers)?"""
         if chaos_run is not None and chaos_run.has_stragglers:
             return False
-        return all(
-            math.isclose(factor, 1.0, rel_tol=1e-12, abs_tol=0.0)
-            for factor in self.cluster.node_skew
-        )
+        return self.uniform_skew
 
     def _execute_group(
         self,
@@ -684,6 +814,28 @@ class SimulatedEngine:
     # ------------------------------------------------------------------
     # coarse-grained recovery (restart the whole query)
     # ------------------------------------------------------------------
+    def _attempt_makespan(
+        self,
+        prepared: PreparedExecution,
+        chaos_run: Optional[ChaosRun] = None,
+    ) -> float:
+        """Failure-free makespan of one ``RESTART_QUERY`` attempt."""
+        if chaos_run is not None and chaos_run.has_stragglers:
+            # stragglers are drawn per (trace, node), so the attempt
+            # makespan is trace-dependent and the cache does not apply;
+            # write-failure injection is scoped to fine-grained recovery
+            # (see docs/robustness.md), hence stragglers_only()
+            return self._run_fine(
+                prepared, FailureTrace.empty(self.cluster.nodes),
+                chaos_run=chaos_run.stragglers_only(),
+            ).runtime
+        if prepared._coarse_makespan is None:
+            # the failure-free attempt makespan is trace-independent;
+            # compute it once per prepared plan instead of per run
+            prepared._coarse_makespan = self._run_fine(
+                prepared, FailureTrace.empty(self.cluster.nodes)).runtime
+        return prepared._coarse_makespan
+
     def _run_coarse(
         self,
         prepared: PreparedExecution,
@@ -692,23 +844,7 @@ class SimulatedEngine:
     ) -> ExecutionResult:
         scheme = prepared.configured.scheme
         timeline = self._new_timeline()
-        if chaos_run is not None and chaos_run.has_stragglers:
-            # stragglers are drawn per (trace, node), so the attempt
-            # makespan is trace-dependent and the cache does not apply;
-            # write-failure injection is scoped to fine-grained recovery
-            # (see docs/robustness.md), hence stragglers_only()
-            empty = FailureTrace.empty(self.cluster.nodes)
-            makespan = self._run_fine(
-                prepared, empty, chaos_run=chaos_run.stragglers_only()
-            ).runtime
-        else:
-            makespan = prepared._coarse_makespan
-            if makespan is None:
-                # the failure-free attempt makespan is trace-independent;
-                # compute it once per prepared plan instead of per run
-                empty = FailureTrace.empty(self.cluster.nodes)
-                makespan = self._run_fine(prepared, empty).runtime
-                prepared._coarse_makespan = makespan
+        makespan = self._attempt_makespan(prepared, chaos_run)
         # every node's failures as one (time, node) stream in time order,
         # ties on the lowest node -- the failure that restarts an attempt
         # is the first one after its start, as in trace.first_failure

@@ -16,6 +16,13 @@ multiplied by each cell's mean gap before the running sum -- so a sweep
 that replays the same seeds at many MTBFs (Figure 8's grid) builds each
 stream's generator once, and every trace stays bit-identical to drawing
 ``rng.exponential(mtbf)`` gap by gap.
+
+A whole trace set can also be held as a :class:`TraceBlock`: one flat
+float64 array with an ``inf`` sentinel closing each ``(trace, node)``
+row, which the lockstep executor reads directly.  A plain set is drawn
+straight into that form (:func:`generate_trace_block`); the
+per-process cache holds blocks, and :func:`cached_trace_set` hands out
+their :class:`FailureTrace` lists.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -203,15 +210,22 @@ def _unit_gaps(
     return gaps
 
 
-def _arrivals(
-    units: Callable[[int], np.ndarray],
+def _arrival_block(
+    units: Sequence[Callable[[int], np.ndarray]],
     scale: float,
     mean_gap: float,
     horizon: float,
-) -> List[Tuple[float, ...]]:
-    """Per-row arrival times up to ``horizon``: ``units(width)`` (at
-    least ``width`` unit-scale gaps per row) times ``scale``, summed
-    along each row.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Arrival times up to ``horizon`` for every row of every source, as
+    one flat block.
+
+    ``units[i](width)`` returns source ``i``'s rows of at least ``width``
+    unit-scale gaps.  Each row's gaps are multiplied by ``scale`` and
+    summed along the row; the arrivals at or below ``horizon`` are laid
+    out row after row in one float64 array, each row closed by an
+    ``inf`` sentinel.  Returns ``(flat, offsets)``: row ``r`` spans
+    ``flat[offsets[r]:offsets[r+1]]`` and its last entry is the
+    sentinel.
 
     Bit-identical to drawing ``rng.exponential(scale)`` (or
     ``scale * rng.weibull(shape)``) one gap at a time and summing as it
@@ -219,25 +233,54 @@ def _arrivals(
     ``m * standard_exponential()``, batched draws equal repeated single
     draws, and a row-wise ``np.cumsum`` performs the same left-to-right
     float64 additions.  The scaling must come before the sum; scaling
-    summed unit arrivals would round differently.
+    summed unit arrivals would round differently.  All sources share
+    one ``cumsum``; when some row falls short of the horizon, every
+    source is drawn again twice as wide (prefix-stable, so the values
+    do not depend on the width).
     """
     # expected count plus slack; widened until every row passes horizon
     expected = horizon / mean_gap if math.isfinite(mean_gap) else 0.0
     width = int(min(expected + 4.0 * math.sqrt(expected) + 16.0, 1e6))
     while True:
-        arrivals = np.cumsum(scale * units(width)[:, :width], axis=1)
+        gaps = [source(width)[:, :width] for source in units]
+        arrivals = np.concatenate(gaps) if len(gaps) > 1 else gaps[0].copy()
+        np.multiply(arrivals, scale, out=arrivals)
+        np.cumsum(arrivals, axis=1, out=arrivals)
         if (arrivals[:, -1] > horizon).all():
             break
         width *= 2
-    # rows are increasing, so each row's covered arrivals are a prefix
-    covered = arrivals <= horizon
-    times = arrivals[covered].tolist()
-    rows: List[Tuple[float, ...]] = []
-    start = 0
-    for count in covered.sum(axis=1).tolist():
-        rows.append(tuple(times[start:start + count]))
-        start += count
-    return rows
+    # rows are increasing, so each row's covered arrivals are a prefix;
+    # the first uncovered column becomes the row's sentinel
+    counts = (arrivals <= horizon).sum(axis=1)
+    arrivals[np.arange(arrivals.shape[0]), counts] = np.inf
+    flat = arrivals[np.arange(width) <= counts[:, None]]
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts + 1, out=offsets[1:])
+    return flat, offsets
+
+
+def _block_rows(flat: np.ndarray, offsets: np.ndarray,
+                first: int, stop: int) -> Tuple[Tuple[float, ...], ...]:
+    """Rows ``first .. stop-1`` of a block as tuples (sentinels dropped)."""
+    bounds = offsets[first:stop + 1].tolist()
+    base = bounds[0]
+    values = flat[base:bounds[-1]].tolist()
+    return tuple(
+        tuple(values[start - base:end - base - 1])
+        for start, end in zip(bounds, bounds[1:])
+    )
+
+
+def _arrivals(
+    units: Callable[[int], np.ndarray],
+    scale: float,
+    mean_gap: float,
+    horizon: float,
+) -> Tuple[Tuple[float, ...], ...]:
+    """Per-row arrival times up to ``horizon`` of one source (see
+    :func:`_arrival_block`)."""
+    flat, offsets = _arrival_block([units], scale, mean_gap, horizon)
+    return _block_rows(flat, offsets, 0, len(offsets) - 1)
 
 
 def _base_node_failures(
@@ -246,7 +289,7 @@ def _base_node_failures(
     horizon: float,
     seed: int,
     shape: Optional[float] = None,
-) -> List[Tuple[float, ...]]:
+) -> Tuple[Tuple[float, ...], ...]:
     """Per-node base failure streams (exponential, or Weibull if
     ``shape`` is given) -- the exact streams of :func:`generate_trace` /
     :func:`generate_weibull_trace`, factored out so the correlated
@@ -290,9 +333,7 @@ def generate_trace(
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
     return FailureTrace(
-        node_failures=tuple(
-            _base_node_failures(nodes, mtbf, horizon, seed)
-        ),
+        node_failures=_base_node_failures(nodes, mtbf, horizon, seed),
         mtbf=mtbf,
         seed=seed,
         horizon=horizon,
@@ -326,9 +367,8 @@ def generate_weibull_trace(
     if shape <= 0:
         raise ValueError("shape must be > 0")
     return FailureTrace(
-        node_failures=tuple(
-            _base_node_failures(nodes, mtbf, horizon, seed, shape=shape)
-        ),
+        node_failures=_base_node_failures(nodes, mtbf, horizon, seed,
+                                          shape=shape),
         mtbf=mtbf,
         seed=seed,
         horizon=horizon,
@@ -383,7 +423,7 @@ def generate_correlated_trace(
 
 
 def _apply_burst_overlay(
-    base: List[Tuple[float, ...]],
+    base: Sequence[Tuple[float, ...]],
     nodes: int,
     horizon: float,
     seed: int,
@@ -536,6 +576,193 @@ def extend_trace(trace: FailureTrace, horizon: float) -> FailureTrace:
     return generate_trace(trace.nodes, trace.mtbf, horizon, seed=trace.seed)
 
 
+def _rows_array(
+    rows: Sequence[Tuple[float, ...]],
+) -> Tuple[np.ndarray, List[int]]:
+    """``rows`` as one flat array, each row closed by an ``inf``
+    sentinel, plus each row's length (sentinel included)."""
+    lengths = [len(row) + 1 for row in rows]
+    flat = np.fromiter(
+        (time for row in rows for time in (*row, math.inf)),
+        dtype=np.float64, count=sum(lengths),
+    )
+    return flat, lengths
+
+
+class TraceBlock(Sequence[FailureTrace]):
+    """A trace set held as one flat float64 failure array.
+
+    Row ``t * nodes + n`` holds node ``n`` of trace ``t``: its failure
+    times in increasing order, closed by an ``inf`` sentinel, at
+    ``flat[offsets[row]:offsets[row + 1]]``.  The lockstep executor
+    (:meth:`~repro.engine.executor.SimulatedEngine.execute_many`) reads
+    the arrays directly, so a plain generated set never builds per-node
+    tuples; indexing builds the :class:`FailureTrace` of one trace on
+    first request and keeps it.
+
+    A block is a read-only sequence except for write-back:
+    ``block[i] = extended`` replaces trace ``i`` by an extension of
+    itself (same seed, larger horizon).  :meth:`as_list` hands out the
+    block's own trace list, so extensions written into that list count
+    the same.  Either way the next :meth:`arrays` call splices the new
+    rows in.
+    """
+
+    def __init__(
+        self,
+        nodes: int,
+        mtbf: float,
+        seeds: Sequence[Optional[int]],
+        horizons: Sequence[float],
+        flat: Optional[np.ndarray] = None,
+        offsets: Optional[np.ndarray] = None,
+        traces: Optional[Sequence[FailureTrace]] = None,
+    ) -> None:
+        self.nodes = nodes
+        self.mtbf = mtbf
+        self.seeds = list(seeds)
+        #: per-trace horizon, kept in step with the arrays' rows
+        self.horizons = np.array(horizons, dtype=np.float64)
+        self._flat = flat
+        self._offsets = offsets
+        self._traces: List[Optional[FailureTrace]] = (
+            list(traces) if traces is not None else [None] * len(seeds)
+        )
+        #: the trace each index's rows were taken from (None: generated)
+        self._row_source: List[Optional[FailureTrace]] = list(self._traces)
+
+    @classmethod
+    def from_traces(cls, traces: Sequence[FailureTrace]) -> "TraceBlock":
+        """A block over existing traces; the arrays are built on first
+        use (so list-only callers never pay for them)."""
+        if not traces:
+            raise ValueError("a trace block needs at least one trace")
+        nodes = traces[0].nodes
+        if any(trace.nodes != nodes for trace in traces):
+            raise ValueError("every trace of a block must cover the same "
+                             "nodes")
+        return cls(
+            nodes, traces[0].mtbf, [trace.seed for trace in traces],
+            [trace.horizon for trace in traces], traces=traces,
+        )
+
+    def __len__(self) -> int:
+        return len(self._traces)
+
+    def __getitem__(  # type: ignore[override]
+        self, index: int,
+    ) -> FailureTrace:
+        trace = self._traces[index]
+        if trace is None:
+            flat, offsets = self.arrays()
+            first = (index % len(self)) * self.nodes
+            trace = FailureTrace(
+                node_failures=_block_rows(flat, offsets, first,
+                                          first + self.nodes),
+                mtbf=self.mtbf,
+                seed=self.seeds[index],
+                horizon=float(self.horizons[index]),
+            )
+            self._traces[index] = trace
+            self._row_source[index] = trace
+        return trace
+
+    def __iter__(self) -> Iterator[FailureTrace]:
+        return (self[index] for index in range(len(self)))
+
+    def __setitem__(self, index: int, trace: FailureTrace) -> None:
+        """Write back an extension of trace ``index``."""
+        if trace.nodes != self.nodes:
+            raise ValueError(f"trace covers {trace.nodes} nodes, the "
+                             f"block {self.nodes}")
+        # the arrays take the new rows on their next use (arrays())
+        self._traces[index] = trace
+
+    @property
+    def injected(self) -> List[int]:
+        """Per-trace burst-overlay failure counts (0 for plain traces)."""
+        return [0 if trace is None else trace.injected
+                for trace in self._traces]
+
+    def as_list(self) -> List[FailureTrace]:
+        """Every trace as a :class:`FailureTrace`: the block's own list."""
+        for index in range(len(self)):
+            self[index]
+        return self._traces  # type: ignore[return-value]
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(flat, offsets)``, with any written-back extension spliced
+        in."""
+        if self._flat is None:
+            flat, lengths = _rows_array([
+                row for trace in self._traces for row in trace.node_failures
+            ])
+            self._flat = flat
+            self._offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+            np.cumsum(lengths, out=self._offsets[1:])
+            self.horizons[:] = [trace.horizon for trace in self._traces]
+            self._row_source = list(self._traces)
+        else:
+            for index, trace in enumerate(self._traces):
+                if trace is not self._row_source[index]:
+                    self._splice(index, trace)
+        return self._flat, self._offsets  # type: ignore[return-value]
+
+    def _splice(self, index: int, trace: FailureTrace) -> None:
+        """Replace trace ``index``'s rows in the arrays by ``trace``'s."""
+        flat, offsets = self._flat, self._offsets
+        first = index * self.nodes
+        piece, lengths = _rows_array(trace.node_failures)
+        start, end = int(offsets[first]), int(offsets[first + self.nodes])
+        self._flat = np.concatenate((flat[:start], piece, flat[end:]))
+        offsets[first + self.nodes + 1:] += piece.size - (end - start)
+        offsets[first + 1:first + self.nodes + 1] = (
+            start + np.cumsum(lengths))
+        self.horizons[index] = trace.horizon
+        self._row_source[index] = trace
+
+
+def generate_trace_block(
+    nodes: int,
+    mtbf: float,
+    horizon: float,
+    count: int = 10,
+    base_seed: int = 0,
+    correlated: Optional[CorrelatedFailures] = None,
+    chaos_seed: int = 0,
+    drift: Optional[MtbfDrift] = None,
+) -> TraceBlock:
+    """:func:`generate_trace_set` as a :class:`TraceBlock`.
+
+    A plain set (no overlay, no drift) is drawn as one block: every
+    seed's cached unit gaps are stacked and summed by a single row-wise
+    ``cumsum``, with failure times bit-identical to
+    :func:`generate_trace`.  Overlaid and drifting sets are generated
+    trace by trace and wrapped.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if correlated is not None or (drift is not None and drift.active):
+        return TraceBlock.from_traces(generate_trace_set(
+            nodes, mtbf, horizon, count=count, base_seed=base_seed,
+            correlated=correlated, chaos_seed=chaos_seed, drift=drift,
+        ))
+    if nodes < 1:
+        raise ValueError("nodes must be >= 1")
+    if mtbf <= 0:
+        raise ValueError("mtbf must be > 0")
+    if horizon <= 0:
+        raise ValueError("horizon must be > 0")
+    seeds = [base_seed + index for index in range(count)]
+    flat, offsets = _arrival_block(
+        [lambda width, seed=seed: _unit_gaps(seed, nodes, None, width)
+         for seed in seeds],
+        mtbf, mtbf, horizon,
+    )
+    return TraceBlock(nodes, mtbf, seeds, [horizon] * count, flat=flat,
+                      offsets=offsets)
+
+
 def generate_trace_set(
     nodes: int,
     mtbf: float,
@@ -572,10 +799,8 @@ def generate_trace_set(
             )
             for index in range(count)
         ]
-    return [
-        generate_trace(nodes, mtbf, horizon, seed=base_seed + index)
-        for index in range(count)
-    ]
+    return generate_trace_block(nodes, mtbf, horizon, count=count,
+                                base_seed=base_seed).as_list()
 
 
 #: cache key: the full trace protocol, including any chaos overlay
@@ -583,8 +808,8 @@ _TraceSetKey = Tuple[int, float, float, int, int,
                      Optional[CorrelatedFailures], int,
                      Optional[MtbfDrift]]
 
-#: process-global trace-set cache (see :func:`cached_trace_set`)
-_TRACE_SET_CACHE: Dict[_TraceSetKey, List[FailureTrace]] = {}
+#: process-global trace-set cache (see :func:`cached_trace_block`)
+_TRACE_SET_CACHE: Dict[_TraceSetKey, TraceBlock] = {}
 _TRACE_SET_CAPACITY = 256
 #: cache effectiveness counters (process-local; see trace_cache_stats)
 _TRACE_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
@@ -609,7 +834,7 @@ def reset_trace_cache() -> None:
         _TRACE_CACHE_STATS[key] = 0
 
 
-def cached_trace_set(
+def cached_trace_block(
     nodes: int,
     mtbf: float,
     horizon: float,
@@ -618,18 +843,19 @@ def cached_trace_set(
     correlated: Optional[CorrelatedFailures] = None,
     chaos_seed: int = 0,
     drift: Optional[MtbfDrift] = None,
-) -> List[FailureTrace]:
-    """Process-global cached variant of :func:`generate_trace_set`.
+) -> TraceBlock:
+    """Process-global cached variant of :func:`generate_trace_block`.
 
     Keyed by ``(nodes, mtbf, horizon, count, base_seed)`` plus the chaos
     overlay ``(correlated, chaos_seed)`` so every experiment cell that
     asks for the same protocol shares one generated set instead of
     regenerating it per call site -- and injected and clean campaigns
-    can never collide on a cache entry.  The returned list is
-    the *shared* cache entry: callers may replace an entry only with an
-    extension of the same trace (same seed, larger horizon) -- extensions
-    are prefix-stable, so every sharer still observes identical failure
-    times while re-extension work is amortized across callers.
+    can never collide on a cache entry.  The returned block is the
+    *shared* cache entry: callers may replace a trace only with an
+    extension of the same trace (same seed, larger horizon) --
+    extensions are prefix-stable, so every sharer still observes
+    identical failure times while re-extension work is amortized across
+    callers.
 
     The cache is capacity-capped (it resets once full rather than growing
     without bound) and per-process, so campaign workers each warm their
@@ -647,22 +873,44 @@ def cached_trace_set(
     """
     key: _TraceSetKey = (nodes, mtbf, horizon, count, base_seed,
                          correlated, chaos_seed, drift)
-    traces = _TRACE_SET_CACHE.get(key)
-    if traces is None:
+    block = _TRACE_SET_CACHE.get(key)
+    if block is None:
         if len(_TRACE_SET_CACHE) >= _TRACE_SET_CAPACITY:
             _TRACE_SET_CACHE.clear()
             _TRACE_CACHE_STATS["evictions"] += 1
-        traces = generate_trace_set(
+        block = generate_trace_block(
             nodes, mtbf, horizon, count=count, base_seed=base_seed,
             correlated=correlated, chaos_seed=chaos_seed, drift=drift,
         )
-        _TRACE_SET_CACHE[key] = traces
+        _TRACE_SET_CACHE[key] = block
         _TRACE_CACHE_STATS["misses"] += 1
         obs.add("cache.trace_set.miss")
     else:
         _TRACE_CACHE_STATS["hits"] += 1
         obs.add("cache.trace_set.hit")
-    return traces
+    return block
+
+
+def cached_trace_set(
+    nodes: int,
+    mtbf: float,
+    horizon: float,
+    count: int = 10,
+    base_seed: int = 0,
+    correlated: Optional[CorrelatedFailures] = None,
+    chaos_seed: int = 0,
+    drift: Optional[MtbfDrift] = None,
+) -> List[FailureTrace]:
+    """:func:`cached_trace_block` as a list of :class:`FailureTrace`.
+
+    The list is the cached block's own (:meth:`TraceBlock.as_list`):
+    every call with the same key returns the same list object, and an
+    extension written into it is seen by the block's other users.
+    """
+    return cached_trace_block(
+        nodes, mtbf, horizon, count=count, base_seed=base_seed,
+        correlated=correlated, chaos_seed=chaos_seed, drift=drift,
+    ).as_list()
 
 
 def empirical_mtbf(trace: FailureTrace) -> Optional[float]:
