@@ -6,7 +6,8 @@ seed, or that engine cost values are floats that must never be compared
 with ``==``.  This pass encodes those house rules:
 
 * ``C001`` -- unseeded ``random.Random()`` / global ``random.*`` draws,
-* ``C002`` -- unseeded NumPy RNG (``np.random.default_rng()`` with no
+* ``C002`` -- unseeded NumPy RNG (``np.random.default_rng()``,
+  ``SeedSequence()`` or a bit generator such as ``PCG64()`` with no
   seed, or legacy global draws like ``np.random.rand``),
 * ``C003`` -- wall-clock reads (``time.time()``, ``datetime.now()``, ...)
   inside the deterministic simulator/core modules,
@@ -48,7 +49,8 @@ UNSEEDED_RANDOM = register_rule(
 )
 UNSEEDED_NP_RANDOM = register_rule(
     "C002", Severity.ERROR,
-    "unseeded NumPy RNG (default_rng() without a seed, or a legacy "
+    "unseeded NumPy RNG (default_rng(), SeedSequence() or a bit "
+    "generator such as PCG64() without a seed, or a legacy "
     "np.random.* global draw)",
     "use np.random.default_rng(seed) with a derived, explicit seed",
 )
@@ -101,6 +103,23 @@ _GLOBAL_RANDOM_DRAWS = frozenset({
     "betavariate", "gammavariate", "paretovariate", "weibullvariate",
     "triangular", "vonmisesvariate", "lognormvariate", "getrandbits",
 })
+
+#: NumPy constructions that seed a stream: ``default_rng``, a
+#: ``SeedSequence`` or a bit generator (see :func:`is_np_rng_constructor`)
+_NP_SEEDED_CONSTRUCTORS = frozenset({
+    "default_rng", "SeedSequence", "PCG64", "PCG64DXSM", "MT19937",
+    "Philox", "SFC64",
+})
+
+
+def is_np_rng_constructor(name: str) -> bool:
+    """Does the dotted call name construct a NumPy RNG?  Bit generators
+    and ``SeedSequence`` match bare or qualified; ``Generator`` only as
+    ``random.Generator`` (a bare one may be ``typing.Generator``)."""
+    parts = name.split(".")
+    return (parts[-1] in _NP_SEEDED_CONSTRUCTORS
+            or parts[-2:] == ["random", "Generator"])
+
 
 #: legacy ``np.random`` global-state draws (the pre-Generator API)
 _NP_GLOBAL_DRAWS = frozenset({
@@ -211,7 +230,7 @@ class _Visitor(ast.NodeVisitor):
                 UNSEEDED_RANDOM, node,
                 f"{name}() draws from the process-global RNG",
             )
-        elif parts[-1] == "default_rng" and not has_seed:
+        elif is_np_rng_constructor(name) and not has_seed:
             self._emit(
                 UNSEEDED_NP_RANDOM, node,
                 f"{name}() called without an explicit seed",

@@ -42,6 +42,7 @@ from ..diagnostics import (
     Severity,
     register_rule,
 )
+from ..code_lint import is_np_rng_constructor
 from .callgraph import FunctionInfo, Program, dotted_name
 
 SEED_NOT_THREADED = register_rule(
@@ -73,9 +74,6 @@ SHARED_RNG_UNSEEDED = register_rule(
 #: parameter / variable names that carry a seed
 SEED_NAME = re.compile(r"(^|_)seed(s)?(_|$)", re.IGNORECASE)
 
-#: RNG constructor call names (dotted suffixes)
-_RNG_CONSTRUCTORS = ("random.Random", "default_rng")
-
 #: methods that draw from an RNG object
 _DRAW_METHODS = frozenset({
     "random", "randint", "randrange", "uniform", "choice", "choices",
@@ -100,18 +98,32 @@ def is_rng_constructor(call: ast.Call,
         return False
     if name in ("Random", "random.Random"):
         return True
-    return name == "default_rng" or name.endswith(".default_rng")
+    return is_np_rng_constructor(name)
+
+
+def _wrapped_construction(call: ast.Call) -> Optional[ast.Call]:
+    """The RNG construction ``call`` wraps as its seed, as in
+    ``np.random.Generator(np.random.PCG64(seed))`` (else None)."""
+    first = call.args[0] if call.args else None
+    if isinstance(first, ast.Call) and is_rng_constructor(
+            first, dotted_name(first.func)):
+        return first
+    return None
 
 
 def seed_argument(call: ast.Call) -> Optional[ast.AST]:
-    """The seed expression of an RNG construction (None when absent)."""
+    """The seed expression of an RNG construction (None when absent);
+    a wrapped construction yields its own seed."""
+    inner = _wrapped_construction(call)
+    if inner is not None:
+        return seed_argument(inner)
     if call.args:
         first = call.args[0]
         if isinstance(first, ast.Constant) and first.value is None:
             return None
         return first
     for keyword in call.keywords:
-        if keyword.arg == "seed":
+        if keyword.arg in ("seed", "entropy"):
             return keyword.value
     return None
 
@@ -239,7 +251,10 @@ def analyze_function(function: FunctionInfo) -> SeedFacts:
     # RNG constructions
     for call, _resolved in function.calls:
         name = dotted_name(call.func)
-        if is_rng_constructor(call, name):
+        # a wrapping Generator(...) is one construction with its inner
+        # bit generator, which is visited itself
+        if (is_rng_constructor(call, name)
+                and _wrapped_construction(call) is None):
             classification = classify_seed_expr(
                 seed_argument(call), tainted
             )

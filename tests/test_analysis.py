@@ -249,6 +249,10 @@ class TestInvariantRules:
 # ----------------------------------------------------------------------
 # code linter (C000-C006)
 # ----------------------------------------------------------------------
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src", "repro")
+
+
 def lint_snippet(code, filename="src/repro/engine/fake.py"):
     return lint_source(textwrap.dedent(code), filename=filename)
 
@@ -309,6 +313,36 @@ class TestCodeRules:
             x = np.random.rand(3)
         """)
         assert rule_ids(diags) == {"C002"}
+
+    @pytest.mark.parametrize("call", [
+        "np.random.PCG64()", "np.random.SeedSequence()",
+        "np.random.MT19937(None)", "np.random.Generator(np.random.PCG64())",
+    ])
+    def test_c002_unseeded_bit_generator(self, call):
+        diags = lint_snippet(f"""
+            import numpy as np
+            rng = {call}
+        """)
+        assert [d.rule_id for d in diags] == ["C002"]
+
+    def test_c002_seeded_bit_generators_are_clean(self):
+        assert lint_snippet("""
+            import numpy as np
+            from numpy.random import PCG64, SeedSequence
+
+            def build(key, words):
+                a = np.random.Generator(np.random.PCG64(words))
+                b = np.random.Generator(PCG64(SeedSequence(key)))
+                c = SeedSequence(entropy=key)
+                return a, b, c
+        """) == []
+
+    def test_c002_trace_stream_seeding_is_clean(self):
+        for name in ("seeding.py", "traces.py"):
+            path = os.path.join(SRC_DIR, "engine", name)
+            with open(path, encoding="utf-8") as handle:
+                source = handle.read()
+            assert lint_source(source, filename=path) == [], name
 
     def test_c003_wall_clock_in_simulator(self):
         diags = lint_snippet("""

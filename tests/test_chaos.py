@@ -454,6 +454,11 @@ class TestWorkerCrashes:
                             chaos=policy) == clean
 
 
+@pytest.mark.usefixtures("spawn_pool")
+class TestWorkerCrashesSpawn(TestWorkerCrashes):
+    """The same bar with workers started by ``spawn``."""
+
+
 # ----------------------------------------------------------------------
 # CLI surface
 # ----------------------------------------------------------------------

@@ -440,16 +440,15 @@ class TestTraceBlocks:
         block redraw wider; every row equals its source drawn alone."""
         gaps = (1.0, 0.001, 0.5, 0.002)
 
-        def source(gap):
-            return lambda width: np.full((2, width), gap)
+        def source(*chosen):
+            return lambda width: [np.full((2, width), g) for g in chosen]
 
-        flat, offsets = _arrival_block([source(g) for g in gaps],
-                                       2.0, 1.0, 30.0)
+        flat, offsets = _arrival_block(source(*gaps), 2.0, 1.0, 30.0)
         rows = [flat[offsets[r]:offsets[r + 1]].tolist()
                 for r in range(len(offsets) - 1)]
         alone = []
         for gap in gaps:
-            one, bounds = _arrival_block([source(gap)], 2.0, 1.0, 30.0)
+            one, bounds = _arrival_block(source(gap), 2.0, 1.0, 30.0)
             alone += [one[bounds[r]:bounds[r + 1]].tolist()
                       for r in range(len(bounds) - 1)]
         assert rows == alone

@@ -457,6 +457,11 @@ class TestWorkerCrashResilience:
         assert 1 <= counters.get("search.serial_fallbacks", 0) <= 4
 
 
+@pytest.mark.usefixtures("spawn_pool")
+class TestWorkerCrashResilienceSpawn(TestWorkerCrashResilience):
+    """The same crashes with workers started by ``spawn``."""
+
+
 # ----------------------------------------------------------------------
 # observability: bound propagation on a large DAG
 # ----------------------------------------------------------------------
