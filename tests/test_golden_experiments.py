@@ -25,7 +25,7 @@ import pytest
 from repro.core.strategies import standard_schemes
 from repro.engine.cluster import Cluster
 from repro.engine.coordinator import compare_schemes
-from repro.experiments import fig8_queries, tab3_robustness
+from repro.experiments import fig8_queries, fig13_pruning, tab3_robustness
 from repro.stats.calibration import default_parameters
 from repro.tpch.queries import build_query_plan
 
@@ -75,6 +75,25 @@ class TestGoldenExperiments:
             "baselines": result.baselines,
         }
         _check(request, "fig8_small", payload)
+
+    def test_fig13_small(self, request):
+        result = fig13_pruning.run(max_join_orders=60)
+        payload = {
+            "join_orders": result.join_orders,
+            "effects": [
+                {
+                    "label": effect.label,
+                    "mtbf": effect.mtbf,
+                    "total_ft_plans": effect.total_ft_plans,
+                    "rule1_percent": effect.rule1_percent,
+                    "rule2_percent": effect.rule2_percent,
+                    "rule3_percent": effect.rule3_percent,
+                    "all_rules_percent": effect.all_rules_percent,
+                }
+                for effect in result.effects
+            ],
+        }
+        _check(request, "fig13_small", payload)
 
     def test_tab3_small_grid(self, request):
         result = tab3_robustness.run(
