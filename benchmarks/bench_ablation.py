@@ -22,7 +22,7 @@ from repro.core.cost_model import ClusterStats
 from repro.core.failure import HOUR
 from repro.core.strategies import CostBased
 from repro.engine.cluster import Cluster
-from repro.engine.coordinator import execute_with_extension
+from repro.engine.coordinator import run_with_extension
 from repro.engine.executor import SimulatedEngine
 from repro.engine.storage import LocalStorage
 from repro.engine.traces import generate_trace_set
@@ -37,7 +37,7 @@ def q5_plan():
 
 def _mean_runtime(engine, configured, mtbf, traces):
     runtimes = [
-        execute_with_extension(engine, configured, trace).runtime
+        run_with_extension(engine, configured, trace)[0].runtime
         for trace in traces
     ]
     return sum(runtimes) / len(runtimes)
@@ -143,8 +143,8 @@ def test_weibull_failures(benchmark, q5_plan, archive):
                         shape=generator,
                     )
                 runtimes.append(
-                    execute_with_extension(engine, configured,
-                                           trace).runtime
+                    run_with_extension(engine, configured,
+                                       trace)[0].runtime
                 )
             results[label] = sum(runtimes) / len(runtimes)
         return results

@@ -50,10 +50,10 @@ def _long_udf_plan() -> Plan:
 
 
 def _mean(engine, configured, traces):
-    from repro.engine.coordinator import execute_with_extension
+    from repro.engine.coordinator import run_with_extension
 
     runtimes = [
-        execute_with_extension(engine, configured, trace).runtime
+        run_with_extension(engine, configured, trace)[0].runtime
         for trace in traces
     ]
     return sum(runtimes) / len(runtimes)

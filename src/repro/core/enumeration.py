@@ -18,7 +18,7 @@ Two engines implement the search:
   plan's (capped) Gray-code configuration space is cut into shards, and
   each shard is scanned by a
   :class:`~repro.core.search_context.SearchContext` -- one validation
-  and adjacency precomputation per plan, incremental collapse, windowed
+  and adjacency precomputation per plan, cached group states, windowed
   dominant-path scoring by dynamic programming -- against a best-cost
   bound shared across shards and plans, so Rule 3 pruning compounds.
   ``parallelism=1`` scans the shards in-process, one after another;
@@ -386,8 +386,8 @@ def _subspace_masks(plan: Plan, config_limit: Optional[int]) -> Iterable[int]:
     """The masks a limited search visits, in naive (ascending) order.
 
     The searched subspace is a windowed Gray sequence
-    (:func:`repro.core.shard.subspace_params`) -- the natural shape for
-    the incremental engines -- but membership is what defines it: here
+    (:func:`repro.core.shard.subspace_params`) -- the shape the sharded
+    scan partitions -- but membership is what defines it: here
     the same masks come back sorted ascending so the naive engine's
     first-wins tie-break remains the lexicographic ``(cost, plan,
     mask)`` minimum all engines share.

@@ -1,4 +1,4 @@
-"""The search kernel: incremental per-plan state for configuration scans.
+"""The search kernel: per-plan state for configuration scans.
 
 The naive search (``find_best_ft_plan``'s ``engine="naive"`` path)
 rebuilds a full :class:`~repro.core.plan.Plan` via ``with_mat_config``
@@ -9,26 +9,27 @@ is the only fast implementation: every ``engine="fast"`` search, serial
 or parallel, scans its shards through a :class:`SearchContext`
 (:func:`repro.core.shard.scan_shard`).
 
-* **validate once** -- plan validation, topological order,
-  producer/consumer adjacency, the free-operator index and every
-  operator's free-ancestor bitmask are computed a single time;
+* **validate once** -- plan validation, topological order, producer
+  adjacency, the free-operator index and every operator's free-ancestor
+  bitmask are computed a single time;
 * **bitmask configs** -- a configuration is an integer mask over
-  ``free_ids``; no plan copies are made during the sweep;
-* **incremental collapse** -- flipping one operator recomputes only the
-  collapsed groups whose membership can change.  Group states are cached
-  per anchor under an int key (the flags of the anchor's free strict
-  ancestors -- the only flags its member BFS can read -- plus its own
-  flag), and membership, the collapsed topological order and the
-  inner-anchor set are maintained by deltas;
+  ``free_ids``; no plan copies are made, and the context holds no
+  current configuration: every scorer is a pure function of the mask;
+* **cached group states** -- an anchor's group depends only on the
+  flags of its free strict ancestors and its own flag.  The member BFS
+  records the free bits it actually read (its *support*) and caches the
+  group's ``(t(c), in-edges)`` under the mask restricted to them, so a
+  sweep builds each distinct group once;
 * **exact scoring by DP** -- the dominant-path cost is a longest-path
   dynamic program over the collapsed DAG instead of enumerating every
   source-to-sink path;
-* **windowed scoring** -- a windowed Gray scan only ever flips the
-  ``w`` operators nearest the sink, so :meth:`SearchContext.prepare_window`
+* **windowed scoring** -- a windowed Gray scan only varies the ``w``
+  operators nearest the sink, so :meth:`SearchContext.prepare_window`
   freezes the DP over the static region once, and
   :meth:`~SearchContext.window_bound` / :meth:`~SearchContext.window_cost`
-  score any configuration of the window as pure functions of its mask,
-  walking only the volatile anchors (~w of them).
+  score any configuration of the window walking only the volatile
+  anchors (~w of them).  :meth:`~SearchContext.scores` is the same
+  scorer over the full window.
 
 Exactness
 ---------
@@ -59,25 +60,11 @@ The context is *bit-identical* to the naive pipeline, not merely close:
 ``tests/test_search_context.py`` and ``tests/test_shard.py`` pin exact
 ``==`` equality against ``collapse_plan`` / ``estimate_plan_cost`` per
 configuration.
-
-Incremental-collapse invariants (single-bit flip of operator ``o``):
-
-* ``o`` becomes materialized: exactly the groups that previously
-  contained ``o`` shrink, and ``o`` gains a group of its own.
-* ``o`` stops materializing: exactly the groups containing a consumer
-  of ``o`` absorb ``o`` (and its non-materialized ancestry), and ``o``'s
-  own group disappears -- unless ``o`` is a sink, which stays an anchor
-  with ``tm = 0``.
-* In both directions every other group's members *and* collapsed
-  in-edges are provably unchanged, because group membership depends only
-  on the flags of the group's own ancestry and every producer outside a
-  group is materialized by construction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import cost_model
 from .collapse import CollapsedOperator, CollapsedPlan
@@ -87,22 +74,20 @@ from .plan import Plan
 #: mirrors ``enumeration.MatConfig`` (kept local to avoid an import cycle)
 MatConfig = Tuple[Tuple[int, bool], ...]
 
-#: cached group state: the collapsed operator, its in-edge anchors, t(c)
-_GroupState = Tuple[CollapsedOperator, Tuple[int, ...], float]
-
 #: one anchor's windowed group states: ``(support mask, {state & support
 #: -> (t(c), in-edge anchors)})`` per distinct support the BFS observed
 _WindowTables = List[Tuple[int, Dict[int, Tuple[float, Tuple[int, ...]]]]]
 
 
 class SearchContext:
-    """Mutable per-plan state for enumerating materialization configs.
+    """Per-plan state for scoring materialization configurations.
 
     Parameters
     ----------
     plan:
-        The candidate plan (validated once, never mutated; its current
-        ``m(o)`` flags seed the context state).
+        The candidate plan (validated once, never mutated).  Its bound
+        operators keep their ``m(o)`` flags; the free ones are read from
+        each scored mask.
     stats:
         Cluster statistics; supplies ``CONST_pipe`` for collapsing and
         the cost-model inputs for scoring.
@@ -129,9 +114,6 @@ class SearchContext:
         self._producers: Dict[int, Tuple[int, ...]] = {
             op_id: tuple(plan.producers(op_id)) for op_id in self._topo
         }
-        self._consumers: Dict[int, Tuple[int, ...]] = {
-            op_id: tuple(plan.consumers(op_id)) for op_id in self._topo
-        }
         self._runtime: Dict[int, float] = {
             op_id: plan[op_id].runtime_cost for op_id in self._topo
         }
@@ -143,16 +125,10 @@ class SearchContext:
         self._freebit: Dict[int, int] = {
             op_id: bit for bit, op_id in enumerate(self.free_ids)
         }
+        #: the plan's flags; only bound operators' entries are ever read
         self._flags: Dict[int, bool] = {
             op_id: plan[op_id].materialize for op_id in self._topo
         }
-        #: the current configuration; kept in step with ``_flags`` by
-        #: :meth:`_flip`, so group-cache keys always see the live state
-        self.mask: int = sum(
-            1 << bit
-            for bit, op_id in enumerate(self.free_ids)
-            if self._flags[op_id]
-        )
         #: free strict ancestors of each operator, as a free-id bitmask --
         #: exactly the flags the member BFS from that operator can read
         self._anc_mask: Dict[int, int] = {}
@@ -165,39 +141,20 @@ class SearchContext:
                     ancestors |= 1 << bit
             self._anc_mask[op_id] = ancestors
 
-        # incremental collapse state
-        self._groups: Dict[int, CollapsedOperator] = {}
-        self._group_in: Dict[int, Tuple[int, ...]] = {}
-        #: current ``t(c)`` per anchor (plain dict: the scoring loops
-        #: would otherwise pay a property call per anchor per config)
-        self._total: Dict[int, float] = {}
-        #: original op -> anchors whose group currently contains it
-        self._membership: Dict[int, Set[int]] = {
-            op_id: set() for op_id in self._topo
-        }
-        #: anchor -> {masked flag state -> member tuple}
-        self._members_cache: Dict[int, Dict[int, Tuple[int, ...]]] = {}
-        #: anchor -> {masked flag state (incl. own flag) -> group state}
-        self._state_cache: Dict[int, Dict[int, _GroupState]] = {}
-        # The collapsed DAG's traversal order is the plan's topological
-        # order restricted to the current anchors: a collapsed edge
-        # ``producer -> anchor`` implies ``producer`` is a plan-level
-        # ancestor of the anchor, and an anchor's topo position never
-        # changes, so bisect insertion keeps the order exact.
-        self._collapsed_order: List[int] = []
-        #: topo positions parallel to ``_collapsed_order`` (bisect keys)
-        self._order_keys: List[int] = []
-        #: anchors some group lists as an input (every other anchor is a
-        #: collapsed sink), backed by in-edge reference counts
-        self._collapsed_inner: Set[int] = set()
-        self._inner_count: Dict[int, int] = {}
-
         #: memoized scalar T(c) per distinct t(c) (bit-identical to naive)
         self._runtime_cache: Dict[float, float] = {}
+        #: anchor -> support-keyed ``(t(c), in-edges)`` tables
+        self._window_state_cache: Dict[int, _WindowTables] = {}
+        #: ``(anchor, mask & (anc_mask | ownbit))`` -> collapsed group and
+        #: its in-edge anchors, for :meth:`collapsed`
+        self._group_cache: Dict[
+            Tuple[int, int], Tuple[CollapsedOperator, Tuple[int, ...]]
+        ] = {}
 
-        # windowed-scan state (see prepare_window): None means no static
+        # windowed-scan state (see prepare_window): the ``(window,
+        # pinned)`` pair the static tables were frozen for; None means no
         # tables are live and the window scorers may not be used
-        self._window_mask: Optional[int] = None
+        self._window: Optional[Tuple[int, int]] = None
         self._prefix_ff: Dict[int, float] = {}
         self._prefix_t: Dict[int, float] = {}
         self._static_best_ff: Optional[float] = None
@@ -208,51 +165,39 @@ class SearchContext:
         self._window_candidates: List[
             Tuple[int, Optional[int], bool, _WindowTables]
         ] = []
-        self._window_state_cache: Dict[int, _WindowTables] = {}
         self._scratch_entries: List[
             Tuple[int, float, Tuple[int, ...], bool]
         ] = []
 
         # -- observability tallies (plain ints; folded into repro.obs by
         # the search at scan end, never read per configuration)
-        self.full_collapses = 1       #: from-scratch group builds
-        self.incremental_flips = 0    #: single-bit Gray-code repairs
         self.group_cache_hits = 0     #: group states recalled from cache
         self.group_cache_misses = 0   #: group states computed fresh
-        self.members_cache_hits = 0   #: member sets recalled from cache
-        self.members_cache_misses = 0  #: member BFS walks
         self.runtime_lookups = 0      #: T(c) cache probes while scoring
         self.runtime_cache_misses = 0  #: probes that ran the cost model
         self.window_preps = 0         #: static-region DP freezes
-
-        for op_id in self._topo:
-            if self._flags[op_id] or op_id in self._sinks:
-                self._rebuild_group(op_id)
 
     # ------------------------------------------------------------------
     # pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, Any]:
-        """Slim pickle: the *inputs* plus the current position, nothing
-        derived.
+        """Slim pickle: the *inputs*, nothing derived.
 
-        A context accumulates large memo caches (group states, window
-        tables, ``_runtime_cache``, membership sets) that every worker
-        can rebuild lazily from the plan alone; shipping them would
-        dominate the payload by an order of magnitude and buy nothing --
-        the caches are only warm for configurations the *sender* visited.
-        The restored context re-derives everything in ``__init__`` and
-        steps to the pickled mask, so it scores every configuration
-        bit-identically to the original (the property suite pins this).
-        Observability tallies restart at zero: they count work actually
-        performed per process, which is what the cross-process merge
-        expects.
+        A context accumulates memo caches (group states, window tables,
+        ``_runtime_cache``) that every worker can rebuild lazily from the
+        plan alone; shipping them would dominate the payload and buy
+        nothing -- the caches are only warm for configurations the
+        *sender* visited.  The restored context re-derives everything in
+        ``__init__`` and, since every scorer is a pure function of the
+        mask, scores every configuration bit-identically to the original
+        (the property suite pins this).  Observability tallies restart
+        at zero: they count work actually performed per process, which
+        is what the cross-process merge expects.
         """
         return {
             "plan": self.plan,
             "stats": self.stats,
             "exact_waste": self.exact_waste,
-            "mask": self.mask,
         }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -260,10 +205,9 @@ class SearchContext:
             state["plan"], state["stats"],
             exact_waste=state["exact_waste"],
         )
-        self.set_mask(state["mask"])
 
     # ------------------------------------------------------------------
-    # configuration stepping
+    # configurations
     # ------------------------------------------------------------------
     def config_for(self, mask: int) -> MatConfig:
         """The ``(op_id, flag)`` tuple a bitmask denotes (naive order)."""
@@ -272,88 +216,38 @@ class SearchContext:
             for bit, op_id in enumerate(self.free_ids)
         )
 
-    def set_mask(self, mask: int) -> None:
-        """Jump to an arbitrary configuration, flipping only changed bits."""
+    def _check_mask(self, mask: int) -> None:
         if not 0 <= mask < (1 << len(self.free_ids)):
             raise ValueError(f"mask {mask} out of range for "
                              f"{len(self.free_ids)} free operators")
-        diff = self.mask ^ mask
-        while diff:
-            bit = (diff & -diff).bit_length() - 1
-            self._flip(self.free_ids[bit])
-            diff &= diff - 1
 
-    def iter_masks(self, order: str = "gray") -> Iterator[int]:
-        """Step through all ``2^n`` configurations, updating state in place.
-
-        ``order="gray"`` flips exactly one operator per step (fastest);
-        ``order="sequential"`` visits masks in the naive engine's
-        counting order (about two flips per step on average), for
-        callers whose accounting depends on enumeration order (the
-        Figure 13 experiment).  Scoring methods always reflect the last
-        yielded mask.
-        """
-        total = 1 << len(self.free_ids)
-        if order == "gray":
-            self.set_mask(0)
-            yield 0
-            gray = 0
-            for index in range(1, total):
-                next_gray = index ^ (index >> 1)
-                bit = (gray ^ next_gray).bit_length() - 1
-                self._flip(self.free_ids[bit])
-                gray = next_gray
-                yield gray
-        elif order == "sequential":
-            for mask in range(total):
-                self.set_mask(mask)
-                yield mask
-        else:
-            raise ValueError(f"unknown iteration order {order!r}")
+    def _anchors(self, op_id: int, state: int) -> bool:
+        """Whether ``op_id`` anchors a group at configuration ``state``:
+        it is a sink or ``m(op_id) = 1``."""
+        if op_id in self._sinks:
+            return True
+        bit = self._freebit.get(op_id)
+        if bit is None:
+            return self._flags[op_id]
+        return bool((state >> bit) & 1)
 
     # ------------------------------------------------------------------
-    # scoring the current configuration
+    # scoring one configuration
     # ------------------------------------------------------------------
-    def failure_free_dominant(self) -> float:
-        """``R_max`` -- the most expensive path's failure-free runtime."""
-        return self._dominant_total(failure_free=True)
+    def scores(self, mask: int) -> Tuple[float, float]:
+        """``(R_max, T_max)`` of configuration ``mask``.
 
-    def dominant_cost(self) -> float:
-        """``T_max`` -- the dominant path's runtime under failures.
-
-        Equals ``estimate_plan_cost(plan.with_mat_config(...), ...).cost``
-        bit-for-bit (see the module docstring).
+        ``R_max`` is the most expensive path's failure-free runtime and
+        ``T_max`` the dominant path's runtime under failures, which
+        equals ``estimate_plan_cost(plan.with_mat_config(...),
+        ...).cost`` bit-for-bit (see the module docstring).  This is the
+        window scorer over the full window: every free bit varies,
+        nothing is pinned.
         """
-        return self._dominant_total(failure_free=False)
-
-    def _dominant_total(self, failure_free: bool) -> float:
-        totals = self._total
-        group_in = self._group_in
-        cache = self._runtime_cache
-        inner = self._collapsed_inner
-        prefix: Dict[int, float] = {}
-        best: Optional[float] = None
-        for anchor in self._collapsed_order:
-            total = totals[anchor]
-            if failure_free:
-                value = total
-            else:
-                cached = cache.get(total)
-                if cached is None:
-                    cached = self._runtime_miss(total)
-                value = cached
-            incoming = group_in[anchor]
-            if incoming:
-                value = max(prefix[p] for p in incoming) + value
-            prefix[anchor] = value
-            if anchor not in inner:  # a collapsed sink ends a path
-                if best is None or value > best:
-                    best = value
-        if not failure_free:
-            # one bulk increment per scoring call, not one per anchor
-            self.runtime_lookups += len(self._collapsed_order)
-        assert best is not None  # a valid plan always has >= 1 path
-        return best
+        self._check_mask(mask)
+        self.prepare_window((1 << len(self.free_ids)) - 1, 0)
+        r_max = self.window_bound(mask)
+        return r_max, self.window_cost()
 
     def _runtime_miss(self, total: float) -> float:
         """Run the scalar cost model for an unseen ``t(c)`` and memoize."""
@@ -372,12 +266,8 @@ class SearchContext:
     def counters(self) -> Dict[str, int]:
         """The context's observability tallies, in ``repro.obs`` naming."""
         return {
-            "search.collapse.full": self.full_collapses,
-            "search.collapse.incremental": self.incremental_flips,
             "cache.group.hit": self.group_cache_hits,
             "cache.group.miss": self.group_cache_misses,
-            "cache.members.hit": self.members_cache_hits,
-            "cache.members.miss": self.members_cache_misses,
             "cache.runtime.hit": self.runtime_cache_hits,
             "cache.runtime.miss": self.runtime_cache_misses,
             "cache.window.preps": self.window_preps,
@@ -386,125 +276,100 @@ class SearchContext:
     # ------------------------------------------------------------------
     # windowed scoring: static-region DP tables
     # ------------------------------------------------------------------
-    def prepare_window(self, window_mask: int) -> None:
-        """Freeze the static-region DP for a windowed Gray scan.
+    def prepare_window(self, window_mask: int, pinned: int) -> None:
+        """Freeze the static-region DP for a windowed scan.
 
         ``window_mask`` is the free-id bitmask of the operators the scan
-        will vary (``all_bits ^ pinned`` of the subspace).  Everything an
-        anchor computes -- members, in-edges, group cost, DP prefix --
-        depends only on the flags of its free strict ancestors, so any
-        anchor with no window bit in ``anc_mask | ownbit`` is *static*
-        for the whole subspace.  This pass walks the collapsed DAG once,
-        storing every static anchor's failure-free and failure-aware
-        prefix (computed with exactly the float operations of
-        :meth:`failure_free_dominant` / :meth:`dominant_cost`) and the
-        best over static collapsed sinks; the per-configuration scorers
-        then only walk the volatile anchors.
+        will vary; every other free operator keeps its bit of
+        ``pinned``.  Everything an anchor computes -- members, in-edges,
+        group cost, DP prefix -- depends only on the flags of its free
+        strict ancestors and its own flag, so any anchor with no window
+        bit in ``anc_mask | ownbit`` is *static* for the whole subspace.
+        This pass walks the plan's topological order once, building each
+        static anchor's group at state ``pinned`` and storing its
+        failure-free and failure-aware prefix (with exactly the float
+        operations of the window scorers) and the best over static
+        collapsed sinks; the per-configuration scorers then only walk
+        the volatile anchors.
 
-        Must be called with the context already positioned on a mask of
-        the subspace (pinned bits set).  Idempotent while the window is
-        unchanged; any flip outside the window invalidates the tables
-        and the next call rebuilds them.
+        Idempotent while ``(window_mask, pinned)`` is unchanged.
+
+        Collapsed-sink-ness is configuration-independent: an anchor with
+        any plan consumer is consumed by whichever group holds that
+        consumer (the anchor is never a member of it), so ``anchor in
+        self._sinks`` decides it.
         """
-        if self._window_mask == window_mask:
+        if self._window == (window_mask, pinned):
             return
         self.window_preps += 1
         anc_mask = self._anc_mask
         freebit = self._freebit
-        volatile = set()
-        for op_id in self._topo:
-            bit = freebit.get(op_id)
-            own = 0 if bit is None else 1 << bit
-            if (anc_mask[op_id] | own) & window_mask:
-                volatile.add(op_id)
-        # candidate volatile anchors for the functional scorers: every
-        # volatile operator that can anchor a group in *some* subspace
-        # configuration.  Free non-sink operators anchor exactly when
-        # their bit is set (pinned volatile bits are always set); bound
-        # operators' flags never change, so they either always or never
-        # anchor; sinks always anchor.  Collapsed-sink-ness is
-        # configuration-independent: an anchor with any plan consumer is
-        # consumed by whichever group holds that consumer (the anchor is
-        # never a member of it), so ``anchor in self._sinks`` decides it.
-        candidates: List[Tuple[int, Optional[int], bool, _WindowTables]] = []
-        for op_id in self._topo:
-            if op_id not in volatile:
-                continue
-            bit = freebit.get(op_id)
-            is_sink = op_id in self._sinks
-            if bit is None or is_sink:
-                if not (is_sink or self._flags[op_id]):
-                    continue  # bound, unmaterialized, no consumers feed it
-                presence: Optional[int] = None
-            else:
-                presence = bit
-            tables = self._window_state_cache.get(op_id)
-            if tables is None:
-                tables = self._window_state_cache[op_id] = []
-            candidates.append((op_id, presence, is_sink, tables))
-        self._window_candidates = candidates
-        totals = self._total
-        group_in = self._group_in
         cache = self._runtime_cache
-        inner = self._collapsed_inner
+        state_cache = self._window_state_cache
+        candidates: List[Tuple[int, Optional[int], bool, _WindowTables]] = []
         ff_prefix: Dict[int, float] = {}
         t_prefix: Dict[int, float] = {}
         best_ff: Optional[float] = None
         best_t: Optional[float] = None
-        for anchor in self._collapsed_order:
-            if anchor in volatile:
+        for op_id in self._topo:
+            bit = freebit.get(op_id)
+            own = 0 if bit is None else 1 << bit
+            is_sink = op_id in self._sinks
+            if (anc_mask[op_id] | own) & window_mask:
+                # a candidate volatile anchor: every volatile operator
+                # that can anchor a group in *some* subspace
+                # configuration.  Free non-sink operators anchor exactly
+                # when their bit is set; bound operators' flags never
+                # change, so they either always or never anchor; sinks
+                # always anchor.
+                if bit is None or is_sink:
+                    if not self._anchors(op_id, pinned):
+                        continue  # bound, unmaterialized, not a sink
+                    presence: Optional[int] = None
+                else:
+                    presence = bit
+                tables = state_cache.setdefault(op_id, [])
+                candidates.append((op_id, presence, is_sink, tables))
                 continue
-            total = totals[anchor]
-            cached = cache.get(total)
-            if cached is None:
-                cached = self._runtime_miss(total)
-            ff_value = total
-            t_value = cached
-            incoming = group_in[anchor]
-            if incoming:
+            if not self._anchors(op_id, pinned):
+                continue
+            ff_value, group_in = self._build_window_state(
+                op_id, pinned, state_cache.setdefault(op_id, [])
+            )
+            t_value = cache.get(ff_value)
+            if t_value is None:
+                t_value = self._runtime_miss(ff_value)
+            if group_in:
                 # a static anchor's producers are all static (ancestor
                 # masks are transitively closed), so both prefixes exist
-                ff_value = max(ff_prefix[p] for p in incoming) + ff_value
-                t_value = max(t_prefix[p] for p in incoming) + t_value
-            ff_prefix[anchor] = ff_value
-            t_prefix[anchor] = t_value
-            if anchor not in inner:  # a static collapsed sink
+                ff_value = max(ff_prefix[p] for p in group_in) + ff_value
+                t_value = max(t_prefix[p] for p in group_in) + t_value
+            ff_prefix[op_id] = ff_value
+            t_prefix[op_id] = t_value
+            if is_sink:  # a static collapsed sink
                 if best_ff is None or ff_value > best_ff:
                     best_ff = ff_value
                 if best_t is None or t_value > best_t:
                     best_t = t_value
+        self._window_candidates = candidates
         self._prefix_ff = ff_prefix
         self._prefix_t = t_prefix
         self._static_best_ff = best_ff
         self._static_best_t = best_t
-        self._window_mask = window_mask
+        self._window = (window_mask, pinned)
 
-    def _build_window_state(
-        self,
-        anchor: int,
-        state: int,
-        tables: _WindowTables,
-    ) -> Tuple[float, Tuple[int, ...]]:
-        """Construct and cache ``(t(c), group in-edges)`` for one state.
+    def _collapse_group(
+        self, anchor: int, state: int
+    ) -> Tuple[Set[int], List[int], float, float, Tuple[int, ...], int]:
+        """``coll(anchor)`` at configuration ``state``.
 
-        The member BFS reads free flags out of the ``state`` int (the
-        context is never repositioned) and records its *support*: the
-        free bits it observed -- expanded members, the materialized
+        Returns ``(members, dominant path, tr(c), tm(c), in-edge
+        anchors, support)``, where the *support* is the free bits the
+        member BFS observed -- expanded members, the materialized
         boundary it stopped at, and the anchor's own flag.  Any state
-        agreeing on those bits walks the identical frontier, so the
-        result is cached under ``state & support`` in the table for that
-        support mask.  Caching under the full ancestor mask instead
-        would defeat the cache: a sink group's ancestors span the whole
-        window, but flags buried below a materialized cut cannot reach
-        it.
-
-        Exactly the float operations of :meth:`_rebuild_group`:
-        ``total = path_runtime * pipe + mat`` matches
-        ``CollapsedOperator.total_cost = runtime_cost + mat_cost`` with
-        ``runtime_cost = path_runtime * pipe``.
+        agreeing on those bits walks the identical frontier.  Replicates
+        ``collapse_plan``'s group construction operation for operation.
         """
-        self.group_cache_misses += 1
-        self.members_cache_misses += 1
         freebit = self._freebit
         flags = self._flags
         producers = self._producers
@@ -526,23 +391,39 @@ class SearchContext:
                 visited.add(probed)
                 collected.append(probed)
                 pending.append(probed)
-        members = tuple(sorted(collected))
-        dominant_path, path_runtime = self._dominant_path(members, anchor)
+        dominant_path, path_runtime = self._dominant_path(collected, anchor)
         pipe = self._const_pipe if len(dominant_path) > 1 else 1.0
-        if bit is None:
-            flagged = flags[anchor]
-        else:
-            flagged = bool((state >> bit) & 1)
-        mat_cost = self._mat[anchor] if flagged else 0.0
-        total = path_runtime * pipe + mat_cost
+        flagged = flags[anchor] if bit is None else (state >> bit) & 1
         group_in = tuple(sorted(
             {
                 producer
-                for member in members
+                for member in collected
                 for producer in producers[member]
             } - visited
         ))
-        built = (total, group_in)
+        return (visited, dominant_path, path_runtime * pipe,
+                self._mat[anchor] if flagged else 0.0, group_in, support)
+
+    def _build_window_state(
+        self,
+        anchor: int,
+        state: int,
+        tables: _WindowTables,
+    ) -> Tuple[float, Tuple[int, ...]]:
+        """Construct and cache ``(t(c), group in-edges)`` for one state.
+
+        The result is cached under ``state & support`` in the table for
+        the BFS's support mask (see :meth:`_collapse_group`).  Caching
+        under the full ancestor mask instead would defeat the cache: a
+        sink group's ancestors span the whole window, but flags buried
+        below a materialized cut cannot reach it.  ``t(c) = tr(c) +
+        tm(c)`` is the float :attr:`CollapsedOperator.total_cost` gives.
+        """
+        self.group_cache_misses += 1
+        _, _, runtime_cost, mat_cost, group_in, support = (
+            self._collapse_group(anchor, state)
+        )
+        built = (runtime_cost + mat_cost, group_in)
         for known, table in tables:
             if known == support:
                 table[state & support] = built
@@ -556,17 +437,15 @@ class SearchContext:
 
         Walks the candidate volatile anchors (presence decided by
         ``state``'s bits), fetching each one's ``(t(c), in-edges)`` from
-        its per-state cache -- the context is never repositioned, so a
-        windowed scan does *no* flips at all.  Equals
-        :meth:`failure_free_dominant` at ``state`` bit-for-bit: the
-        static portion of the maximum was folded in by
-        :meth:`prepare_window`, ``max`` over floats is split-point
-        independent, and stale volatile prefixes are never read (every
-        reader of a volatile prefix is itself volatile and overwritten
-        first, in topological order).  Fills the scratch entry list
-        :meth:`window_cost` consumes.
+        its per-state cache.  Equals the full DP's ``R_max`` at
+        ``state`` bit-for-bit: the static portion of the maximum was
+        folded in by :meth:`prepare_window`, ``max`` over floats is
+        split-point independent, and stale volatile prefixes are never
+        read (every reader of a volatile prefix is itself volatile and
+        overwritten first, in topological order).  Fills the scratch
+        entry list :meth:`window_cost` consumes.
         """
-        if self._window_mask is None:
+        if self._window is None:
             raise RuntimeError("prepare_window() before window_bound()")
         prefix = self._prefix_ff
         best = self._static_best_ff
@@ -602,14 +481,14 @@ class SearchContext:
         return best
 
     def window_cost(self) -> float:
-        """:meth:`dominant_cost` of the configuration the last
-        :meth:`window_bound` call probed (it owns the scratch entries).
+        """``T_max`` of the configuration the last :meth:`window_bound`
+        call probed (it owns the scratch entries).
 
         Deferred on purpose: Rule-3 skips never pay for the
         failure-aware pass, and its scalar ``T(t(c))`` evaluations stay
         memoized per distinct total.
         """
-        if self._window_mask is None:
+        if self._window is None:
             raise RuntimeError("prepare_window() before window_cost()")
         cache = self._runtime_cache
         prefix = self._prefix_t
@@ -634,191 +513,49 @@ class SearchContext:
     # ------------------------------------------------------------------
     # collapsed-plan export (for callers that enumerate paths themselves)
     # ------------------------------------------------------------------
-    def build_collapsed(self) -> CollapsedPlan:
-        """Materialize the current state as a real :class:`CollapsedPlan`.
+    def collapsed(self, mask: int) -> CollapsedPlan:
+        """Configuration ``mask`` as a real :class:`CollapsedPlan`.
 
         Group and edge *sets* are identical to
-        ``collapse_plan(plan.with_mat_config(...))``; path enumeration,
-        sources/sinks and topological order sort their frontiers, so
-        downstream consumers see exactly the order the naive pipeline
-        produces.
+        ``collapse_plan(plan.with_mat_config(config_for(mask)))``; path
+        enumeration, sources/sinks and topological order sort their
+        frontiers, so downstream consumers see exactly the order the
+        naive pipeline produces.  Groups are cached per anchor under
+        ``mask & (anc_mask | ownbit)`` -- every flag the group can read.
         """
+        self._check_mask(mask)
+        groups: List[Tuple[CollapsedOperator, Tuple[int, ...]]] = []
+        for op_id in self._topo:
+            if not self._anchors(op_id, mask):
+                continue
+            bit = self._freebit.get(op_id)
+            own = 0 if bit is None else 1 << bit
+            key = (op_id, mask & (self._anc_mask[op_id] | own))
+            cached = self._group_cache.get(key)
+            if cached is None:
+                members, path, runtime_cost, mat_cost, group_in, _ = (
+                    self._collapse_group(op_id, mask)
+                )
+                group = CollapsedOperator(
+                    anchor_id=op_id,
+                    members=frozenset(members),
+                    runtime_cost=runtime_cost,
+                    mat_cost=mat_cost,
+                    dominant_path=tuple(path),
+                )
+                cached = self._group_cache[key] = (group, group_in)
+            groups.append(cached)
+        groups.sort(key=lambda entry: entry[0].anchor_id)
         collapsed = CollapsedPlan()
-        for anchor in sorted(self._groups):
-            collapsed.add_group(self._groups[anchor])
-        for anchor in sorted(self._groups):
-            for producer in self._group_in[anchor]:
-                collapsed.add_edge(producer, anchor)
+        for group, _ in groups:
+            collapsed.add_group(group)
+        for group, group_in in groups:
+            for producer in group_in:
+                collapsed.add_edge(producer, group.anchor_id)
         return collapsed
 
-    # ------------------------------------------------------------------
-    # incremental collapse
-    # ------------------------------------------------------------------
-    def _flip(self, op_id: int) -> None:
-        """Toggle ``m(op_id)`` and repair exactly the affected groups."""
-        bit = self._freebit[op_id]
-        window = self._window_mask
-        if window is not None and not (window >> bit) & 1:
-            # a flip outside the window changes the "static" region: the
-            # frozen tables are stale (prepare_window rebuilds on
-            # demand).  Window-bit flips -- repositioning between shards
-            # of one plan -- leave them valid.
-            self._window_mask = None
-        # keep the mask current *before* the rebuilds below: their
-        # cache keys must see the new state
-        self.mask ^= 1 << bit
-        self.incremental_flips += 1
-        becoming_materialized = not self._flags[op_id]
-        if becoming_materialized:
-            # groups that contained o shrink; o anchors a new group
-            affected = [
-                anchor for anchor in self._membership[op_id]
-                if anchor != op_id
-            ]
-            self._flags[op_id] = True
-            self._rebuild_group(op_id)
-        else:
-            # groups holding a consumer of o absorb o's ancestry
-            affected_set: Set[int] = set()
-            for consumer in self._consumers[op_id]:
-                affected_set.update(self._membership[consumer])
-            affected_set.discard(op_id)
-            affected = sorted(affected_set)
-            self._flags[op_id] = False
-            if op_id in self._sinks:
-                self._rebuild_group(op_id)  # stays an anchor, tm -> 0
-            else:
-                self._drop_group(op_id)
-        for anchor in affected:
-            self._rebuild_group(anchor)
-
-    def _rebuild_group(self, anchor: int) -> None:
-        old = self._groups.get(anchor)
-        old_in = self._group_in.get(anchor)
-        per_anchor = self._state_cache.get(anchor)
-        if per_anchor is None:
-            per_anchor = self._state_cache[anchor] = {}
-        # the full group state is a function of the anchor's free strict
-        # ancestors' flags plus its own flag (which decides tm): an int
-        # key over exactly those bits -- O(1) to hash
-        bit = self._freebit.get(anchor)
-        key = self.mask & self._anc_mask[anchor]
-        if bit is not None:
-            key |= self.mask & (1 << bit)
-        cached = per_anchor.get(key)
-        if cached is not None:
-            self.group_cache_hits += 1
-        else:
-            self.group_cache_misses += 1
-            members = self._members_of(anchor)
-            dominant_path, path_runtime = self._dominant_path(members, anchor)
-            pipe = self._const_pipe if len(dominant_path) > 1 else 1.0
-            mat_cost = self._mat[anchor] if self._flags[anchor] else 0.0
-            group = CollapsedOperator(
-                anchor_id=anchor,
-                members=frozenset(members),
-                runtime_cost=path_runtime * pipe,
-                mat_cost=mat_cost,
-                dominant_path=tuple(dominant_path),
-            )
-            group_in = tuple(sorted(
-                {
-                    producer
-                    for member in members
-                    for producer in self._producers[member]
-                } - group.members
-            ))
-            cached = (group, group_in, group.total_cost)
-            per_anchor[key] = cached
-        group, group_in, total = cached
-        self._groups[anchor] = group
-        self._group_in[anchor] = group_in
-        self._total[anchor] = total
-        # delta maintenance of membership, traversal order and inner set
-        if old is None:
-            for member in group.members:
-                self._membership[member].add(anchor)
-            position = self._topo_pos[anchor]
-            insort(self._order_keys, position)
-            self._collapsed_order.insert(
-                bisect_left(self._order_keys, position), anchor
-            )
-        elif (
-            old.members is not group.members
-            and old.members != group.members
-        ):
-            for member in old.members - group.members:
-                self._membership[member].discard(anchor)
-            for member in group.members - old.members:
-                self._membership[member].add(anchor)
-        if old_in != group_in:
-            self._retire_inner(old_in)
-            counts = self._inner_count
-            inner = self._collapsed_inner
-            for producer in group_in:
-                count = counts.get(producer, 0)
-                counts[producer] = count + 1
-                if not count:
-                    inner.add(producer)
-
-    def _drop_group(self, anchor: int) -> None:
-        old = self._groups.pop(anchor)
-        for member in old.members:
-            self._membership[member].discard(anchor)
-        old_in = self._group_in.pop(anchor)
-        del self._total[anchor]
-        position = self._topo_pos[anchor]
-        index = bisect_left(self._order_keys, position)
-        del self._order_keys[index]
-        del self._collapsed_order[index]
-        self._retire_inner(old_in)
-
-    def _retire_inner(self, old_in: Optional[Tuple[int, ...]]) -> None:
-        if not old_in:
-            return
-        counts = self._inner_count
-        for producer in old_in:
-            count = counts[producer] - 1
-            if count:
-                counts[producer] = count
-            else:
-                del counts[producer]
-                self._collapsed_inner.discard(producer)
-
-    def _members_of(self, anchor: int) -> Tuple[int, ...]:
-        """``coll(anchor)`` under the current flags (sorted ids).
-
-        Cached per anchor under the flags of its free strict ancestors --
-        the only flags the member BFS can observe.
-        """
-        per_anchor = self._members_cache.get(anchor)
-        if per_anchor is None:
-            per_anchor = self._members_cache[anchor] = {}
-        key = self.mask & self._anc_mask[anchor]
-        cached = per_anchor.get(key)
-        if cached is not None:
-            self.members_cache_hits += 1
-            return cached
-        self.members_cache_misses += 1
-        members = [anchor]
-        visited = {anchor}
-        stack = [
-            p for p in self._producers[anchor] if not self._flags[p]
-        ]
-        while stack:
-            current = stack.pop()
-            if current in visited:
-                continue
-            visited.add(current)
-            members.append(current)
-            stack.extend(
-                p for p in self._producers[current] if not self._flags[p]
-            )
-        result = per_anchor[key] = tuple(sorted(members))
-        return result
-
     def _dominant_path(
-        self, members: Tuple[int, ...], anchor: int
+        self, members: Sequence[int], anchor: int
     ) -> Tuple[List[int], float]:
         """Longest path to the anchor; mirrors ``collapse._dominant_path``.
 

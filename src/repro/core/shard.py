@@ -13,7 +13,7 @@ Two mechanisms make the scan fast and still *bit-identical* to the
 naive oracle:
 
 * **The search kernel.**  Each shard is scanned by a
-  :class:`~repro.core.search_context.SearchContext` positioned on the
+  :class:`~repro.core.search_context.SearchContext` prepared for the
   plan's windowed subspace: it freezes the static-region DP once and
   scores every configuration of the window as a pure function of its
   mask, with exactly the float operations of the naive pipeline -- the
@@ -66,13 +66,13 @@ BOUND_STRIDE = 64
 #: default over-partitioning factor: shards per requested worker
 SHARDS_PER_WORKER = 4
 
-#: floor on shard size -- below this the per-shard setup (positioning the
-#: kernel, reading the cell) outweighs the scan itself
+#: floor on shard size -- below this the per-shard setup (preparing the
+#: kernel's window, reading the cell) outweighs the scan itself
 MIN_SHARD_CONFIGS = 16
 
 
 def _gray(index: int) -> int:
-    """The ``index``-th Gray code (matches ``SearchContext.iter_masks``)."""
+    """The ``index``-th Gray code."""
     return index ^ (index >> 1)
 
 
@@ -97,9 +97,7 @@ def subspace_params(
     operators keeps their groups small, so the subspace has genuine cost
     variation (a prefix over the *low* bits would leave every config
     sharing one giant unmaterialized pipeline and the scan would be
-    flat).  Consecutive positions still differ in exactly one bit, so
-    the incremental engines step with single flips; the naive oracle
-    enumerates the same set sorted ascending.
+    flat).  The naive oracle enumerates the same set sorted ascending.
     """
     space = 1 << n_free
     if config_limit is None or config_limit >= space:
@@ -331,13 +329,11 @@ def scan_shard(
     started = time.perf_counter()
     channel.refresh()
     shift, pinned = spec.shift, spec.pinned
-    kernel.set_mask(subspace_mask(spec.start, shift, pinned))
     # freeze the static-region DP tables (cached across shards of the
-    # same plan: the window never changes mid-search).  The scan itself
-    # never repositions the kernel -- the window scorers are pure
-    # functions of the mask -- so the Gray sequence below is plain int
-    # arithmetic.
-    kernel.prepare_window(((1 << len(kernel.free_ids)) - 1) ^ pinned)
+    # same plan: the window never changes mid-search).  The window
+    # scorers are pure functions of the mask, so the Gray sequence below
+    # is plain int arithmetic.
+    kernel.prepare_window(((1 << len(kernel.free_ids)) - 1) ^ pinned, pinned)
     for position in range(spec.start, spec.end):
         mask = ((position ^ (position >> 1)) << shift) | pinned
         if position != spec.start and (position - spec.start) % stride == 0:

@@ -21,7 +21,6 @@ from .campaign import CampaignCell, CellResult, campaign_map, run_campaign
 from .cluster import Cluster
 from .coordinator import (
     ComparisonRow,
-    execute_with_extension,
     run_with_extension,
     SchemeMeasurement,
     compare_schemes,
@@ -94,7 +93,6 @@ __all__ = [
     "cached_trace_set",
     "campaign_map",
     "compare_schemes",
-    "execute_with_extension",
     "run_with_extension",
     "run_campaign",
     "empirical_mtbf",

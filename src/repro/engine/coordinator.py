@@ -169,18 +169,6 @@ def run_with_extension(
                                 max_extensions=max_extensions)
 
 
-def execute_with_extension(
-    engine: SimulatedEngine,
-    configured: Union[ConfiguredPlan, PreparedExecution],
-    trace: FailureTrace,
-    max_extensions: int = 20,
-) -> ExecutionResult:
-    """:func:`run_with_extension` without the trace (compat wrapper)."""
-    result, _ = run_with_extension(engine, configured, trace,
-                                   max_extensions=max_extensions)
-    return result
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     """One (scheme, query) cell of the paper's overhead figures."""

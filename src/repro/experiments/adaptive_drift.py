@@ -175,9 +175,10 @@ def run(
 
     # what the cost-based scheme picks under the assumed statistics
     context = SearchContext(plan, stats)
-    scored: List[Tuple[float, Tuple[Tuple[int, bool], ...]]] = []
-    for mask in context.iter_masks(order="sequential"):
-        scored.append((context.dominant_cost(), context.config_for(mask)))
+    scored: List[Tuple[float, Tuple[Tuple[int, bool], ...]]] = [
+        (context.scores(mask)[1], context.config_for(mask))
+        for mask in range(1 << len(context.free_ids))
+    ]
     chosen_index = min(range(len(scored)), key=lambda i: scored[i][0])
 
     configs = [config for _, config in scored]

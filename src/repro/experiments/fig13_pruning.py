@@ -149,9 +149,9 @@ def _rule3_pruned(
             search_plan = apply_rule2(apply_rule1(plan, stats.const_pipe),
                                       stats)
         context = SearchContext(search_plan, stats)
-        for _ in context.iter_masks(order="sequential"):
+        for mask in range(1 << len(context.free_ids)):
             fired_cheap, dominant_costs, dominant_total = _scan_paths(
-                context.build_collapsed(), stats, memo
+                context.collapsed(mask), stats, memo
             )
             if fired_cheap:
                 cutoffs += 1
@@ -196,9 +196,9 @@ def _all_rules_pruned(plans: Sequence[Plan], stats: ClusterStats) -> float:
         after = count_mat_configs(bound_plan)
         pruned += before - after
         context = SearchContext(bound_plan, stats)
-        for _ in context.iter_masks(order="sequential"):
+        for mask in range(1 << len(context.free_ids)):
             fired_cheap, dominant_costs, dominant_total = _scan_paths(
-                context.build_collapsed(), stats, memo
+                context.collapsed(mask), stats, memo
             )
             if fired_cheap:
                 pruned += 0.5

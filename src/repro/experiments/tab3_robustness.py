@@ -66,15 +66,15 @@ def _ranking(
 ) -> List[Tuple[float, MatConfigKey]]:
     """All configurations with their estimated runtime, cheapest first.
 
-    Scored through a :class:`SearchContext` sweep (one incremental
-    collapse per configuration); the stable sort keeps equal-cost
-    configurations in enumeration order, exactly like the previous
-    per-config rebuild did.
+    Scored through a :class:`SearchContext` sweep in mask order; the
+    stable sort keeps equal-cost configurations in enumeration order,
+    exactly like a per-config rebuild would.
     """
     context = SearchContext(plan, stats)
-    scored = []
-    for mask in context.iter_masks(order="sequential"):
-        scored.append((context.dominant_cost(), context.config_for(mask)))
+    scored = [
+        (context.scores(mask)[1], context.config_for(mask))
+        for mask in range(1 << len(context.free_ids))
+    ]
     scored.sort(key=lambda item: item[0])
     return scored
 

@@ -102,10 +102,6 @@ class _SpanHandle:
 #: how work was scheduled, so determinism comparisons must skip them.
 PROCESS_LOCAL_COUNTER_PREFIXES: Tuple[str, ...] = (
     "cache.",
-    # collapse mechanics: how an engine *maintains* group state (full
-    # rebuilds, incremental flips, functional probes) is an
-    # implementation detail that differs by engine and shard layout
-    "search.collapse.",
     # advisory-service traffic accounting: hits/sheds/coalescing depend
     # on request arrival order and cache temperature, never on results
     "serve.",

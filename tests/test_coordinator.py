@@ -12,9 +12,9 @@ from repro.core.strategies import (
 from repro.engine.cluster import Cluster
 from repro.engine.coordinator import (
     compare_schemes,
-    execute_with_extension,
     measure_scheme,
     pure_baseline_runtime,
+    run_with_extension,
 )
 from repro.engine.executor import SimulatedEngine
 from repro.engine.traces import FailureTrace, generate_trace, generate_trace_set
@@ -116,7 +116,7 @@ class TestExtension:
         configured = NoMatLineage().configure(long_chain, stats)
         # far too short a horizon: the run must extend it transparently
         trace = generate_trace(1, 200.0, 10.0, seed=1)
-        result = execute_with_extension(engine, configured, trace)
+        result = run_with_extension(engine, configured, trace)[0]
         assert result.finished
 
     def test_extended_result_matches_long_trace(self, long_chain):
@@ -126,9 +126,9 @@ class TestExtension:
         configured = NoMatLineage().configure(long_chain, stats)
         short = generate_trace(1, 200.0, 10.0, seed=1)
         long = generate_trace(1, 200.0, 1_000_000.0, seed=1)
-        extended_runtime = execute_with_extension(
+        extended_runtime = run_with_extension(
             engine, configured, short
-        ).runtime
+        )[0].runtime
         assert extended_runtime == pytest.approx(
             engine.execute(configured, long).runtime
         )

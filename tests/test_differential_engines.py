@@ -1,7 +1,7 @@
 """Differential tests: the fast search engine vs the naive oracle.
 
-The fast engine (Gray-code incremental collapse, memoized runtime
-lookups, Rule-3 dominant-path memo) must be *bit-identical* to the
+The fast engine (windowed Gray-code scan, cached group states,
+memoized runtime lookups, Rule-3 bound) must be *bit-identical* to the
 naive reference -- same winning configuration, same cost to the last
 ulp -- on realistic inputs.  These tests sweep the TPC-H join graphs
 (``repro.joinorder.tpch_graphs``) through phase 1 and compare both

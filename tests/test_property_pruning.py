@@ -157,21 +157,41 @@ class TestPruningSafety:
 
 
 class TestRule2ChainCounterexample:
-    """A chain inside the generators' ranges that breaks both regret bounds.
+    """Chains inside the generators' ranges that break the regret bounds.
 
-    Rule 2 pins ops 1-3 to not materialize (``gamma`` of each with its
-    parent clears ``S``), so neither pruned search can checkpoint after
-    op 3's 68 s of work -- the checkpoint brute force picks.  The regret,
-    1.060012x, exceeds the 5 % bound of
-    ``test_rule2_bounded_regret_on_chains`` and the 6 % bound of
-    ``test_all_rules_on_chains_have_bounded_regret``; both property
-    tests are falsifiable until the bound is derived or the rule is made
-    exactly safe.
+    * ``x1.060012`` (MTBF 3600): Rule 2 pins ops 1-3 to not materialize
+      (``gamma`` of each with its parent clears ``S``), so neither pruned
+      search can checkpoint after op 3's 68 s of work -- the checkpoint
+      brute force picks.  It exceeds the 5 % bound of
+      ``test_rule2_bounded_regret_on_chains`` and the 6 % bound of
+      ``test_all_rules_on_chains_have_bounded_regret``.
+    * ``x1.055042`` (MTBF 300): Rule 2 pins ops 1-4, so the pruned
+      searches lose brute force's cheap checkpoint after op 4
+      (``tm = 0.125``) ahead of the sink's 13 s write.  It exceeds the
+      5 % Rule 2 bound only; it is the smallest regret above 5 % found
+      so far.
+
+    Both property tests are falsifiable until the bound is derived or
+    the rule is made exactly safe.
     """
 
-    def _plan(self):
+    #: name -> (``(tr, tm)`` per op, the last a bound materialized sink;
+    #: MTBF; brute-force cost and checkpoints; pruned cost and
+    #: checkpoints; the largest regret bound the pruned cost breaks)
+    CASES = {
+        "x1.060012": (
+            [(1, 1), (1, 1), (68, 1), (1, 22), (1, 254)], 3600.0,
+            342.25911086474133, (3,), 362.79883012581035, (), 1.06,
+        ),
+        "x1.055042": (
+            [(1, 1), (1, 1), (4, 1), (1, 0.125), (1, 13)], 300.0,
+            21.125, (4,), 22.287753000782125, (), 1.05,
+        ),
+    }
+
+    @staticmethod
+    def _plan(costs):
         plan = Plan()
-        costs = [(1, 1), (1, 1), (68, 1), (1, 22), (1, 254)]
         for op_id, (tr, tm) in enumerate(costs, start=1):
             sink = op_id == len(costs)
             plan.add_operator(Operator(op_id, f"op{op_id}", float(tr),
@@ -182,14 +202,16 @@ class TestRule2ChainCounterexample:
         return plan
 
     def test_pinned_costs_and_choices(self):
-        stats = ClusterStats(mtbf=3600.0, mttr=1.0)
-        brute = find_best_ft_plan([self._plan()], stats,
-                                  pruning=PruningConfig.none())
-        assert brute.cost == 342.25911086474133
-        assert brute.materialized_ids == (3,)
-        for pruning in (PruningConfig.only(2), PruningConfig.all()):
-            pruned = find_best_ft_plan([self._plan()], stats,
-                                       pruning=pruning)
-            assert pruned.cost == 362.79883012581035
-            assert pruned.materialized_ids == ()
-            assert pruned.cost > brute.cost * 1.06
+        for case, (costs, mtbf, brute_cost, brute_ids, pruned_cost,
+                   pruned_ids, broken_bound) in self.CASES.items():
+            stats = ClusterStats(mtbf=mtbf, mttr=1.0)
+            brute = find_best_ft_plan([self._plan(costs)], stats,
+                                      pruning=PruningConfig.none())
+            assert brute.cost == brute_cost, case
+            assert brute.materialized_ids == brute_ids, case
+            for pruning in (PruningConfig.only(2), PruningConfig.all()):
+                pruned = find_best_ft_plan([self._plan(costs)], stats,
+                                           pruning=pruning)
+                assert pruned.cost == pruned_cost, case
+                assert pruned.materialized_ids == pruned_ids, case
+                assert pruned.cost > brute.cost * broken_bound, case

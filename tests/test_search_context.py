@@ -6,6 +6,8 @@ import pytest
 
 from repro.core import (
     ClusterStats,
+    Operator,
+    Plan,
     SearchContext,
     collapse_plan,
     enumerate_mat_configs,
@@ -14,6 +16,32 @@ from repro.core import (
     path_cost_failure_free,
 )
 from repro.core import enumeration as enumeration_module
+from repro.core.pruning import apply_rule1, apply_rule2
+
+
+def _plan_variants(paper_plan, stats):
+    """``paper_plan`` plus variants that exercise every flag source:
+    Rules 1/2 bind some operators to ``m(o) = 0``, one variant binds an
+    inner join to ``1``, and one frees a sink (its flag decides only
+    ``tm``, never whether it anchors)."""
+    from dataclasses import replace
+
+    def rebuilt(op_id, change):
+        return Plan.from_edges(
+            [
+                change(operator) if operator.op_id == op_id else operator
+                for operator in paper_plan.operators.values()
+            ],
+            paper_plan.edges(),
+        )
+
+    return [
+        paper_plan,
+        apply_rule2(apply_rule1(paper_plan, stats.const_pipe), stats),
+        rebuilt(3, lambda operator: operator.as_bound(True)),
+        rebuilt(7, lambda operator: replace(operator, free=True,
+                                               mat_cost=1.5)),
+    ]
 
 
 class TestSearchContext:
@@ -30,35 +58,34 @@ class TestSearchContext:
             assert (sorted(built.consumers(anchor))
                     == sorted(reference.consumers(anchor)))
 
-    def test_incremental_collapse_matches_collapse_plan(
-        self, paper_plan, stats_hour
-    ):
-        """Every configuration, visited by Gray-code single-bit flips,
-        produces the same collapsed plan as a from-scratch collapse."""
-        context = SearchContext(paper_plan, stats_hour)
-        seen = []
-        for mask in context.iter_masks(order="gray"):
-            seen.append(mask)
-            config = context.config_for(mask)
-            reference = collapse_plan(
-                paper_plan.with_mat_config(config),
-                const_pipe=stats_hour.const_pipe,
-            )
-            self._assert_same_collapse(context.build_collapsed(), reference)
-        total = 2 ** len(paper_plan.free_operators)
-        assert sorted(seen) == list(range(total))  # every mask, once
+    def test_collapsed_matches_collapse_plan(self, paper_plan, stats_hour):
+        """Every configuration, in Gray order (so consecutive calls hit
+        the group cache), produces the same collapsed plan as a
+        from-scratch collapse -- also with bound operators."""
+        for plan in _plan_variants(paper_plan, stats_hour):
+            context = SearchContext(plan, stats_hour)
+            total = 1 << len(context.free_ids)
+            for index in range(2 * total):  # second pass: all cached
+                mask = (index ^ (index >> 1)) % total
+                reference = collapse_plan(
+                    plan.with_mat_config(context.config_for(mask)),
+                    const_pipe=stats_hour.const_pipe,
+                )
+                self._assert_same_collapse(context.collapsed(mask),
+                                           reference)
 
     def test_scores_match_estimate_plan_cost(self, paper_plan, stats_hour):
-        context = SearchContext(paper_plan, stats_hour)
-        for mask in context.iter_masks(order="sequential"):
-            candidate = paper_plan.with_mat_config(context.config_for(mask))
-            estimate = estimate_plan_cost(candidate, stats_hour)
-            assert context.dominant_cost() == estimate.cost  # exact
-            assert (context.failure_free_dominant()
-                    == max(
-                        path_cost_failure_free(costs)
-                        for costs in _all_path_costs(candidate, stats_hour)
-                    ))
+        for plan in _plan_variants(paper_plan, stats_hour):
+            context = SearchContext(plan, stats_hour)
+            for mask in range(1 << len(context.free_ids)):
+                candidate = plan.with_mat_config(context.config_for(mask))
+                estimate = estimate_plan_cost(candidate, stats_hour)
+                r_max, t_max = context.scores(mask)
+                assert t_max == estimate.cost  # exact
+                assert r_max == max(
+                    path_cost_failure_free(costs)
+                    for costs in _all_path_costs(candidate, stats_hour)
+                )
 
     def test_config_for_matches_enumerate_mat_configs(
         self, paper_plan, stats_hour
@@ -69,22 +96,40 @@ class TestSearchContext:
                for mask in range(2 ** len(paper_plan.free_operators))]
         assert got == expected
 
-    def test_sequential_order_is_mask_ascending(self, chain_plan, stats_hour):
+    def test_out_of_range_mask_rejected(self, chain_plan, stats_hour):
         context = SearchContext(chain_plan, stats_hour)
-        masks = list(context.iter_masks(order="sequential"))
-        assert masks == list(range(2 ** len(chain_plan.free_operators)))
+        for mask in (-1, 2 ** len(chain_plan.free_operators)):
+            with pytest.raises(ValueError):
+                context.scores(mask)
+            with pytest.raises(ValueError):
+                context.collapsed(mask)
 
-    def test_set_mask_bounds(self, chain_plan, stats_hour):
-        context = SearchContext(chain_plan, stats_hour)
-        with pytest.raises(ValueError):
-            context.set_mask(-1)
-        with pytest.raises(ValueError):
-            context.set_mask(2 ** len(chain_plan.free_operators))
+    def test_switching_pinned_and_back_rescores_exactly(self, stats_hour):
+        """Re-preparing the window for another pinned state, and back,
+        scores every configuration exactly like a fresh context.
 
-    def test_unknown_iteration_order_rejected(self, chain_plan, stats_hour):
-        context = SearchContext(chain_plan, stats_hour)
-        with pytest.raises(ValueError):
-            list(context.iter_masks(order="random"))
+        Sink 2's whole ancestry (op 1, bit 0) is outside the window, so
+        it is a *static* collapsed sink whose group changes with the
+        pinned bit -- and its path dominates the plan.
+        """
+        operators = [
+            Operator(1, "a", 50.0, 5.0),
+            Operator(2, "sink_a", 40.0, 0.0, materialize=True, free=False),
+            Operator(3, "b", 1.0, 1.0),
+            Operator(4, "c", 2.0, 1.0),
+            Operator(5, "sink_b", 1.0, 0.0, materialize=True, free=False),
+        ]
+        plan = Plan.from_edges(operators, [(1, 2), (3, 4), (4, 5)])
+        expected = [SearchContext(plan, stats_hour).scores(mask)
+                    for mask in range(8)]
+        assert expected[0] != expected[1]  # the pinned bit matters
+        context = SearchContext(plan, stats_hour)
+        for pinned in (1, 0, 1):
+            context.prepare_window(0b110, pinned)
+            for high in range(4):
+                mask = (high << 1) | pinned
+                r_max = context.window_bound(mask)
+                assert (r_max, context.window_cost()) == expected[mask]
 
 
 class TestPreflightMemo:
@@ -108,11 +153,6 @@ class TestPreflightMemo:
         assert len(calls) == 2
 
 
-def _scores(context):
-    """``(R_max, T_max)`` of the context's current configuration."""
-    return context.failure_free_dominant(), context.dominant_cost()
-
-
 def _all_path_costs(plan, stats):
     from repro.core import enumerate_paths, path_total_costs
 
@@ -123,12 +163,18 @@ def _all_path_costs(plan, stats):
 class TestCacheIntrospection:
     """The fast engine's caches must be observable *and* effective."""
 
+    @staticmethod
+    def _swept(plan, stats):
+        """A context that scored every configuration in Gray order."""
+        context = SearchContext(plan, stats)
+        for index in range(1 << len(context.free_ids)):
+            context.scores(index ^ (index >> 1))
+        return context
+
     def test_group_cache_takes_hits_during_gray_sweep(
         self, paper_plan, stats_hour
     ):
-        context = SearchContext(paper_plan, stats_hour)
-        for mask in context.iter_masks():
-            context.dominant_cost()
+        context = self._swept(paper_plan, stats_hour)
         assert context.group_cache_hits > 0
         assert context.group_cache_misses > 0
         # a Gray sweep revisits group shapes, so the cache must win
@@ -137,37 +183,25 @@ class TestCacheIntrospection:
         assert context.group_cache_hits / total > 0.2
 
     def test_runtime_cache_hits_dominate(self, paper_plan, stats_hour):
-        context = SearchContext(paper_plan, stats_hour)
-        for mask in context.iter_masks():
-            context.dominant_cost()
+        context = self._swept(paper_plan, stats_hour)
         assert context.runtime_cache_misses > 0
         assert context.runtime_cache_hits > 0
         # distinct t(c) values are few; most lookups must be hits
         assert context.runtime_cache_hits > context.runtime_cache_misses
 
-    def test_incremental_flips_replace_full_collapses(
-        self, paper_plan, stats_hour
-    ):
-        context = SearchContext(paper_plan, stats_hour)
-        for mask in context.iter_masks():
-            context.dominant_cost()
-        free = len(paper_plan.free_operators)
-        assert context.full_collapses == 1
-        # the Gray sweep covers every remaining mask with single-bit
-        # flips (plus at most a couple of repositioning flips)
-        assert 2 ** free - 1 <= context.incremental_flips < 2 ** free + 4
+    def test_full_window_is_prepared_once(self, paper_plan, stats_hour):
+        context = self._swept(paper_plan, stats_hour)
+        assert context.window_preps == 1
 
     def test_counters_mapping_is_complete(self, paper_plan, stats_hour):
-        context = SearchContext(paper_plan, stats_hour)
-        for mask in context.iter_masks():
-            context.dominant_cost()
+        context = self._swept(paper_plan, stats_hour)
         counters = context.counters()
-        assert counters["search.collapse.full"] == context.full_collapses
         assert counters["cache.group.hit"] == context.group_cache_hits
         assert counters["cache.group.miss"] == context.group_cache_misses
         assert counters["cache.runtime.hit"] == context.runtime_cache_hits
         assert (counters["cache.runtime.miss"]
                 == context.runtime_cache_misses)
+        assert counters["cache.window.preps"] == context.window_preps
         assert all(value >= 0 for value in counters.values())
 
 
@@ -245,18 +279,14 @@ class TestSearchContextPickle:
         import pickle
 
         ctx = SearchContext(paper_plan, stats_hour)
-        masks = list(ctx.iter_masks())
-        # park the original mid-scan, with warmed caches
+        masks = range(1 << len(ctx.free_ids))
+        # warm the original's caches on half the space
         for mask in masks[: len(masks) // 2]:
-            ctx.set_mask(mask)
-            _scores(ctx)
+            ctx.scores(mask)
         clone = pickle.loads(pickle.dumps(ctx))
         assert type(clone) is SearchContext
-        assert clone.mask == ctx.mask
         for mask in masks:
-            ctx.set_mask(mask)
-            clone.set_mask(mask)
-            assert _scores(clone) == _scores(ctx)
+            assert clone.scores(mask) == ctx.scores(mask)
             assert clone.config_for(mask) == ctx.config_for(mask)
 
     @pytest.mark.parametrize("exact_waste", [False, True])
@@ -270,32 +300,31 @@ class TestSearchContextPickle:
         kernel = SearchContext(paper_plan, stats_hour,
                                exact_waste=exact_waste)
         everything = (1 << len(kernel.free_ids)) - 1
-        kernel.prepare_window(everything)
-        for mask in range(everything + 1):
+        kernel.prepare_window(everything ^ 1, 1)
+        for mask in range(1, everything + 1, 2):
             kernel.window_bound(mask)
             kernel.window_cost()
         clone = pickle.loads(pickle.dumps(kernel))
         assert type(clone) is SearchContext
         assert clone.exact_waste is exact_waste
-        for mask in kernel.iter_masks():
-            clone.set_mask(mask)
-            assert _scores(clone) == _scores(kernel)
+        for mask in range(everything + 1):
+            assert clone.scores(mask) == kernel.scores(mask)
 
-    def test_slim_payload_beats_naive_by_5x(self, stats_hour):
+    def test_warm_pickle_equals_fresh_pickle(self, stats_hour):
+        """A full sweep's caches add nothing to the payload: the pickle
+        of a warmed context is byte-identical to a fresh one's."""
         import pickle
 
         plan = self._deep_chain()
-        ctx = SearchContext(plan, stats_hour)
-        for mask in ctx.iter_masks():
-            _scores(ctx)
-        slim = len(pickle.dumps(ctx))
-        # the naive payload a __dict__ pickle would ship: every derived
-        # cache the full sweep just populated
-        naive = len(pickle.dumps(dict(vars(ctx))))
-        assert naive >= 5 * slim, (naive, slim)
+        warm = SearchContext(plan, stats_hour)
+        for mask in range(1 << len(warm.free_ids)):
+            warm.scores(mask)
+            warm.collapsed(mask)
+        fresh = SearchContext(plan, stats_hour)
+        assert pickle.dumps(warm) == pickle.dumps(fresh)
 
     def test_getstate_carries_only_inputs(self, paper_plan, stats_hour):
         ctx = SearchContext(paper_plan, stats_hour, exact_waste=True)
         state = ctx.__getstate__()
-        assert set(state) == {"plan", "stats", "exact_waste", "mask"}
+        assert set(state) == {"plan", "stats", "exact_waste"}
         assert state["exact_waste"] is True

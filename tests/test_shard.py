@@ -234,17 +234,14 @@ class TestKernelBitIdentity:
     def test_cheap_bounds_match_failure_free_dominant(self, setup):
         plan, stats, kernel = setup
         for mask in (0, 1, 0b1010, 0b1111111111, 0b0101010101):
-            kernel.set_mask(mask)
-            assert (kernel.failure_free_dominant(), kernel.dominant_cost()) \
-                == _naive_scores(plan, stats, mask)
+            assert kernel.scores(mask) == _naive_scores(plan, stats, mask)
 
     def test_window_scorers_match_reference_per_mask(self, setup):
         plan, stats, kernel = setup
         n = len(plan.free_operators)
-        kernel.set_mask(0)
-        kernel.prepare_window((1 << n) - 1)
-        # a windowed Gray walk plus arbitrary probes, all without
-        # repositioning the kernel: the scorers are functions of the mask
+        kernel.prepare_window((1 << n) - 1, 0)
+        # a windowed Gray walk plus arbitrary probes: the scorers are
+        # pure functions of the mask
         probes = [i ^ (i >> 1) for i in range(64)]
         probes += [0, (1 << n) - 1, 0b1100110011 % (1 << n)]
         for mask in probes:
@@ -256,36 +253,20 @@ class TestKernelBitIdentity:
         plan, stats, kernel = setup
         n = len(plan.free_operators)
         count, shift, pinned = subspace_params(n, 32)
-        kernel.set_mask(subspace_mask(0, shift, pinned))
-        kernel.prepare_window(((1 << n) - 1) ^ pinned)
+        kernel.prepare_window(((1 << n) - 1) ^ pinned, pinned)
         for i in range(count):
             mask = subspace_mask(i, shift, pinned)
             r_max = kernel.window_bound(mask)
             assert (r_max, kernel.window_cost()) \
                 == _naive_scores(plan, stats, mask)
 
-    def test_flip_outside_window_invalidates(self):
+    def test_scorers_need_a_prepared_window(self):
         plan = _plan(8, seed=1)
-        stats = _rare_failure_stats(plan)
-        kernel = SearchContext(plan, stats)
-        n = len(plan.free_operators)
-        count, shift, pinned = subspace_params(n, 4)
-        window = ((1 << n) - 1) ^ pinned
-        kernel.set_mask(subspace_mask(0, shift, pinned))
-        kernel.prepare_window(window)
-        assert kernel._window_mask == window
-        # repositioning on a pinned (static) bit must drop the tables
-        kernel.set_mask(kernel.mask ^ 1)
-        assert kernel._window_mask is None
+        kernel = SearchContext(plan, _rare_failure_stats(plan))
         with pytest.raises(RuntimeError):
             kernel.window_bound(0)
-        # and a re-prepare restores exact scoring
-        kernel.set_mask(subspace_mask(0, shift, pinned))
-        kernel.prepare_window(window)
-        mask = subspace_mask(count - 1, shift, pinned)
-        r_max = kernel.window_bound(mask)
-        assert (r_max, kernel.window_cost()) \
-            == _naive_scores(plan, stats, mask)
+        with pytest.raises(RuntimeError):
+            kernel.window_cost()
 
 
 # ----------------------------------------------------------------------
