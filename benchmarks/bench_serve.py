@@ -253,7 +253,7 @@ def run_load(
             counters = {
                 name: value
                 for name, value in sorted(recorder.counters.items())
-                if name.startswith(("serve.", "search.shard_resize"))
+                if name.startswith("serve.")
             }
         equal, sampled = check_bit_identity(
             engine, requests_list, samples, rng

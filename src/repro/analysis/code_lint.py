@@ -84,10 +84,8 @@ SILENT_EXCEPT = register_rule(
 DETERMINISTIC_PACKAGES = ("engine", "core", "obs")
 
 #: path suffixes exempt from the wall-clock rule inside those packages:
-#: the recorder legitimately timestamps spans with ``perf_counter``, and
-#: the sharded search times shard scans (``ShardOutcome.duration``) to
-#: feed adaptive shard sizing -- telemetry that never touches results.
-WALL_CLOCK_ALLOWLIST = ("obs/recorder.py", "core/shard.py")
+#: the recorder legitimately timestamps spans with ``perf_counter``.
+WALL_CLOCK_ALLOWLIST = ("obs/recorder.py",)
 
 #: identifier fragments that mark a float expression as cost-valued
 _COST_NAME = re.compile(

@@ -64,11 +64,9 @@ from .pruning import (
     DominantPathMemo,
     PruningConfig,
     PruningStats,
-    apply_rule1,
-    apply_rule2,
+    apply_binding_rules,
 )
 from .shard import (
-    ShardOutcome,
     _BestKey,
     config_space,
     sharded_search,
@@ -240,9 +238,6 @@ def find_best_ft_plan(
     parallelism: int = 1,
     shards: Optional[int] = None,
     config_limit: Optional[int] = None,
-    shard_observer: Optional[
-        Callable[[Sequence[ShardOutcome]], None]
-    ] = None,
 ) -> SearchResult:
     """Listing 1: pick the fault-tolerant plan with the cheapest dominant path.
 
@@ -291,12 +286,6 @@ def find_best_ft_plan(
         plan's Gray sequence (the same subspace in every engine).  Makes
         plans with dozens of free operators tractable; ``None`` (the
         default) searches the full ``2^n`` space.
-    shard_observer:
-        Callback receiving the ordered
-        :class:`~repro.core.shard.ShardOutcome` list after the sharded
-        scan's reduce (the :class:`~repro.core.shard.ShardSizer`
-        feedback hook).  Fires on every ``engine="fast"`` search; it
-        runs after the result is final and cannot affect it.
 
     Raises
     ------
@@ -337,7 +326,6 @@ def find_best_ft_plan(
                 plan_list, stats, pruning, exact_waste=exact_waste,
                 parallelism=parallelism, shards=shards,
                 config_limit=config_limit,
-                shard_observer=shard_observer,
             )
             result = _rebuild_result(
                 plan_list, best_key, stats, pruning, exact_waste,
@@ -417,15 +405,9 @@ def _find_best_naive(
     for plan_index, plan in enumerate(plan_list):
         with obs.span("search.plan", plan=plan_index, engine="naive"):
             pruning_stats.configs_total += config_space(plan, config_limit)
-            pruned_plan = plan
-            if pruning.rule1:
-                pruned_plan = apply_rule1(
-                    pruned_plan, stats.const_pipe, stats_out=pruning_stats
-                )
-            if pruning.rule2:
-                pruned_plan = apply_rule2(
-                    pruned_plan, stats, stats_out=pruning_stats
-                )
+            pruned_plan = apply_binding_rules(
+                plan, stats, pruning, stats_out=pruning_stats
+            )
 
             free_ids = pruned_plan.free_operators
             for mask in _subspace_masks(pruned_plan, config_limit):
@@ -525,11 +507,7 @@ def _rebuild_result(
     naive pipeline -- the returned estimate (cost, dominant path,
     collapsed plan) is therefore byte-identical to the naive engine's."""
     _, plan_index, mask = best_key
-    pruned_plan = plan_list[plan_index]
-    if pruning.rule1:
-        pruned_plan = apply_rule1(pruned_plan, stats.const_pipe)
-    if pruning.rule2:
-        pruned_plan = apply_rule2(pruned_plan, stats)
+    pruned_plan = apply_binding_rules(plan_list[plan_index], stats, pruning)
     config = tuple(
         (op_id, bool(mask >> bit & 1))
         for bit, op_id in enumerate(pruned_plan.free_operators)

@@ -26,24 +26,25 @@ expensive as the memoized best), and Rule 1's unary case is exactly safe
 whenever the parent is free (for any configuration materializing ``o``,
 the configuration that materializes ``p`` instead is no worse).  Property
 testing (``tests/test_property_pruning.py``) found two caveats the paper's
-Section 4 proofs gloss over, both boundary effects with sub-percent
-regret:
+Section 4 proofs gloss over:
 
 * *Rule 1, n-ary case:* on DAG-structured plans, binding all children of
   an n-ary parent changes the set of execution paths (a materialized
-  child forms its own path segment), and at the ``t({o..,p}) <= t({o_i})``
-  boundary this occasionally excludes a configuration that was globally
-  optimal by a sliver (``tests/test_pruning.py::TestRule1NaryProofGap``).
+  child forms its own path segment), and this can exclude a
+  configuration that was globally optimal
+  (``tests/test_pruning.py::TestRule1NaryProofGap``).
 * *Rule 2:* the check ``gamma({o,p}) >= S`` looks at the pairwise
   collapse, but in configurations where ``p`` itself does not materialize
   the realized group extends beyond ``p`` and its success probability can
-  fall below ``S``; marking ``o`` then forgoes a marginally better
+  fall below ``S``; marking ``o`` then forgoes a better
   checkpoint (``tests/test_pruning.py::TestRule2ProofGap``).
 
-We keep both rules exactly as published and document the gaps; the
-observed regret is typically well under one percent of the plan cost,
-with rare boundary constructions reaching a few percent (the property
-suite bounds it at 5 % over its generator ranges).
+We keep both rules exactly as published and document the gaps.  The
+regret is not small: the worst cases pinned in
+``tests/test_property_pruning.py`` cost x1.055042, x1.060012 and
+x1.171923 times the optimum on chains (Rule 2) and x1.219913 on a tree
+(Rule 1).  The suite's 1.05 / 1.06 regret bounds are empirical for its
+generator ranges and fail whenever Hypothesis draws such a case.
 """
 
 from __future__ import annotations
@@ -328,3 +329,22 @@ class PruningConfig:
         if rule not in (1, 2, 3):
             raise ValueError("rule must be 1, 2 or 3")
         return cls(rule1=rule == 1, rule2=rule == 2, rule3=rule == 3)
+
+
+def apply_binding_rules(
+    plan: Plan,
+    stats: ClusterStats,
+    pruning: PruningConfig,
+    stats_out: Optional[PruningStats] = None,
+) -> Plan:
+    """Apply the eager rules ``pruning`` enables: Rule 1, then Rule 2.
+
+    Both bind free operators to ``m(o) = 0`` before any configuration is
+    enumerated; Rule 3 prunes during the scan and is not applied here.
+    Returns ``plan`` itself when neither rule is enabled or fires.
+    """
+    if pruning.rule1:
+        plan = apply_rule1(plan, stats.const_pipe, stats_out=stats_out)
+    if pruning.rule2:
+        plan = apply_rule2(plan, stats, stats_out=stats_out)
+    return plan

@@ -64,7 +64,7 @@ configuration.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import cost_model
 from .collapse import CollapsedOperator, CollapsedPlan
@@ -176,35 +176,6 @@ class SearchContext:
         self.runtime_lookups = 0      #: T(c) cache probes while scoring
         self.runtime_cache_misses = 0  #: probes that ran the cost model
         self.window_preps = 0         #: static-region DP freezes
-
-    # ------------------------------------------------------------------
-    # pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        """Slim pickle: the *inputs*, nothing derived.
-
-        A context accumulates memo caches (group states, window tables,
-        ``_runtime_cache``) that every worker can rebuild lazily from the
-        plan alone; shipping them would dominate the payload and buy
-        nothing -- the caches are only warm for configurations the
-        *sender* visited.  The restored context re-derives everything in
-        ``__init__`` and, since every scorer is a pure function of the
-        mask, scores every configuration bit-identically to the original
-        (the property suite pins this).  Observability tallies restart
-        at zero: they count work actually performed per process, which
-        is what the cross-process merge expects.
-        """
-        return {
-            "plan": self.plan,
-            "stats": self.stats,
-            "exact_waste": self.exact_waste,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__init__(  # type: ignore[misc]
-            state["plan"], state["stats"],
-            exact_waste=state["exact_waste"],
-        )
 
     # ------------------------------------------------------------------
     # configurations

@@ -42,18 +42,16 @@ result fingerprints
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..chaos.policy import FaultPolicy
 from .cost_model import ClusterStats
 from .plan import Plan
 from .pool import maybe_crash, resilient_map, worker_state
-from .pruning import PruningConfig, PruningStats, apply_rule1, apply_rule2
+from .pruning import PruningConfig, PruningStats, apply_binding_rules
 from .search_context import SearchContext
 
 #: (cost, plan index, config mask) -- lexicographic minimum reproduces the
@@ -143,7 +141,6 @@ class ShardOutcome:
     scored: int              #: exact scoring DP runs
     bound_skips: int         #: Rule-3 skips against the shared bound
     bound_updates: int       #: strict improvements published to the bound
-    duration: float = 0.0    #: wall seconds the scan took (telemetry only)
 
 
 class BoundChannel:
@@ -177,100 +174,6 @@ class BoundChannel:
             with self._cell.get_lock():
                 if cost < self._cell.value:
                     self._cell.value = cost
-
-
-#: wall seconds one shard should take under adaptive sizing -- long
-#: enough to amortize per-shard setup, short enough that the slowest
-#: shard cannot idle the pool for long (work stealing stays effective)
-TARGET_SHARD_SECONDS = 0.2
-
-
-class ShardSizer:
-    """Adaptive shard-count recommendation from observed scan rates.
-
-    :data:`SHARDS_PER_WORKER` is a blind default: it over-partitions
-    enough for work stealing but knows nothing about how fast a
-    configuration actually scans, so small searches get carved into
-    setup-dominated slivers and huge ones into shards that run for
-    seconds.  The sizer closes the loop: every finished scan's
-    :class:`ShardOutcome` durations update an EWMA of the configs/second
-    rate, keyed by a *plan-size bucket* (the bit length of the total
-    searched config count, so a 1k-config search never pollutes the rate
-    learned for a 1M-config one), and the next search in the same bucket
-    gets ``shards = total / (rate * target_seconds)``.
-
-    Sizing only ever changes *partitioning*, never results: the sharded
-    reduce takes a lexicographic minimum over shard bests, which is
-    independent of where the shard boundaries fall (pinned by the
-    determinism suite across shard counts).  Recommendations are clamped
-    to ``[parallelism, total // MIN_SHARD_CONFIGS]`` so every worker has
-    work and no shard drops below the setup floor.
-
-    Thread safety: mutation and reads are lock-guarded -- the advisory
-    engine shares one sizer across concurrent request threads.
-    """
-
-    def __init__(
-        self,
-        target_seconds: float = TARGET_SHARD_SECONDS,
-        alpha: float = 0.4,
-    ) -> None:
-        if target_seconds <= 0:
-            raise ValueError("target_seconds must be > 0")
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.target_seconds = target_seconds
-        self.alpha = alpha
-        #: plan-size bucket -> EWMA configs/second
-        self._rates: Dict[int, float] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def bucket(total_configs: int) -> int:
-        """Bucket key: the bit length of the searched config count."""
-        return max(1, total_configs).bit_length()
-
-    def observe(self, outcomes: Sequence[ShardOutcome]) -> None:
-        """Fold one finished search's shard durations into the rate.
-
-        ``sum(enumerated)`` is the searched config count (skipped
-        configurations still enumerate), so the outcomes alone identify
-        the bucket.  Sub-millisecond aggregate durations are ignored:
-        the rate estimate would be all timer noise.
-        """
-        total = sum(outcome.enumerated for outcome in outcomes)
-        seconds = sum(outcome.duration for outcome in outcomes)
-        if total <= 0 or seconds < 1e-3:
-            return
-        rate = total / seconds
-        key = self.bucket(total)
-        with self._lock:
-            previous = self._rates.get(key)
-            if previous is None:
-                self._rates[key] = rate
-            else:
-                self._rates[key] = (
-                    self.alpha * rate + (1.0 - self.alpha) * previous
-                )
-
-    def recommend(
-        self, total_configs: int, parallelism: int
-    ) -> Optional[int]:
-        """Shard count for a search of ``total_configs``, or ``None``
-        when the bucket has no observations yet (caller keeps its
-        default)."""
-        with self._lock:
-            rate = self._rates.get(self.bucket(total_configs))
-        if rate is None or total_configs <= 0:
-            return None
-        ideal = total_configs / (rate * self.target_seconds)
-        ceiling = max(parallelism, total_configs // MIN_SHARD_CONFIGS)
-        return max(parallelism, min(ceiling, int(ideal) or 1))
-
-    def snapshot_rates(self) -> Dict[int, float]:
-        """Copy of the learned per-bucket rates (introspection only)."""
-        with self._lock:
-            return dict(self._rates)
 
 
 def partition_shards(
@@ -326,7 +229,6 @@ def scan_shard(
     bound_skips = 0
     scored = 0
     updates_before = channel.updates
-    started = time.perf_counter()
     channel.refresh()
     shift, pinned = spec.shift, spec.pinned
     # freeze the static-region DP tables (cached across shards of the
@@ -359,7 +261,6 @@ def scan_shard(
         scored=scored,
         bound_skips=bound_skips,
         bound_updates=channel.updates - updates_before,
-        duration=time.perf_counter() - started,
     )
 
 
@@ -475,9 +376,6 @@ def sharded_search(
     shards: Optional[int] = None,
     config_limit: Optional[int] = None,
     chaos: Optional[FaultPolicy] = None,
-    shard_observer: Optional[
-        Callable[[Sequence[ShardOutcome]], None]
-    ] = None,
 ) -> Tuple[_BestKey, PruningStats]:
     """Scan every plan's (capped) config space across shards; reduce.
 
@@ -488,12 +386,6 @@ def sharded_search(
     plus the merged :class:`PruningStats` (Rule-3 / estimation counters
     are timing-dependent under ``parallelism > 1``; totals and
     enumerated counts are not).
-
-    ``shard_observer`` (when given) receives the complete, shard-index
-    ordered outcome list after the reduce -- this is how
-    :class:`ShardSizer` learns scan rates without the search layer
-    knowing about adaptive sizing.  Observer exceptions propagate; it
-    runs after the best key is final, so it can never affect results.
     """
     plan_list = list(plans)
     if not plan_list:
@@ -510,13 +402,9 @@ def sharded_search(
     subspaces: List[Tuple[int, int, int]] = []
     for plan in plan_list:
         pruning_stats.configs_total += config_space(plan, config_limit)
-        pruned = plan
-        if pruning.rule1:
-            pruned = apply_rule1(
-                pruned, stats.const_pipe, stats_out=pruning_stats
-            )
-        if pruning.rule2:
-            pruned = apply_rule2(pruned, stats, stats_out=pruning_stats)
+        pruned = apply_binding_rules(
+            plan, stats, pruning, stats_out=pruning_stats
+        )
         pruned_plans.append(pruned)
         subspaces.append(
             subspace_params(len(pruned.free_operators), config_limit)
@@ -564,7 +452,5 @@ def sharded_search(
         recorder.add("search.shards", len(specs))
         recorder.add("search.bound_updates", bound_updates)
         recorder.add("search.bound_skips", pruning_stats.rule3_plan_cutoffs)
-    if shard_observer is not None:
-        shard_observer(outcomes)
     assert best_key is not None  # every spec scans >= 1 configuration
     return best_key, pruning_stats

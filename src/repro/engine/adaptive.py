@@ -77,7 +77,11 @@ from ..core.strategies import (
 from ..stats.mtbf_estimation import MtbfTracker
 from .executor import ExecutionResult, SimulatedEngine, TraceExhausted
 from .timeline import EventKind, Timeline
-from .traces import FailureTrace, extend_trace
+from .traces import (
+    MAX_TRACE_EXTENSIONS,
+    FailureTrace,
+    retry_with_extension,
+)
 
 
 @dataclass(frozen=True)
@@ -709,28 +713,23 @@ def run_adaptive_with_extension(
     trace: FailureTrace,
     estimated_plan: Optional[Plan] = None,
     initial_config: Optional[Dict[int, bool]] = None,
-    max_extensions: int = 20,
+    max_extensions: int = MAX_TRACE_EXTENSIONS,
 ) -> Tuple[AdaptiveResult, FailureTrace]:
     """Adaptive twin of :func:`~repro.engine.coordinator.run_with_extension`.
 
     Re-runs the whole adaptive execution on a horizon-extended trace when
-    it outlives the current one; extension is prefix-stable and the
-    executor is deterministic, so the re-run replays the consumed prefix
-    identically and simply continues past the old horizon.
+    it outlives the current one
+    (:func:`~repro.engine.traces.retry_with_extension`); the executor is
+    deterministic, so the re-run replays the consumed prefix identically.
     """
-    for _ in range(max_extensions):
-        try:
-            return executor.execute(
-                true_plan,
-                estimated_plan=estimated_plan,
-                trace=trace,
-                initial_config=initial_config,
-            ), trace
-        except TraceExhausted:
-            trace = extend_trace(trace, trace.horizon * 4)
-    raise TraceExhausted(
-        "adaptive run did not finish within the maximum trace extension; "
-        "the configuration likely cannot make progress at this MTBF"
+    return retry_with_extension(
+        lambda current: executor.execute(
+            true_plan,
+            estimated_plan=estimated_plan,
+            trace=current,
+            initial_config=initial_config,
+        ),
+        trace, max_extensions,
     )
 
 

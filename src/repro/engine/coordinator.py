@@ -25,7 +25,7 @@ from ..core.strategies import (
 )
 from .cluster import Cluster
 from .executor import ExecutionResult, PreparedExecution, SimulatedEngine
-from .traces import FailureTrace
+from .traces import MAX_TRACE_EXTENSIONS, FailureTrace
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def run_with_extension(
     engine: SimulatedEngine,
     target: Union[ConfiguredPlan, PreparedExecution],
     trace: FailureTrace,
-    max_extensions: int = 20,
+    max_extensions: int = MAX_TRACE_EXTENSIONS,
 ) -> Tuple[ExecutionResult, FailureTrace]:
     """Run one trace, extending its horizon when needed; return both.
 

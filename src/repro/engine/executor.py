@@ -71,7 +71,13 @@ from ..core.collapse import CollapsedOperator, CollapsedPlan, collapse_plan
 from ..core.strategies import ConfiguredPlan, RecoveryMode
 from .cluster import Cluster
 from .timeline import EventKind, MutedTimeline, Timeline
-from .traces import FailureTrace, TraceBlock, extend_trace
+from .traces import (
+    MAX_TRACE_EXTENSIONS,
+    FailureTrace,
+    TraceBlock,
+    TraceExhausted,
+    retry_with_extension,
+)
 
 if TYPE_CHECKING:
     from ..core.checkpointing import CheckpointSpec
@@ -80,14 +86,6 @@ if TYPE_CHECKING:
 #: smallest trace set :meth:`SimulatedEngine.execute_many` runs in
 #: lockstep by default: the measured crossover (``docs/simulator.md``)
 LOCKSTEP_MIN_TRACES = 12
-
-
-class TraceExhausted(RuntimeError):
-    """A simulated run outlived its failure trace's horizon.
-
-    Regenerate the trace with a larger horizon
-    (:func:`repro.engine.traces.extend_trace`) and re-run.
-    """
 
 
 class QueryAborted(RuntimeError):
@@ -331,24 +329,18 @@ class SimulatedEngine:
         self,
         prepared: PreparedExecution,
         trace: FailureTrace,
-        max_extensions: int = 20,
+        max_extensions: int = MAX_TRACE_EXTENSIONS,
     ) -> Tuple[ExecutionResult, FailureTrace]:
-        """Run one trace, extending its horizon when needed; return both.
+        """Run one trace, extending its horizon when needed; return both
+        (:func:`~repro.engine.traces.retry_with_extension`).
 
-        Extension regenerates from the same seed, so the failure prefix
-        the run already consumed is unchanged -- the result is identical
-        to having generated a longer trace up front.  The (possibly
-        extended) trace is returned so callers can write it back into a
-        shared trace set instead of re-extending on every scheme.
+        The (possibly extended) trace is returned so callers can write it
+        back into a shared trace set instead of re-extending on every
+        scheme.
         """
-        for _ in range(max_extensions):
-            try:
-                return self.execute_prepared(prepared, trace), trace
-            except TraceExhausted:
-                trace = extend_trace(trace, trace.horizon * 4)
-        raise TraceExhausted(
-            "query did not finish within the maximum trace extension; "
-            "the configuration likely cannot make progress at this MTBF"
+        return retry_with_extension(
+            lambda current: self.execute_prepared(prepared, current),
+            trace, max_extensions,
         )
 
     def lockstep_eligible(self, prepared: PreparedExecution,

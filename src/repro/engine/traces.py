@@ -34,7 +34,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 import numpy as np
 
@@ -572,6 +574,51 @@ def generate_drifting_trace(
         chaos_seed=chaos_seed,
         injected=injected,
         drift=drift,
+    )
+
+
+class TraceExhausted(RuntimeError):
+    """A simulated run outlived its failure trace's horizon.
+
+    Regenerate the trace with a larger horizon (:func:`extend_trace`) and
+    re-run; :func:`retry_with_extension` does both.
+    """
+
+
+#: most runs :func:`retry_with_extension` attempts, the trace growing
+#: x4 between attempts, before it gives the run up
+MAX_TRACE_EXTENSIONS = 20
+
+_Result = TypeVar("_Result")
+
+
+def retry_with_extension(
+    run: Callable[[FailureTrace], _Result],
+    trace: FailureTrace,
+    max_extensions: int = MAX_TRACE_EXTENSIONS,
+) -> Tuple[_Result, FailureTrace]:
+    """Call ``run(trace)``, growing the horizon x4 while it is exhausted.
+
+    Returns the run's result and the (possibly extended) trace, so
+    callers can keep the longer trace instead of re-extending it on the
+    next run.  Extension is prefix-stable, so a deterministic run replays
+    the failures it already consumed and simply continues past the old
+    horizon: the result equals having generated the longer trace up
+    front.  ``run`` is attempted at most ``max_extensions`` times; a
+    trace without a seed cannot be extended, so its first
+    :class:`TraceExhausted` propagates unchanged.
+    """
+    for attempt in range(max_extensions):
+        if attempt:
+            trace = extend_trace(trace, trace.horizon * 4)
+        try:
+            return run(trace), trace
+        except TraceExhausted:
+            if trace.seed is None:
+                raise
+    raise TraceExhausted(
+        f"run did not finish within {max_extensions} trace extensions; "
+        "the configuration likely cannot make progress at this MTBF"
     )
 
 

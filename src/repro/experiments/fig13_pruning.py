@@ -33,8 +33,8 @@ from ..core.paths import enumerate_paths, path_total_costs
 from ..core.plan import Plan
 from ..core.pruning import (
     DominantPathMemo,
-    apply_rule1,
-    apply_rule2,
+    PruningConfig,
+    apply_binding_rules,
 )
 from ..core.search_context import SearchContext
 from ..joinorder import enumerate_join_trees, q5_join_graph, tree_to_plan
@@ -101,9 +101,9 @@ def run(
     for label, mtbf in mtbfs:
         stats = ClusterStats(mtbf=mtbf, mttr=DEFAULT_MTTR, nodes=nodes)
         total = sum(count_mat_configs(plan) for plan in plans)
-        rule1 = _eager_rule_pruned(plans, stats, rule=1)
-        rule2 = _eager_rule_pruned(plans, stats, rule=2)
-        rule3 = _rule3_pruned(plans, stats, pre_bind=False)
+        rule1 = _eager_rule_pruned(plans, stats, PruningConfig.only(1))
+        rule2 = _eager_rule_pruned(plans, stats, PruningConfig.only(2))
+        rule3 = _rule3_pruned(plans, stats)
         all_rules = _all_rules_pruned(plans, stats)
         effects.append(PruningEffect(
             label=label,
@@ -118,24 +118,17 @@ def run(
 
 
 def _eager_rule_pruned(
-    plans: Sequence[Plan], stats: ClusterStats, rule: int
-) -> float:
-    """FT plans skipped because Rule 1 or 2 bound free operators."""
-    pruned = 0.0
-    for plan in plans:
-        before = count_mat_configs(plan)
-        if rule == 1:
-            bound_plan = apply_rule1(plan, stats.const_pipe)
-        else:
-            bound_plan = apply_rule2(plan, stats)
-        after = count_mat_configs(bound_plan)
-        pruned += before - after
-    return pruned
+    plans: Sequence[Plan], stats: ClusterStats, pruning: PruningConfig
+) -> int:
+    """FT plans skipped because Rule 1 and/or 2 bound free operators."""
+    return sum(
+        count_mat_configs(plan)
+        - count_mat_configs(apply_binding_rules(plan, stats, pruning))
+        for plan in plans
+    )
 
 
-def _rule3_pruned(
-    plans: Sequence[Plan], stats: ClusterStats, pre_bind: bool
-) -> float:
+def _rule3_pruned(plans: Sequence[Plan], stats: ClusterStats) -> float:
     """FT plans where Rule 3 cut path enumeration short (half credit).
 
     The memo of best dominant paths is shared across all join orders, as
@@ -144,11 +137,7 @@ def _rule3_pruned(
     memo = DominantPathMemo()
     cutoffs = 0
     for plan in plans:
-        search_plan = plan
-        if pre_bind:
-            search_plan = apply_rule2(apply_rule1(plan, stats.const_pipe),
-                                      stats)
-        context = SearchContext(search_plan, stats)
+        context = SearchContext(plan, stats)
         for mask in range(1 << len(context.free_ids)):
             fired_cheap, dominant_costs, dominant_total = _scan_paths(
                 context.collapsed(mask), stats, memo
@@ -188,23 +177,15 @@ def _scan_paths(
 
 def _all_rules_pruned(plans: Sequence[Plan], stats: ClusterStats) -> float:
     """Rules 1+2 eagerly, then Rule 3 on the surviving configurations."""
-    pruned = 0.0
-    memo = DominantPathMemo()
-    for plan in plans:
-        before = count_mat_configs(plan)
-        bound_plan = apply_rule2(apply_rule1(plan, stats.const_pipe), stats)
-        after = count_mat_configs(bound_plan)
-        pruned += before - after
-        context = SearchContext(bound_plan, stats)
-        for mask in range(1 << len(context.free_ids)):
-            fired_cheap, dominant_costs, dominant_total = _scan_paths(
-                context.collapsed(mask), stats, memo
-            )
-            if fired_cheap:
-                pruned += 0.5
-            elif dominant_costs is not None:
-                memo.record_dominant(dominant_costs, dominant_total)
-    return pruned
+    bound_plans = [
+        apply_binding_rules(plan, stats, PruningConfig.all())
+        for plan in plans
+    ]
+    eager = sum(
+        count_mat_configs(plan) - count_mat_configs(bound)
+        for plan, bound in zip(plans, bound_plans)
+    )
+    return eager + _rule3_pruned(bound_plans, stats)
 
 
 def format_table(result: Fig13Result) -> str:

@@ -115,8 +115,6 @@ PROCESS_LOCAL_COUNTERS: Tuple[str, ...] = (
     "search.shards", "search.retries", "search.serial_fallbacks",
     "search.bound_updates", "search.bound_skips",
     "search.paths_estimated", "search.rule3.plan_cutoffs",
-    # adaptive shard sizing reacts to observed shard *durations*
-    "search.shard_resize",
 )
 
 

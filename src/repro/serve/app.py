@@ -15,7 +15,7 @@ Endpoints::
     POST /advise/batch  {"requests": [<advise body>, ...]}
                         -> {"results": [{"advice": ...} | {"error": ...}]}
     GET  /healthz       -> {"status": "ok"}
-    GET  /metrics       -> cache/sizer/counter snapshot
+    GET  /metrics       -> cache/cluster-stats/counter snapshot
 
 Status codes: 200 success, 400 malformed payload or request (a
 ``Content-Length`` that is not a number included), 404 unknown path,

@@ -24,14 +24,10 @@ lookup":
    (or its exception).  N identical concurrent requests cost exactly one
    search (``serve.coalesced`` counts the followers).
 
-3. **Fan-out + adaptive sharding.**  Distinct keys compute
-   independently -- the frontend's worker threads each drive their own
-   search, and a search itself can fan out over the resilient
-   process-pool sharded scan (``parallelism``).  A shared
-   :class:`~repro.core.shard.ShardSizer` observes the shard durations
-   of every scan configured to fan out or to cut explicit shards, and
-   recommends the shard count for the next search of similar size (``search.shard_resize`` counts applied resizes);
-   sizing only repartitions work, never changes results.
+3. **Fan-out.**  Distinct keys compute independently -- the
+   frontend's worker threads each drive their own search, and a search
+   itself can fan out over the resilient process-pool sharded scan
+   (``parallelism``, ``shards``).
 
 The bounded-queue/backpressure frontend (:meth:`AdvisoryEngine.start` /
 :meth:`submit`) is part of the engine so the HTTP layer stays a thin
@@ -59,7 +55,6 @@ from ..core.cost_model import ClusterStats
 from ..core.enumeration import find_best_ft_plan, plan_fingerprint
 from ..core.plan import Plan
 from ..core.pruning import PruningConfig
-from ..core.shard import ShardSizer, config_space
 from ..core.strategies import RecoveryMode, scheme_by_name
 from .bucketing import StatsBucketing
 from .cache import AdviceCache
@@ -179,7 +174,7 @@ class _Pending:
 
 
 class AdvisoryEngine:
-    """Long-lived advisory state: cache, single-flight table, sizer.
+    """Long-lived advisory state: cache and single-flight table.
 
     Parameters
     ----------
@@ -193,12 +188,6 @@ class AdvisoryEngine:
     config_limit:
         Passed through to :func:`find_best_ft_plan` for the cost-based
         scheme.  Only the result-relevant knobs join the cache key.
-    adaptive_shards:
-        Let the :class:`~repro.core.shard.ShardSizer` learn shard counts
-        from observed scan rates.  Only engages when the search is
-        configured to fan out (``parallelism > 1``) or to cut explicit
-        shards (``shards > 1``); the default single-worker scan is never
-        repartitioned.
     """
 
     def __init__(
@@ -211,7 +200,6 @@ class AdvisoryEngine:
         parallelism: int = 1,
         shards: Optional[int] = None,
         config_limit: Optional[int] = None,
-        adaptive_shards: bool = True,
     ) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
@@ -225,12 +213,6 @@ class AdvisoryEngine:
         self.parallelism = parallelism
         self.shards = shards
         self.config_limit = config_limit
-        self.adaptive_shards = adaptive_shards
-        self.sizer = ShardSizer()
-        #: does the sizer learn from (and repartition) our searches?
-        self._adaptive_sizing = adaptive_shards and (
-            parallelism > 1 or (shards is not None and shards > 1)
-        )
         self._lock = threading.Lock()
         self._inflight: Dict[Hashable, _Inflight] = {}
         #: last pushed canonical stats (see push_cluster_stats)
@@ -394,11 +376,8 @@ class AdvisoryEngine:
                 exact_waste=self.exact_waste,
                 engine=self.search_engine,
                 parallelism=self.parallelism,
-                shards=self._pick_shards(plan),
+                shards=self.shards,
                 config_limit=self.config_limit,
-                shard_observer=(
-                    self.sizer.observe if self._adaptive_sizing else None
-                ),
             )
             return Advice(
                 scheme=scheme,
@@ -427,26 +406,6 @@ class AdvisoryEngine:
             canonical_mtbf=canonical.mtbf,
             canonical_mttr=canonical.mttr,
         )
-
-    def _pick_shards(self, plan: Plan) -> Optional[int]:
-        """The shard count for this search: configured, or sizer-learned
-        (under adaptive sizing).  A recommendation differing from what
-        the static default would use counts as a ``search.shard_resize``.
-        """
-        shards = self.shards
-        if not self._adaptive_sizing:
-            return shards
-        recommended = self.sizer.recommend(
-            config_space(plan, self.config_limit), self.parallelism
-        )
-        if recommended is None:
-            return shards
-        from ..core.shard import SHARDS_PER_WORKER
-        static = (shards if shards is not None
-                  else SHARDS_PER_WORKER * self.parallelism)
-        if recommended != static:
-            obs.add("search.shard_resize")
-        return recommended
 
     # ------------------------------------------------------------------
     # the bounded-queue frontend
@@ -542,7 +501,8 @@ class AdvisoryEngine:
     # introspection
     # ------------------------------------------------------------------
     def metrics(self) -> Dict[str, Any]:
-        """Cache and sizer state for ``/metrics`` and the harness."""
+        """Cache and cluster-stats state for ``/metrics`` and the
+        harness."""
         current = self._current_canonical
         payload: Dict[str, Any] = {
             "cache": (self.cache.stats() if self.cache is not None
@@ -553,11 +513,6 @@ class AdvisoryEngine:
                 {"mtbf": current.mtbf, "mttr": current.mttr}
                 if current is not None else None
             ),
-            "shard_rates": {
-                str(bucket): rate
-                for bucket, rate in
-                sorted(self.sizer.snapshot_rates().items())
-            },
         }
         recorder = obs.get_recorder()
         if recorder is not None:
@@ -573,8 +528,8 @@ def direct_advice(plan: Plan, stats: ClusterStats,
     """The reference answer the engine must reproduce bit-identically.
 
     Runs the scheme directly on ``engine.canonical_stats(stats)`` with
-    the engine's knobs but *no* cache, no single-flight, no adaptive
-    sizing and no parallelism -- the plain serial search.  The
+    the engine's knobs but *no* cache, no single-flight and no
+    parallelism -- the plain serial search.  The
     differential grid asserts ``engine.advise(...) == direct_advice(...)``
     for every sampled request.
     """
@@ -587,7 +542,6 @@ def direct_advice(plan: Plan, stats: ClusterStats,
         parallelism=1,
         shards=None,
         config_limit=engine.config_limit,
-        adaptive_shards=False,
     )
     return reference.advise(plan, stats, scheme)
 

@@ -16,8 +16,12 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.strategies import FaultToleranceScheme, standard_schemes
 from ..engine.campaign import campaign_map
 from ..engine.cluster import Cluster
-from ..engine.executor import SimulatedEngine, TraceExhausted
-from ..engine.traces import FailureTrace, extend_trace, generate_trace
+from ..engine.executor import SimulatedEngine
+from ..engine.traces import (
+    FailureTrace,
+    generate_trace,
+    retry_with_extension,
+)
 from .mixed import WorkloadQuery
 
 
@@ -134,14 +138,10 @@ def _execute_at(engine, configured, trace, clock):
     reuse the longer horizon instead of re-extending.
     """
     prepared = engine.prepare(configured)
-    while True:
-        try:
-            result = engine.execute_prepared(prepared, trace.shifted(clock))
-            return result, trace
-        except TraceExhausted:
-            if trace.seed is None:
-                raise
-            trace = extend_trace(trace, trace.horizon * 4)
+    return retry_with_extension(
+        lambda base: engine.execute_prepared(prepared, base.shifted(clock)),
+        trace,
+    )
 
 
 def _initial_horizon(workload, mtbf) -> float:

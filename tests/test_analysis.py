@@ -24,6 +24,7 @@ from repro.analysis import (
     lint_collapsed,
     lint_invariants,
     lint_mat_config,
+    lint_paths,
     lint_plan,
     lint_source,
     preflight_check,
@@ -344,6 +345,9 @@ class TestCodeRules:
                 source = handle.read()
             assert lint_source(source, filename=path) == [], name
 
+    def test_package_source_is_clean(self):
+        assert lint_paths([SRC_DIR]) == []
+
     def test_c003_wall_clock_in_simulator(self):
         diags = lint_snippet("""
             import time
@@ -639,6 +643,13 @@ class TestC003Extension:
             stamp = time.monotonic()
         """, filename="src/repro/obs/recorder.py")
         assert diags == []
+
+    def test_sharded_search_is_not_allowlisted(self):
+        diags = lint_snippet("""
+            import time
+            started = time.perf_counter()
+        """, filename="src/repro/core/shard.py")
+        assert rule_ids(diags) == {"C003"}
 
     def test_local_name_shadowing_is_clean(self):
         # a user-defined monotonic() is not the wall clock

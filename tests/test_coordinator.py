@@ -16,7 +16,7 @@ from repro.engine.coordinator import (
     pure_baseline_runtime,
     run_with_extension,
 )
-from repro.engine.executor import SimulatedEngine
+from repro.engine.executor import SimulatedEngine, TraceExhausted
 from repro.engine.traces import FailureTrace, generate_trace, generate_trace_set
 
 
@@ -118,6 +118,15 @@ class TestExtension:
         trace = generate_trace(1, 200.0, 10.0, seed=1)
         result = run_with_extension(engine, configured, trace)[0]
         assert result.finished
+
+    def test_seedless_trace_raises_trace_exhausted(self, long_chain):
+        cluster = Cluster(nodes=1, mttr=1.0)
+        engine = SimulatedEngine(cluster)
+        configured = NoMatLineage().configure(long_chain,
+                                              cluster.stats(200.0))
+        trace = FailureTrace(node_failures=((),), mtbf=200.0, horizon=10.0)
+        with pytest.raises(TraceExhausted, match="only covers"):
+            run_with_extension(engine, configured, trace)
 
     def test_extended_result_matches_long_trace(self, long_chain):
         cluster = Cluster(nodes=1, mttr=1.0)

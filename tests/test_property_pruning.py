@@ -79,11 +79,11 @@ class TestPruningSafety:
         """Rule 2's boundary gap (see repro.core.pruning) keeps this from
         being an exact equality even on chains.  The 6 % bound is
         empirical for this generator's ranges (chains of <= 6 operators,
-        costs <= 500, MTBF >= 30); typical observed regret is far below
-        1 %.  It is not a proven bound: the chain pinned in
-        ``TestRule2ChainCounterexample`` lies inside those ranges and
-        reaches 1.060012x, so this property (and the 5 % Rule 2 one
-        below) fails whenever Hypothesis draws that case."""
+        costs <= 500, MTBF >= 30).  It is not a proven bound: the chains
+        pinned in ``TestRule2ChainCounterexample`` lie inside those
+        ranges and reach up to 1.171923x, so this property (and the 5 %
+        Rule 2 one below) fails whenever Hypothesis draws such a
+        case."""
         stats = ClusterStats(mtbf=mtbf, mttr=1.0)
         brute = find_best_ft_plan([plan], stats,
                                   pruning=PruningConfig.none())
@@ -108,16 +108,15 @@ class TestPruningSafety:
     @given(plan=random_tree_plans(), mtbf=mtbf_values)
     @settings(max_examples=40, deadline=None)
     def test_all_rules_on_trees_have_bounded_regret(self, plan, mtbf):
-        """On DAGs, Rule 1's n-ary case can exclude the true optimum at
-        the boundary of its inequality; the regret stays tiny."""
+        """On DAGs, Rule 1's n-ary case can exclude the true optimum.
+        The 6 % bound is empirical and falsifiable: the tree pinned in
+        ``TestRule1TreeCounterexample`` reaches 1.219913x."""
         stats = ClusterStats(mtbf=mtbf, mttr=1.0)
         brute = find_best_ft_plan([plan], stats,
                                   pruning=PruningConfig.none())
         pruned = find_best_ft_plan([plan], stats,
                                    pruning=PruningConfig.all())
         assert pruned.cost >= brute.cost - 1e-9   # never below brute force
-        # empirical regret bound; 4-op counterexamples with regret 1.0504
-        # exist (rule 1 n-ary boundary), so the bound sits above that
         assert pruned.cost <= brute.cost * 1.06
 
     @given(plan=random_chain_plans(), mtbf=mtbf_values,
@@ -156,6 +155,20 @@ class TestPruningSafety:
             brute.pruning.configs_enumerated
 
 
+def _pinned_plan(costs, edges):
+    """A plan of ``(tr, tm)`` operators numbered from 1; the last is a
+    bound materialized sink, every other operator is free."""
+    plan = Plan()
+    for op_id, (tr, tm) in enumerate(costs, start=1):
+        sink = op_id == len(costs)
+        plan.add_operator(Operator(op_id, f"op{op_id}", float(tr),
+                                   float(tm), materialize=sink,
+                                   free=not sink))
+    for producer, consumer in edges:
+        plan.add_edge(producer, consumer)
+    return plan
+
+
 class TestRule2ChainCounterexample:
     """Chains inside the generators' ranges that break the regret bounds.
 
@@ -170,6 +183,10 @@ class TestRule2ChainCounterexample:
       (``tm = 0.125``) ahead of the sink's 13 s write.  It exceeds the
       5 % Rule 2 bound only; it is the smallest regret above 5 % found
       so far.
+    * ``x1.171923`` (MTBF 3600): the worst chain regret found by a
+      seeded sampler over the generator's ranges.  Rule 2 pins ops 1-4,
+      so the pruned searches cannot take brute force's checkpoints
+      after ops 2 and 4.
 
     Both property tests are falsifiable until the bound is derived or
     the rule is made exactly safe.
@@ -187,19 +204,18 @@ class TestRule2ChainCounterexample:
             [(1, 1), (1, 1), (4, 1), (1, 0.125), (1, 13)], 300.0,
             21.125, (4,), 22.287753000782125, (), 1.05,
         ),
+        "x1.171923": (
+            [(78, 131.65516136004945), (55, 5), (97, 22), (7, 4), (2, 87),
+             (0.5, 254)], 3600.0,
+            517.8903305606907, (2, 4), 606.9274875340224, (), 1.06,
+        ),
     }
 
     @staticmethod
     def _plan(costs):
-        plan = Plan()
-        for op_id, (tr, tm) in enumerate(costs, start=1):
-            sink = op_id == len(costs)
-            plan.add_operator(Operator(op_id, f"op{op_id}", float(tr),
-                                       float(tm), materialize=sink,
-                                       free=not sink))
-            if op_id > 1:
-                plan.add_edge(op_id - 1, op_id)
-        return plan
+        return _pinned_plan(
+            costs, [(op_id, op_id + 1) for op_id in range(1, len(costs))]
+        )
 
     def test_pinned_costs_and_choices(self):
         for case, (costs, mtbf, brute_cost, brute_ids, pruned_cost,
@@ -215,3 +231,35 @@ class TestRule2ChainCounterexample:
                 assert pruned.cost == pruned_cost, case
                 assert pruned.materialized_ids == pruned_ids, case
                 assert pruned.cost > brute.cost * broken_bound, case
+
+
+class TestRule1TreeCounterexample:
+    """A tree inside ``random_tree_plans``' ranges that breaks the 6 %
+    bound of ``test_all_rules_on_trees_have_bounded_regret``.
+
+    Ops 1->2 and 3->4 feed the bound sink 5 (MTBF 300).  Rule 1's n-ary
+    case binds the sink's children, ops 2 and 4, so ``only(1)`` and
+    ``all()`` lose brute force's checkpoint after op 4: ``x1.219913``,
+    the worst regret found by a seeded sampler over the generator's
+    ranges.
+    """
+
+    COSTS = [(500, 88), (291.88396780933533, 329.3739366640223),
+             (203.23701473683977, 68), (422.5228288191753, 48), (28, 3)]
+    EDGES = [(1, 2), (3, 4), (2, 5), (4, 5)]
+
+    def _plan(self):
+        return _pinned_plan(self.COSTS, self.EDGES)
+
+    def test_pinned_costs_and_choices(self):
+        stats = ClusterStats(mtbf=300.0, mttr=1.0)
+        brute = find_best_ft_plan([self._plan()], stats,
+                                  pruning=PruningConfig.none())
+        assert brute.cost == 7441.846982240479
+        assert brute.materialized_ids == (1, 3, 4)
+        for pruning in (PruningConfig.only(1), PruningConfig.all()):
+            pruned = find_best_ft_plan([self._plan()], stats,
+                                       pruning=pruning)
+            assert pruned.cost == 9078.40489958737
+            assert pruned.materialized_ids == (1, 3)
+            assert pruned.cost > brute.cost * 1.06

@@ -257,21 +257,8 @@ class TestDominantPathMemoIntrospection:
 
 
 class TestSearchContextPickle:
-    """Slim pickling: contexts travel to pool workers cheaply and
-    resume bit-identically (PR 8's shareable-SearchContext contract)."""
-
-    @staticmethod
-    def _deep_chain():
-        from repro.core.plan import Operator, Plan
-
-        operators = [
-            Operator(op_id, f"op{op_id}", 1.0 + 0.25 * op_id,
-                     0.5 + 0.125 * op_id)
-            for op_id in range(1, 10)
-        ] + [Operator(10, "sink", 1.0, 0.0, materialize=True,
-                      free=False)]
-        edges = [(op_id, op_id + 1) for op_id in range(1, 10)]
-        return Plan.from_edges(operators, edges)
+    """A context, warm caches included, pickles with Python's default
+    protocol and resumes bit-identically."""
 
     def test_round_trip_resumes_bit_identical(
         self, paper_plan, stats_hour
@@ -309,22 +296,3 @@ class TestSearchContextPickle:
         assert clone.exact_waste is exact_waste
         for mask in range(everything + 1):
             assert clone.scores(mask) == kernel.scores(mask)
-
-    def test_warm_pickle_equals_fresh_pickle(self, stats_hour):
-        """A full sweep's caches add nothing to the payload: the pickle
-        of a warmed context is byte-identical to a fresh one's."""
-        import pickle
-
-        plan = self._deep_chain()
-        warm = SearchContext(plan, stats_hour)
-        for mask in range(1 << len(warm.free_ids)):
-            warm.scores(mask)
-            warm.collapsed(mask)
-        fresh = SearchContext(plan, stats_hour)
-        assert pickle.dumps(warm) == pickle.dumps(fresh)
-
-    def test_getstate_carries_only_inputs(self, paper_plan, stats_hour):
-        ctx = SearchContext(paper_plan, stats_hour, exact_waste=True)
-        state = ctx.__getstate__()
-        assert set(state) == {"plan", "stats", "exact_waste"}
-        assert state["exact_waste"] is True

@@ -4,7 +4,7 @@ Covers stats bucketing (boundary determinism, canonical round-trips),
 the LRU advice cache (eviction order, counters), the engine's
 single-flight dedup and cache-on/cache-off bit-identity, the queue
 frontend (hits answered without a queue slot, counter invariants under
-concurrent submits), adaptive shard sizing, and the HTTP frontend (round-trip, batch,
+concurrent submits), and the HTTP frontend (round-trip, batch,
 backpressure shed, error codes, keep-alive latency) with its event
 loop's framing, in-order pipelining, slow-client timeouts and fairness
 across connections.
@@ -31,11 +31,6 @@ from repro.core.cost_model import ClusterStats
 from repro.core.enumeration import find_best_ft_plan
 from repro.core.pruning import PruningConfig
 from repro.core.serialize import plan_to_dict, stats_to_dict
-from repro.core.shard import (
-    MIN_SHARD_CONFIGS,
-    ShardOutcome,
-    ShardSizer,
-)
 from repro.serve import (
     SCHEME_NAMES,
     AdviceCache,
@@ -352,12 +347,10 @@ class TestAdvisoryEngine:
         assert advice.cost is None
 
     def test_sharded_engine_bit_identical(self, paper_plan):
-        """shards>1 + adaptive sizing returns the same advice."""
-        engine = small_engine(shards=4, adaptive_shards=True)
+        """shards>1 returns the same advice as the serial search."""
+        engine = small_engine(shards=4)
         stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
         first = engine.advise(paper_plan, stats)
-        # distinct stats: a second search in the same size bucket, now
-        # taking the sizer-recommended path
         other = ClusterStats(mtbf=75.0, mttr=0.0, nodes=1)
         second = engine.advise(paper_plan, other)
         assert first == direct_advice(paper_plan, stats, engine)
@@ -634,92 +627,6 @@ class TestFrontend:
         finally:
             engine.stop()
         engine.stop()  # idempotent
-
-
-# ----------------------------------------------------------------------
-# adaptive shard sizing
-# ----------------------------------------------------------------------
-def _outcome(enumerated: int, duration: float,
-             index: int = 0) -> ShardOutcome:
-    return ShardOutcome(
-        index=index, best=None, enumerated=enumerated, scored=enumerated,
-        bound_skips=0, bound_updates=0,
-        duration=duration,
-    )
-
-
-class TestShardSizer:
-    def test_no_observation_no_recommendation(self):
-        assert ShardSizer().recommend(1024, parallelism=4) is None
-
-    def test_recommendation_targets_shard_duration(self):
-        sizer = ShardSizer(target_seconds=0.2)
-        # 1024 configs in 1 s -> 1024 configs/s -> ideal shard =
-        # 0.2 s * 1024/s ~ 205 configs -> 5 shards
-        sizer.observe([_outcome(1024, 1.0)])
-        assert sizer.recommend(1024, parallelism=2) == 5
-
-    def test_clamped_to_parallelism_floor(self):
-        sizer = ShardSizer(target_seconds=0.2)
-        # blazing rate: ideal would be 1 shard, floor is parallelism
-        sizer.observe([_outcome(1024, 0.002)])
-        assert sizer.recommend(1024, parallelism=4) == 4
-
-    def test_clamped_to_min_shard_ceiling(self):
-        sizer = ShardSizer(target_seconds=0.2)
-        # glacial rate: ideal explodes, ceiling is total // MIN
-        sizer.observe([_outcome(1024, 600.0)])
-        assert sizer.recommend(1024, parallelism=2) \
-            == 1024 // MIN_SHARD_CONFIGS
-
-    def test_buckets_are_independent(self):
-        sizer = ShardSizer()
-        sizer.observe([_outcome(1 << 10, 1.0)])
-        assert sizer.recommend(1 << 20, parallelism=2) is None
-        assert sizer.recommend(1 << 10, parallelism=2) is not None
-
-    def test_ewma_converges_toward_new_rate(self):
-        sizer = ShardSizer(alpha=0.5)
-        sizer.observe([_outcome(1000, 1.0)])     # 1000/s
-        sizer.observe([_outcome(1000, 0.25)])    # 4000/s
-        rates = sizer.snapshot_rates()
-        (rate,) = rates.values()
-        assert 1000.0 < rate < 4000.0
-
-    def test_noise_floor_ignores_instant_scans(self):
-        sizer = ShardSizer()
-        sizer.observe([_outcome(64, 1e-7)])
-        assert sizer.snapshot_rates() == {}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardSizer(target_seconds=0.0)
-        with pytest.raises(ValueError):
-            ShardSizer(alpha=0.0)
-
-    def test_shard_observer_receives_outcomes(self, paper_plan):
-        captured = []
-        result = find_best_ft_plan(
-            [paper_plan], ClusterStats(mtbf=60.0, mttr=0.0, nodes=1),
-            shards=2, shard_observer=captured.append,
-        )
-        assert result.cost > 0
-        (outcomes,) = captured
-        assert len(outcomes) >= 2
-        assert all(outcome.duration >= 0.0 for outcome in outcomes)
-
-    def test_shard_resize_counter_fires(self, paper_plan, monkeypatch):
-        engine = small_engine(shards=4, adaptive_shards=True)
-        # pretend a previous scan measured a glacial rate so the
-        # recommendation must differ from the static default of 4
-        total = 1 << len(paper_plan.free_operators)
-        engine.sizer.observe([_outcome(total, 600.0)])
-        with obs.recording() as recorder:
-            engine.advise(
-                paper_plan, ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
-            )
-            counters = dict(recorder.snapshot().counters)
-        assert counters.get("search.shard_resize", 0) == 1
 
 
 # ----------------------------------------------------------------------

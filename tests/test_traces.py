@@ -1,5 +1,6 @@
 """Unit tests for failure-trace generation (Section 5.1's protocol)."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -7,8 +8,11 @@ from pathlib import Path
 import pytest
 
 from repro.chaos.policy import CorrelatedFailures, MtbfDrift
+from repro.engine import traces as traces_module
 from repro.engine.traces import (
+    MAX_TRACE_EXTENSIONS,
     FailureTrace,
+    TraceExhausted,
     empirical_mtbf,
     extend_trace,
     generate_correlated_trace,
@@ -17,6 +21,7 @@ from repro.engine.traces import (
     generate_trace_set,
     generate_weibull_trace,
     reset_trace_cache,
+    retry_with_extension,
 )
 
 
@@ -75,6 +80,60 @@ class TestExtension:
     def test_extension_requires_seed(self):
         with pytest.raises(ValueError):
             extend_trace(FailureTrace.empty(2), 100.0)
+
+
+class TestRetryWithExtension:
+    @staticmethod
+    def _exhausted_until(finish_horizon, horizons):
+        """A stub run that records each trace's horizon and raises
+        ``TraceExhausted`` until the horizon reaches ``finish_horizon``."""
+        def run(trace):
+            horizons.append(trace.horizon)
+            if trace.horizon < finish_horizon:
+                raise TraceExhausted("stub run outlived its trace")
+            return "done"
+        return run
+
+    def test_always_exhausted_run_is_tried_max_times(self, monkeypatch):
+        # regenerating up to 10 * 4**19 s of failures would take
+        # gigabytes: stretch the horizon alone
+        monkeypatch.setattr(
+            traces_module, "extend_trace",
+            lambda trace, horizon: dataclasses.replace(
+                trace, horizon=horizon
+            ),
+        )
+        horizons = []
+        trace = generate_trace(2, 100.0, 10.0, seed=3)
+        with pytest.raises(TraceExhausted, match="20 trace extensions"):
+            retry_with_extension(
+                self._exhausted_until(float("inf"), horizons), trace
+            )
+        assert MAX_TRACE_EXTENSIONS == 20
+        assert horizons == [10.0 * 4 ** step for step in range(20)]
+
+    def test_returns_result_and_extended_trace(self):
+        horizons = []
+        trace = generate_trace(2, 100.0, 10.0, seed=3)
+        result, extended = retry_with_extension(
+            self._exhausted_until(640.0, horizons), trace
+        )
+        assert result == "done"
+        assert horizons == [10.0, 40.0, 160.0, 640.0]
+        assert extended == extend_trace(trace, 640.0)
+
+    def test_seedless_trace_reraises_the_runs_error(self):
+        error = TraceExhausted("stub run outlived its trace")
+        calls = []
+
+        def run(trace):
+            calls.append(trace)
+            raise error
+
+        with pytest.raises(TraceExhausted) as raised:
+            retry_with_extension(run, FailureTrace.empty(2))
+        assert raised.value is error
+        assert len(calls) == 1
 
 
 class TestQueries:
