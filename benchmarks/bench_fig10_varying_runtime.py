@@ -13,7 +13,7 @@ def test_fig10_varying_runtime(benchmark, archive):
     result = benchmark.pedantic(fig10_runtime.run, rounds=1, iterations=1)
     archive("fig10_varying_runtime", fig10_runtime.format_table(result))
 
-    cells = {(c.query, c.scheme): c for c in result.cells}
+    cells = {(c.label, c.scheme): c for c in result.cells}
     shortest = f"Q5@SF{result.scale_factors[0]:g}"
     longest = f"Q5@SF{result.scale_factors[-1]:g}"
 
@@ -29,7 +29,7 @@ def test_fig10_varying_runtime(benchmark, archive):
     finished = [
         cells[(longest, s)].overhead_percent
         for s in ("all-mat", "no-mat (lineage)", "no-mat (restart)")
-        if not cells[(longest, s)].aborted
+        if not cells[(longest, s)].all_aborted
     ]
     assert cells[(longest, "cost-based")].overhead_percent <= \
         min(finished) * 1.2 + 5.0

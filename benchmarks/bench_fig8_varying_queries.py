@@ -16,12 +16,12 @@ def test_fig8_varying_queries(benchmark, archive):
     result = benchmark.pedantic(fig8_queries.run, rounds=1, iterations=1)
     archive("fig8_varying_queries", fig8_queries.format_table(result))
 
-    low = {(c.query, c.scheme): c for c in result.low_mtbf_cells}
-    high = {(c.query, c.scheme): c for c in result.high_mtbf_cells}
+    low = {(c.label, c.scheme): c for c in result.low_mtbf_cells}
+    high = {(c.label, c.scheme): c for c in result.high_mtbf_cells}
 
     # restart aborts everything under high failure rates
     for query in ("Q1", "Q3", "Q5", "Q1C", "Q2C"):
-        assert low[(query, "no-mat (restart)")].aborted
+        assert low[(query, "no-mat (restart)")].all_aborted
 
     # cost-based is best or tied per query at both rates
     for cells in (low, high):
@@ -29,7 +29,7 @@ def test_fig8_varying_queries(benchmark, archive):
             finished = [
                 cell.overhead_percent
                 for (q, scheme), cell in cells.items()
-                if q == query and not cell.aborted
+                if q == query and not cell.all_aborted
                 and scheme != "cost-based"
             ]
             assert cells[(query, "cost-based")].overhead_percent <= \

@@ -5,11 +5,13 @@ harness stands up the real HTTP service (ephemeral port), fires
 thousands of concurrent ``POST /advise`` requests from a zipf-skewed
 mix of (TPC-H plan, jittered cluster stats, scheme) keys -- the traffic
 shape a fleet-wide advisor sees, where a few hot queries dominate and
-every request carries slightly different measured stats -- and writes
-``BENCH_serve.json`` at the repository root::
+every request carries slightly different measured stats -- and prints
+its JSON report, or writes it to the file ``--output`` names::
 
     PYTHONPATH=src python benchmarks/bench_serve.py            # full load
     PYTHONPATH=src python benchmarks/bench_serve.py --quick    # CI mode
+    PYTHONPATH=src python benchmarks/bench_serve.py --quick \
+        --output BENCH_serve.json                               # write it
 
 Reported numbers:
 
@@ -306,8 +308,8 @@ def run_load(
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Load-test the advisory HTTP service and write "
-                    "BENCH_serve.json."
+        description="Load-test the advisory HTTP service and report "
+                    "its latency, throughput and cache behaviour."
     )
     parser.add_argument("--requests", type=int, default=2000,
                         help="total requests to issue (default 2000)")
@@ -325,11 +327,8 @@ def main(argv=None) -> int:
                         help="CI mode: 400 requests over 208 clients, "
                              "8 equality samples")
     parser.add_argument(
-        "--output", type=Path,
-        default=Path(__file__).resolve().parent.parent
-        / "BENCH_serve.json",
-        help="where to write the JSON report "
-             "(default <repo>/BENCH_serve.json)",
+        "--output", type=Path, default=None,
+        help="write the JSON report to this file (default: print it)",
     )
     args = parser.parse_args(argv)
     if args.quick:
@@ -339,7 +338,11 @@ def main(argv=None) -> int:
         workers=args.workers, cache_size=args.cache_size,
         zipf_s=args.zipf, samples=args.samples,
     )
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
+    text = json.dumps(report, indent=2) + "\n"
+    if args.output is None:
+        print(text, end="")
+    else:
+        args.output.write_text(text)
     latency = report["latency_ms"]
     cache = report["cache"]
     print(f"{report['workload']['total_requests']} requests, "
@@ -351,7 +354,8 @@ def main(argv=None) -> int:
           f"equal_direct={report['advice_equal_direct']} "
           f"({report['equality_samples']} sampled)  "
           f"errors={report['errors']}")
-    print(f"wrote {args.output}")
+    if args.output is not None:
+        print(f"wrote {args.output}")
     failures = gate_failures(report, quick=args.quick)
     for failure in failures:
         print(f"GATE FAILED: {failure}")

@@ -53,7 +53,7 @@ def main() -> None:
             marker = "  <-- recommended" if row.scheme == "cost-based" \
                 else ""
             print(f"    {row.scheme:<18s} overhead "
-                  f"{row.formatted_overhead():>9s}{marker}")
+                  f"{row.formatted():>9s}{marker}")
         print()
 
     print(

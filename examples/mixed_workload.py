@@ -44,10 +44,10 @@ def main() -> None:
             mtbf=MTBF, trace_count=5, base_seed=9000 + index,
         )
         line = f"{query.label:<14s}{query.baseline_cost:>9.0f}s"
-        finished = [row for row in rows if not row.aborted]
+        finished = [row for row in rows if not row.all_aborted]
         best_overhead = min(row.overhead_percent for row in finished)
         for row in rows:
-            line += f"{row.formatted_overhead():>19s}"
+            line += f"{row.formatted():>19s}"
         winners = [row.scheme for row in finished
                    if row.overhead_percent <= best_overhead + 2.0]
         line += ("  " + "/".join(w.split(" ")[0] for w in winners))

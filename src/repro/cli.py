@@ -671,7 +671,7 @@ def _run_simulate(args) -> int:
         extra = ""
         if row.scheme == "cost-based" and row.materialized_ids:
             extra = f"   materializes {list(row.materialized_ids)}"
-        print(f"  {row.scheme:<18s} {row.formatted_overhead():>9s}{extra}")
+        print(f"  {row.scheme:<18s} {row.formatted():>9s}{extra}")
     return 0
 
 
@@ -773,8 +773,8 @@ def _run_chaos(args) -> int:
     print(f"  {'scheme':<{width}s}{'clean':>10s}{'injected':>10s}")
     for clean_row, injected_row in zip(clean, injected):
         print(f"  {clean_row.scheme:<{width}s}"
-              f"{clean_row.formatted_overhead():>10s}"
-              f"{injected_row.formatted_overhead():>10s}")
+              f"{clean_row.formatted():>10s}"
+              f"{injected_row.formatted():>10s}")
     interesting = ("chaos.", "sim.fallbacks", "campaign.retries",
                    "campaign.serial_fallbacks", "campaign.unit_errors")
     lines = [

@@ -20,12 +20,9 @@ from .adaptive import (
 from .campaign import CampaignCell, CellResult, campaign_map, run_campaign
 from .cluster import Cluster
 from .coordinator import (
-    ComparisonRow,
-    run_with_extension,
-    SchemeMeasurement,
     compare_schemes,
-    measure_scheme,
     pure_baseline_runtime,
+    run_with_extension,
 )
 from .executor import (
     BatchResult,
@@ -72,7 +69,6 @@ __all__ = [
     "CellResult",
     "Cluster",
     "Reconfiguration",
-    "ComparisonRow",
     "Event",
     "EventKind",
     "ExecutionResult",
@@ -82,7 +78,6 @@ __all__ = [
     "MutedTimeline",
     "NodeInterval",
     "ReferenceEngine",
-    "SchemeMeasurement",
     "SimulatedEngine",
     "StorageMedium",
     "Timeline",
@@ -104,7 +99,6 @@ __all__ = [
     "render_gantt",
     "render_line_chart",
     "render_overhead_bars",
-    "measure_scheme",
     "node_intervals",
     "pure_baseline_runtime",
 ]

@@ -572,23 +572,6 @@ class AdaptiveExecutor:
         observed *= worst_skew
         return monitor.observe_group(estimated, observed)
 
-    def _current_stats(self, failures_seen: int,
-                       elapsed: float) -> ClusterStats:
-        """Cluster statistics for the next decision (eager mode).
-
-        With ``track_mtbf``, once the run has seen at least two failures
-        its own maximum-likelihood estimate (observed node-time over
-        failures) replaces the configured prior -- within-query
-        adaptation must react in minutes, and a stale weekly prior would
-        otherwise take a week of evidence to overturn.  With fewer than
-        two failures the prior stands (one failure is compatible with
-        almost any rate).
-        """
-        if not self.track_mtbf or elapsed <= 0 or failures_seen < 2:
-            return self.stats
-        node_time = elapsed * self.engine.cluster.nodes
-        return self.stats.with_mtbf(node_time / failures_seen)
-
     def _reoptimize(
         self,
         estimated_plan: Plan,

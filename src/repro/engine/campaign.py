@@ -188,6 +188,14 @@ class CellResult:
     def all_aborted(self) -> bool:
         return not self.runtimes and self.aborted_runs > 0
 
+    def formatted(self) -> str:
+        """The overhead as the paper's figures print it."""
+        if self.error is not None:
+            return "Error"
+        if self.all_aborted:
+            return "Aborted"
+        return f"{self.overhead_percent:.0f}%"
+
 
 def _measure_unit(
     cell: CampaignCell,

@@ -3,17 +3,18 @@
 The paper's coordinator monitors sub-plan execution, restarts failed
 sub-plans, and aborts hopeless queries.  On top of the single-run
 semantics implemented by :class:`~repro.engine.executor.SimulatedEngine`,
-this module provides the *measurement protocol* of Section 5: run each
-scheme over the same set of failure traces, average the runtimes, and
-report the overhead relative to the pure baseline runtime (the no-mat
-plan with no failures and no extra materializations).
+this module provides the pure baseline runtime (the no-mat plan with no
+failures and no extra materializations) and :func:`compare_schemes`, the
+Section 5 measurement of one query: a single-cell campaign whose
+:class:`~repro.engine.campaign.CellResult` rows report each scheme's
+overhead relative to that baseline.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..chaos.policy import FaultPolicy
 from ..core.cost_model import ClusterStats
@@ -27,43 +28,8 @@ from .cluster import Cluster
 from .executor import ExecutionResult, PreparedExecution, SimulatedEngine
 from .traces import MAX_TRACE_EXTENSIONS, FailureTrace
 
-
-@dataclass(frozen=True)
-class SchemeMeasurement:
-    """Aggregated runtimes of one scheme over a trace set."""
-
-    scheme: str
-    baseline: float                   #: pure runtime, no failures, no mats
-    runtimes: "tuple[float, ...]"     #: per-trace achieved runtimes
-    aborted_runs: int                 #: runs that hit the restart limit
-    materialized_ids: "tuple[int, ...]"  #: intermediates the scheme chose
-
-    @property
-    def mean_runtime(self) -> float:
-        """Mean runtime over *finished* runs (inf when all aborted)."""
-        if not self.runtimes:
-            return float("inf")
-        return sum(self.runtimes) / len(self.runtimes)
-
-    @property
-    def overhead(self) -> float:
-        """Overhead fraction: ``mean_runtime / baseline - 1``.
-
-        The paper reports this as a percentage (``overhead * 100``);
-        aborted-only measurements report ``inf`` (rendered "Aborted").
-        """
-        if not self.runtimes:
-            return float("inf")
-        return self.mean_runtime / self.baseline - 1.0
-
-    @property
-    def overhead_percent(self) -> float:
-        overhead = self.overhead
-        return overhead * 100.0 if math.isfinite(overhead) else float("inf")
-
-    @property
-    def all_aborted(self) -> bool:
-        return not self.runtimes and self.aborted_runs > 0
+if TYPE_CHECKING:
+    from .campaign import CellResult
 
 
 # ----------------------------------------------------------------------
@@ -111,39 +77,6 @@ def pure_baseline_runtime(
     return runtime
 
 
-def measure_scheme(
-    scheme: FaultToleranceScheme,
-    plan: Plan,
-    engine: SimulatedEngine,
-    stats: ClusterStats,
-    traces: Sequence[FailureTrace],
-    baseline: Optional[float] = None,
-) -> SchemeMeasurement:
-    """Run ``scheme`` on ``plan`` once per trace and aggregate runtimes.
-
-    Traces whose horizon proves too short are transparently extended
-    (the extension preserves the original prefix, so results are
-    identical to having generated a longer trace up front) and, when
-    ``traces`` is mutable, written back into it.  The traces run through
-    :meth:`~repro.engine.executor.SimulatedEngine.execute_many`.
-    """
-    if baseline is None:
-        baseline = pure_baseline_runtime(plan, engine, stats)
-    configured = scheme.configure(plan, stats)
-    batch = engine.execute_many(engine.prepare(configured), traces)
-    materialized = tuple(
-        op_id for op_id, op in configured.plan.operators.items()
-        if op.materialize and plan[op_id].free
-    )
-    return SchemeMeasurement(
-        scheme=scheme.name,
-        baseline=baseline,
-        runtimes=batch.finished_runtimes,
-        aborted_runs=batch.aborted_runs,
-        materialized_ids=materialized,
-    )
-
-
 def run_with_extension(
     engine: SimulatedEngine,
     target: Union[ConfiguredPlan, PreparedExecution],
@@ -169,22 +102,6 @@ def run_with_extension(
                                 max_extensions=max_extensions)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One (scheme, query) cell of the paper's overhead figures."""
-
-    query: str
-    scheme: str
-    overhead_percent: float
-    aborted: bool
-    materialized_ids: "tuple[int, ...]"
-
-    def formatted_overhead(self) -> str:
-        if self.aborted:
-            return "Aborted"
-        return f"{self.overhead_percent:.0f}%"
-
-
 def compare_schemes(
     schemes: Sequence[FaultToleranceScheme],
     plan: Plan,
@@ -199,15 +116,16 @@ def compare_schemes(
     jobs: int = 1,
     baseline: Optional[float] = None,
     chaos: Optional[FaultPolicy] = None,
-) -> List[ComparisonRow]:
+) -> List[CellResult]:
     """The full Section 5.2/5.3 measurement for one query and MTBF.
 
     Generates a shared trace set (unless one is supplied), measures every
-    scheme against it, and returns overhead rows in scheme order.  The
-    measurement is one single-cell campaign
-    (:func:`repro.engine.campaign.run_campaign`): ``jobs > 1`` fans the
-    schemes out over worker processes with results guaranteed identical
-    to the serial run.
+    scheme against it, and returns one
+    :class:`~repro.engine.campaign.CellResult` per scheme, in scheme
+    order, labelled ``query_name``.  The measurement is one single-cell
+    campaign (:func:`repro.engine.campaign.run_campaign`): ``jobs > 1``
+    fans the schemes out over worker processes with results guaranteed
+    identical to the serial run.
 
     ``baseline`` short-circuits the pure-baseline measurement when the
     caller already computed it (it is also memoized per process, see
@@ -239,20 +157,10 @@ def compare_schemes(
         traces=tuple(traces) if traces is not None else None,
         baseline=baseline,
     )
-    results = run_campaign(
+    return run_campaign(
         [cell], cluster, jobs=jobs, preflight_lint=preflight_lint,
         chaos=chaos,
     )
-    return [
-        ComparisonRow(
-            query=query_name,
-            scheme=result.scheme,
-            overhead_percent=result.overhead_percent,
-            aborted=result.all_aborted,
-            materialized_ids=result.materialized_ids,
-        )
-        for result in results
-    ]
 
 
 def _default_horizon(baseline: float, mtbf: float, cluster: Cluster) -> float:

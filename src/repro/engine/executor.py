@@ -88,10 +88,6 @@ if TYPE_CHECKING:
 LOCKSTEP_MIN_TRACES = 12
 
 
-class QueryAborted(RuntimeError):
-    """Raised internally when the restart limit is exceeded."""
-
-
 @dataclass(frozen=True)
 class ExecutionResult:
     """Outcome of one simulated run."""
@@ -394,13 +390,6 @@ class SimulatedEngine:
                 traces[index] = extended  # type: ignore[index]
             results.append(result)
         return BatchResult.of(results)
-
-    def baseline_runtime(self, configured: ConfiguredPlan) -> float:
-        """Failure-free runtime of the *configured* plan (including its
-        materialization costs).  For the paper's baseline -- the pure
-        runtime without extra materializations -- execute the no-mat
-        configuration instead (``pure_baseline_runtime``)."""
-        return self.execute(configured).runtime
 
     # ------------------------------------------------------------------
     # fine-grained recovery

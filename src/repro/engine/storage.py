@@ -31,10 +31,6 @@ class StorageMedium:
     #: human-readable name used in reports
     name: str = "abstract"
 
-    def survives_node_failure(self) -> bool:
-        """Do materialized intermediates survive a node failure?"""
-        raise NotImplementedError
-
     def recovery_extra_cost(self, ancestor_cost: float) -> float:
         """Extra per-attempt cost to restore a failed node's inputs.
 
@@ -59,18 +55,9 @@ class StorageMedium:
 
 @dataclass(frozen=True)
 class FaultTolerantStorage(StorageMedium):
-    """External replicated storage: intermediates always survive.
+    """External replicated storage: intermediates always survive."""
 
-    ``write_factor`` scales materialization cost relative to the
-    estimates (1.0 = estimates are exact); it exists for calibration
-    experiments and defaults to exact.
-    """
-
-    write_factor: float = 1.0
     name: str = "fault-tolerant"
-
-    def survives_node_failure(self) -> bool:
-        return True
 
     def recovery_extra_cost(self, ancestor_cost: float) -> float:
         return 0.0
@@ -80,15 +67,11 @@ class FaultTolerantStorage(StorageMedium):
 class LocalStorage(StorageMedium):
     """Node-local storage: a failure loses the node's intermediates.
 
-    ``recompute_factor`` scales the lineage-recomputation cost; 1.0 means
-    re-running an ancestor costs exactly its original duration.
+    Re-running an ancestor from lineage costs exactly its original
+    duration.
     """
 
-    recompute_factor: float = 1.0
     name: str = "local"
 
-    def survives_node_failure(self) -> bool:
-        return False
-
     def recovery_extra_cost(self, ancestor_cost: float) -> float:
-        return ancestor_cost * self.recompute_factor
+        return ancestor_cost

@@ -46,8 +46,13 @@ from ..engine.cluster import Cluster
 from ..engine.coordinator import pure_baseline_runtime
 from ..engine.executor import SimulatedEngine
 from ..tpch.queries import build_query_plan
-from .common import DEFAULT_MTTR, DEFAULT_NODES, default_params_for
-from .robustness import Regime, _config_label
+from .common import (
+    DEFAULT_MTTR,
+    DEFAULT_NODES,
+    config_label,
+    default_params_for,
+)
+from .robustness import Regime
 
 
 def default_regimes(
@@ -182,7 +187,7 @@ def run(
     chosen_index = min(range(len(scored)), key=lambda i: scored[i][0])
 
     configs = [config for _, config in scored]
-    labels = [_config_label(config) for config in configs]
+    labels = [config_label(config) for config in configs]
     configured = tuple(
         ConfiguredPlan(
             plan=plan.with_mat_config(dict(config)),

@@ -12,110 +12,22 @@ Every overhead experiment follows the paper's protocol (Section 5.1/5.2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence, Tuple
 
-from .. import obs
-from ..core.plan import Plan
-from ..core.strategies import FaultToleranceScheme
-from ..engine.campaign import CampaignCell, CellResult, run_campaign
-from ..engine.cluster import Cluster
+from ..engine.campaign import CellResult
 from ..stats.calibration import DEFAULT_NODES, default_parameters
 from ..stats.estimates import CostParameters
 
 #: the paper's cluster configuration
 DEFAULT_MTTR = 1.0
-DEFAULT_TRACES = 10
 
 
-@dataclass(frozen=True)
-class OverheadCell:
-    """One (query, scheme, mtbf) measurement."""
-
-    query: str
-    scheme: str
-    mtbf: float
-    baseline: float
-    overhead_percent: float
-    aborted: bool
-    materialized_ids: "tuple[int, ...]"
-
-    def formatted(self) -> str:
-        if self.aborted:
-            return "Aborted"
-        return f"{self.overhead_percent:.0f}%"
-
-
-def overhead_cell(result: CellResult) -> OverheadCell:
-    """Convert one campaign row into the experiments' reporting shape."""
-    return OverheadCell(
-        query=result.label,
-        scheme=result.scheme,
-        mtbf=result.mtbf,
-        baseline=result.baseline,
-        overhead_percent=result.overhead_percent,
-        aborted=result.all_aborted,
-        materialized_ids=result.materialized_ids,
-    )
-
-
-def comparison_cell(
-    plan: Plan,
-    query_name: str,
-    mtbf: float,
-    trace_count: int = DEFAULT_TRACES,
-    base_seed: int = 0,
-    schemes: Optional[Sequence[FaultToleranceScheme]] = None,
-    traces: Optional[Sequence] = None,
-    baseline: Optional[float] = None,
-) -> CampaignCell:
-    """One grid cell of the standard protocol, ready for a campaign."""
-    return CampaignCell(
-        label=query_name,
-        plan=plan,
-        mtbf=mtbf,
-        schemes=tuple(schemes) if schemes is not None else (),
-        trace_count=trace_count,
-        base_seed=base_seed,
-        traces=tuple(traces) if traces is not None else None,
-        baseline=baseline,
-    )
-
-
-def run_overhead_comparison(
-    plan: Plan,
-    query_name: str,
-    mtbf: float,
-    nodes: int = DEFAULT_NODES,
-    mttr: float = DEFAULT_MTTR,
-    trace_count: int = DEFAULT_TRACES,
-    base_seed: int = 0,
-    schemes: Optional[Sequence[FaultToleranceScheme]] = None,
-    traces: Optional[Sequence] = None,
-    jobs: int = 1,
-    baseline: Optional[float] = None,
-) -> List[OverheadCell]:
-    """Steps 1-5 above for one plan and MTBF (a single-cell campaign)."""
-    with obs.span("experiment.cell", query=query_name, mtbf=mtbf,
-                  traces=trace_count):
-        cluster = Cluster(nodes=nodes, mttr=mttr)
-        cell = comparison_cell(
-            plan, query_name, mtbf,
-            trace_count=trace_count, base_seed=base_seed,
-            schemes=schemes, traces=traces, baseline=baseline,
-        )
-        results = run_campaign([cell], cluster, jobs=jobs)
-        obs.add("experiment.cells")
-        obs.add("experiment.measurements", len(results))
-    return [overhead_cell(result) for result in results]
-
-
-def overhead_grid(cells: Sequence[OverheadCell]) -> str:
-    """Render cells as a query x scheme text table (Figure 8 style)."""
-    queries = list(dict.fromkeys(cell.query for cell in cells))
+def overhead_grid(cells: Sequence[CellResult]) -> str:
+    """Render campaign rows as a label x scheme text table (Figure 8)."""
+    queries = list(dict.fromkeys(cell.label for cell in cells))
     schemes = list(dict.fromkeys(cell.scheme for cell in cells))
-    lookup: Dict[tuple, OverheadCell] = {
-        (cell.query, cell.scheme): cell for cell in cells
+    lookup: Dict[tuple, CellResult] = {
+        (cell.label, cell.scheme): cell for cell in cells
     }
     width = max(len(s) for s in schemes) + 2
     header = "query".ljust(8) + "".join(s.rjust(width) for s in schemes)
@@ -127,6 +39,12 @@ def overhead_grid(cells: Sequence[OverheadCell]) -> str:
             row += (cell.formatted() if cell else "-").rjust(width)
         lines.append(row)
     return "\n".join(lines)
+
+
+def config_label(config: Sequence[Tuple[int, bool]]) -> str:
+    """A materialization configuration as the set of its checkpoints."""
+    materialized = [str(op_id) for op_id, flag in config if flag]
+    return "{" + ",".join(materialized) + "}"
 
 
 def default_params_for(nodes: int = DEFAULT_NODES) -> CostParameters:

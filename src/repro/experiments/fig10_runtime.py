@@ -16,19 +16,12 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..core.failure import DAY
-from ..engine.campaign import run_campaign
+from ..engine.campaign import CampaignCell, CellResult, run_campaign
 from ..engine.cluster import Cluster
 from ..engine.coordinator import pure_baseline_runtime
 from ..engine.executor import SimulatedEngine
 from ..tpch.queries import build_query_plan
-from .common import (
-    DEFAULT_MTTR,
-    DEFAULT_NODES,
-    OverheadCell,
-    comparison_cell,
-    default_params_for,
-    overhead_cell,
-)
+from .common import DEFAULT_MTTR, DEFAULT_NODES, default_params_for
 
 #: scale factors sweeping the paper's runtime range
 PAPER_SCALE_FACTORS: Tuple[float, ...] = (1, 10, 30, 100, 300, 1000, 3000, 7000)
@@ -40,7 +33,7 @@ class Fig10Result:
     #: one entry per scale factor
     scale_factors: Tuple[float, ...]
     baselines: Tuple[float, ...]
-    cells: Tuple[OverheadCell, ...]
+    cells: Tuple[CellResult, ...]
 
 
 def run(
@@ -60,18 +53,16 @@ def run(
         plan = build_query_plan("Q5", scale_factor, params)
         baseline = pure_baseline_runtime(plan, engine, cluster.stats(mtbf))
         baselines.append(baseline)
-        grid.append(comparison_cell(
-            plan, f"Q5@SF{scale_factor:g}", mtbf=mtbf,
+        grid.append(CampaignCell(
+            label=f"Q5@SF{scale_factor:g}", plan=plan, mtbf=mtbf,
             trace_count=trace_count, base_seed=base_seed + index,
             baseline=baseline,
         ))
-    results = run_campaign(grid, cluster, jobs=jobs)
-    cells: List[OverheadCell] = [overhead_cell(r) for r in results]
     return Fig10Result(
         mtbf=mtbf,
         scale_factors=tuple(scale_factors),
         baselines=tuple(baselines),
-        cells=tuple(cells),
+        cells=tuple(run_campaign(grid, cluster, jobs=jobs)),
     )
 
 
@@ -85,7 +76,7 @@ def format_table(result: Fig10Result) -> str:
     ]
     by_query = {}
     for cell in result.cells:
-        by_query.setdefault(cell.query, {})[cell.scheme] = cell
+        by_query.setdefault(cell.label, {})[cell.scheme] = cell
     for scale_factor, baseline in zip(result.scale_factors,
                                       result.baselines):
         query = f"Q5@SF{scale_factor:g}"

@@ -22,17 +22,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..chaos import FaultPolicy
 from ..core.failure import DAY, HOUR, WEEK
-from ..engine.campaign import run_campaign
+from ..engine.campaign import CampaignCell, CellResult, run_campaign
 from ..engine.cluster import Cluster
 from ..tpch.queries import build_query_plan
-from .common import (
-    DEFAULT_MTTR,
-    DEFAULT_NODES,
-    OverheadCell,
-    comparison_cell,
-    default_params_for,
-    overhead_cell,
-)
+from .common import DEFAULT_MTTR, DEFAULT_NODES, default_params_for
 
 #: (label, seconds) in the paper's order
 PAPER_MTBFS: Tuple[Tuple[str, float], ...] = (
@@ -47,7 +40,7 @@ class Fig11Result:
     scale_factor: float
     baseline: float
     #: cluster label -> cells (one per scheme)
-    by_cluster: Dict[str, Tuple[OverheadCell, ...]]
+    by_cluster: Dict[str, Tuple[CellResult, ...]]
 
 
 def run(
@@ -63,19 +56,17 @@ def run(
     cluster = Cluster(nodes=nodes, mttr=DEFAULT_MTTR)
     plan = build_query_plan("Q5", scale_factor, params)
     grid = [
-        comparison_cell(
-            plan, "Q5", mtbf=mtbf,
+        CampaignCell(
+            label="Q5", plan=plan, mtbf=mtbf,
             trace_count=trace_count, base_seed=base_seed + index,
         )
         for index, (_, mtbf) in enumerate(mtbfs)
     ]
     results = run_campaign(grid, cluster, jobs=jobs, chaos=chaos)
-    by_cluster: Dict[str, Tuple[OverheadCell, ...]] = {}
+    by_cluster: Dict[str, Tuple[CellResult, ...]] = {}
     baseline = 0.0
     for cell_index, (label, _) in enumerate(mtbfs):
-        cells = tuple(
-            overhead_cell(r) for r in results if r.cell_index == cell_index
-        )
+        cells = tuple(r for r in results if r.cell_index == cell_index)
         by_cluster[label] = cells
         baseline = cells[0].baseline
     return Fig11Result(

@@ -27,7 +27,12 @@ from ..engine.campaign import CampaignCell, run_campaign
 from ..engine.cluster import Cluster
 from ..engine.executor import SimulatedEngine
 from ..tpch.queries import build_query_plan
-from .common import DEFAULT_MTTR, DEFAULT_NODES, default_params_for
+from .common import (
+    DEFAULT_MTTR,
+    DEFAULT_NODES,
+    config_label,
+    default_params_for,
+)
 
 #: the paper's MTBF range, one month down to 30 minutes
 PAPER_MTBFS: Tuple[Tuple[str, float], ...] = (
@@ -109,7 +114,7 @@ def run(
             recovery=RecoveryMode.FINE_GRAINED,
             scheme=f"config-{config_index}",
         )
-        config_labels.append(_config_label(config))
+        config_labels.append(config_label(config))
         config_estimates.append(estimate.cost)
         cells.append(CampaignCell(
             label=f"config-{config_index}",
@@ -162,11 +167,6 @@ def _mean_actual(result) -> float:
     runtimes = list(result.runtimes)
     runtimes.extend([float("inf")] * result.aborted_runs)
     return float(np.mean(runtimes))
-
-
-def _config_label(config) -> str:
-    materialized = [str(op_id) for op_id, flag in config if flag]
-    return "{" + ",".join(materialized) + "}"
 
 
 def _spearman(a: Sequence[float], b: Sequence[float]) -> float:

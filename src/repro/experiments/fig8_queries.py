@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..chaos import FaultPolicy
 from ..core.strategies import standard_schemes
-from ..engine.campaign import run_campaign
+from ..engine.campaign import CampaignCell, CellResult, run_campaign
 from ..engine.cluster import Cluster
 from ..engine.coordinator import pure_baseline_runtime
 from ..engine.executor import SimulatedEngine
@@ -29,10 +29,7 @@ from ..tpch.queries import build_query_plan
 from .common import (
     DEFAULT_MTTR,
     DEFAULT_NODES,
-    OverheadCell,
-    comparison_cell,
     default_params_for,
-    overhead_cell,
     overhead_grid,
 )
 
@@ -41,8 +38,8 @@ PAPER_QUERIES: Tuple[str, ...] = ("Q1", "Q3", "Q5", "Q1C", "Q2C")
 
 @dataclass(frozen=True)
 class Fig8Result:
-    low_mtbf_cells: Tuple[OverheadCell, ...]     #: Figure 8(a)
-    high_mtbf_cells: Tuple[OverheadCell, ...]    #: Figure 8(b)
+    low_mtbf_cells: Tuple[CellResult, ...]     #: Figure 8(a)
+    high_mtbf_cells: Tuple[CellResult, ...]    #: Figure 8(b)
     baselines: Dict[str, float]
 
 
@@ -72,8 +69,9 @@ def run(
     engine = SimulatedEngine(cluster)
     # the campaign preflights each plan once up front, so the cost-based
     # search skips its per-configure re-lint
-    schemes = standard_schemes(engine=engine_name, parallelism=parallelism,
-                               preflight_lint=False)
+    schemes = tuple(standard_schemes(engine=engine_name,
+                                     parallelism=parallelism,
+                                     preflight_lint=False))
 
     cells = []
     baselines: Dict[str, float] = {}
@@ -83,23 +81,23 @@ def run(
             plan, engine, cluster.stats(mtbf=1.0)
         )
         baselines[query_name] = baseline
-        cells.append(comparison_cell(          # low MTBF -- Figure 8(a)
-            plan, query_name, mtbf=1.1 * baseline,
-            trace_count=trace_count, base_seed=base_seed,
-            schemes=schemes, baseline=baseline,
+        cells.append(CampaignCell(             # low MTBF -- Figure 8(a)
+            label=query_name, plan=plan, mtbf=1.1 * baseline,
+            schemes=schemes, trace_count=trace_count,
+            base_seed=base_seed, baseline=baseline,
         ))
-        cells.append(comparison_cell(          # high MTBF -- Figure 8(b)
-            plan, query_name, mtbf=10.0 * baseline,
-            trace_count=trace_count, base_seed=base_seed + 1,
-            schemes=schemes, baseline=baseline,
+        cells.append(CampaignCell(             # high MTBF -- Figure 8(b)
+            label=query_name, plan=plan, mtbf=10.0 * baseline,
+            schemes=schemes, trace_count=trace_count,
+            base_seed=base_seed + 1, baseline=baseline,
         ))
     results = run_campaign(cells, cluster, jobs=jobs, chaos=chaos)
-    low_cells: List[OverheadCell] = []
-    high_cells: List[OverheadCell] = []
+    low_cells: List[CellResult] = []
+    high_cells: List[CellResult] = []
     for result in results:
         # cells alternate low, high per query
         target = low_cells if result.cell_index % 2 == 0 else high_cells
-        target.append(overhead_cell(result))
+        target.append(result)
     return Fig8Result(
         low_mtbf_cells=tuple(low_cells),
         high_mtbf_cells=tuple(high_cells),

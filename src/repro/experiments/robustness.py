@@ -42,7 +42,12 @@ from ..engine.cluster import Cluster
 from ..engine.coordinator import pure_baseline_runtime
 from ..engine.executor import SimulatedEngine
 from ..tpch.queries import build_query_plan
-from .common import DEFAULT_MTTR, DEFAULT_NODES, default_params_for
+from .common import (
+    DEFAULT_MTTR,
+    DEFAULT_NODES,
+    config_label,
+    default_params_for,
+)
 
 
 @dataclass(frozen=True)
@@ -122,11 +127,6 @@ class RobustnessResult:
     rows: Tuple[RobustnessRow, ...]
 
 
-def _config_label(config: Sequence[Tuple[int, bool]]) -> str:
-    materialized = [str(op_id) for op_id, flag in config if flag]
-    return "{" + ",".join(materialized) + "}"
-
-
 def run(
     query: str = "Q5",
     scale_factor: float = 100.0,
@@ -163,7 +163,7 @@ def run(
     chosen_index = min(range(len(scored)), key=lambda i: scored[i][0])
 
     configs = [config for _, config in scored]
-    labels = [_config_label(config) for config in configs]
+    labels = [config_label(config) for config in configs]
     configured = tuple(
         ConfiguredPlan(
             plan=plan.with_mat_config(dict(config)),

@@ -138,9 +138,3 @@ class JoinGraph:
         """Output row width of the joined set (sum of member widths)."""
         # sorted(): callers pass sets; keep the float sum order-stable
         return sum(self.relations[name].width for name in sorted(names))
-
-    def join_cardinality(
-        self, left: Iterable[str], right: Iterable[str]
-    ) -> float:
-        """Cardinality of ``left |><| right`` (both already joined sets)."""
-        return self.set_cardinality(set(left) | set(right))

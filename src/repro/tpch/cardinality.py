@@ -124,11 +124,6 @@ def same_nation_join_selectivity() -> float:
     return 1.0 / 25.0
 
 
-def suppliers_per_part() -> float:
-    """partsupp fan-out: suppliers per part."""
-    return 4.0
-
-
 def orders_per_customer(scale_factor: float) -> float:
     """Average orders per customer."""
     return (

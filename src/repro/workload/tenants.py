@@ -126,10 +126,6 @@ class TenantWorkload:
     duration: float
     seed: int
 
-    def templates_of(self, tenant_index: int) -> List[PlanTemplate]:
-        name = self.classes[tenant_index].name
-        return [t for t in self.templates if t.tenant == name]
-
 
 def _class_templates(
     tenant: TenantClass,

@@ -5,7 +5,7 @@ import pytest
 from repro.core.cost_model import ClusterStats
 from repro.core.plan import linear_plan
 from repro.core.strategies import CostBased
-from repro.engine.adaptive import AdaptiveExecutor
+from repro.engine.adaptive import AdaptiveExecutor, DriftMonitor
 from repro.engine.cluster import Cluster
 from repro.engine.executor import SimulatedEngine
 from repro.engine.traces import FailureTrace, generate_trace
@@ -183,12 +183,19 @@ class TestMtbfTracking:
         ).execute(plan, trace=trace)
         assert tracked.runtime <= static.runtime + 1e-6
 
-    def test_tracking_off_keeps_prior(self, chain):
-        cluster = Cluster(nodes=1, mttr=1.0)
-        engine = SimulatedEngine(cluster)
+    def test_tracking_off_keeps_prior(self):
         stats = ClusterStats(mtbf=604800.0, mttr=1.0, nodes=1)
-        adaptive = AdaptiveExecutor(engine, stats, track_mtbf=False)
-        assert adaptive._current_stats(100, 1000.0) is stats
+
+        def replan_stats(track_mtbf):
+            # eager mode: 100 failures over 1000 node-seconds
+            monitor = DriftMonitor(stats, envelope=None,
+                                   track_mtbf=track_mtbf)
+            monitor.tracker.observe(1000.0)
+            monitor.tracker.record_failure(100)
+            return monitor.replan_stats(monitor.decide())
+
+        assert replan_stats(False) is stats
+        assert replan_stats(True).mtbf == pytest.approx(10.0)
 
 
 class TestDriftSweepGates:

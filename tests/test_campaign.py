@@ -27,7 +27,6 @@ from repro.core.plan import linear_plan
 from repro.core.strategies import (
     AllMat,
     NoMatLineage,
-    NoMatRestart,
     standard_schemes,
 )
 from repro.engine.campaign import (
@@ -38,7 +37,6 @@ from repro.engine.campaign import (
 from repro.engine.cluster import Cluster
 from repro.engine.coordinator import (
     compare_schemes,
-    measure_scheme,
     pure_baseline_runtime,
     run_with_extension,
 )
@@ -100,8 +98,8 @@ class TestSerialCampaign:
             s.name for s in standard_schemes()
         ]
 
-    def test_matches_measure_scheme(self, chain, cluster):
-        """The campaign row equals the coordinator's measurement."""
+    def test_matches_direct_execution(self, chain, cluster):
+        """The campaign row equals configure -> ``execute_many`` by hand."""
         mtbf = 150.0
         results = run_campaign(
             [_cell(chain, mtbf=mtbf, schemes=(AllMat(),))], cluster
@@ -112,11 +110,15 @@ class TestSerialCampaign:
         horizon = max(baseline * 20.0, mtbf * cluster.nodes * 2.0, 1000.0)
         traces = generate_trace_set(cluster.nodes, mtbf, horizon,
                                     count=4, base_seed=0)
-        measurement = measure_scheme(AllMat(), chain, engine, stats,
-                                     traces)
-        assert results[0].runtimes == measurement.runtimes
-        assert results[0].baseline == measurement.baseline
-        assert results[0].materialized_ids == measurement.materialized_ids
+        configured = AllMat().configure(chain, stats)
+        batch = engine.execute_many(engine.prepare(configured), traces)
+        assert results[0].runtimes == batch.finished_runtimes
+        assert results[0].aborted_runs == batch.aborted_runs
+        assert results[0].baseline == baseline
+        assert results[0].materialized_ids == tuple(
+            op_id for op_id, op in configured.plan.operators.items()
+            if op.materialize and chain[op_id].free
+        )
 
     def test_explicit_traces_and_baseline(self, chain, cluster):
         traces = tuple(generate_trace_set(cluster.nodes, 200.0, 5000.0,
@@ -253,7 +255,7 @@ class TestPreparedMatchesFresh:
         for cells, seed in ((result.low_mtbf_cells, 800),
                             (result.high_mtbf_cells, 801)):
             for cell in cells:
-                plan = build_query_plan(cell.query, 20.0, params)
+                plan = build_query_plan(cell.label, 20.0, params)
                 stats = params_cluster.stats(cell.mtbf)
                 from repro.core.strategies import scheme_by_name
 
@@ -277,7 +279,7 @@ class TestPreparedMatchesFresh:
                 mean = (sum(runtimes) / len(runtimes)
                         if runtimes else float("inf"))
                 if aborted == 3:
-                    assert cell.aborted
+                    assert cell.all_aborted
                 else:
                     expected = (mean / cell.baseline - 1.0) * 100.0
                     assert cell.overhead_percent == expected
@@ -357,14 +359,14 @@ class TestTraceSetCache:
 class TestExtensionWriteBack:
     """Satellite fix: extended traces flow back into the shared set."""
 
-    def test_measure_scheme_writes_back(self, chain):
+    def test_execute_many_writes_back_into_a_list(self, chain):
         cluster = Cluster(nodes=1, mttr=0.0)
         engine = SimulatedEngine(cluster)
-        stats = cluster.stats(40.0)
+        configured = NoMatLineage().configure(chain, cluster.stats(40.0))
         # horizon far below the ~300 s runtime forces an extension
         traces = generate_trace_set(1, 40.0, 50.0, count=2, base_seed=0)
         horizons_before = [t.horizon for t in traces]
-        measure_scheme(NoMatLineage(), chain, engine, stats, traces)
+        engine.execute_many(engine.prepare(configured), traces)
         assert all(t.horizon > h
                    for t, h in zip(traces, horizons_before))
         # prefix-stability: the extended traces still carry their seeds
@@ -373,13 +375,14 @@ class TestExtensionWriteBack:
     def test_immutable_trace_sets_still_work(self, chain):
         cluster = Cluster(nodes=1, mttr=0.0)
         engine = SimulatedEngine(cluster)
-        stats = cluster.stats(40.0)
+        configured = NoMatLineage().configure(chain, cluster.stats(40.0))
         traces = tuple(
             generate_trace_set(1, 40.0, 50.0, count=2, base_seed=0)
         )
-        measurement = measure_scheme(NoMatLineage(), chain, engine,
-                                     stats, traces)
-        assert len(measurement.runtimes) == 2
+        batch = engine.execute_many(engine.prepare(configured), traces)
+        assert len(batch.finished_runtimes) == 2
+        # a tuple cannot take the write-back: it keeps its short traces
+        assert all(t.horizon == 50.0 for t in traces)
 
 
 class TestBaselineMemo:

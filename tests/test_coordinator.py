@@ -5,19 +5,20 @@ import pytest
 from repro.core.plan import linear_plan
 from repro.core.strategies import (
     AllMat,
+    FaultToleranceScheme,
     NoMatLineage,
     NoMatRestart,
     standard_schemes,
 )
+from repro.engine.campaign import CampaignCell, run_campaign
 from repro.engine.cluster import Cluster
 from repro.engine.coordinator import (
     compare_schemes,
-    measure_scheme,
     pure_baseline_runtime,
     run_with_extension,
 )
 from repro.engine.executor import SimulatedEngine, TraceExhausted
-from repro.engine.traces import FailureTrace, generate_trace, generate_trace_set
+from repro.engine.traces import FailureTrace, generate_trace
 
 
 @pytest.fixture
@@ -35,48 +36,46 @@ class TestBaseline:
         assert baseline == pytest.approx(300.0)
 
 
+def _measure(scheme, plan, cluster, traces, baseline=None):
+    """One scheme over explicit traces: a single-unit campaign row."""
+    cell = CampaignCell(label="chain", plan=plan, mtbf=traces[0].mtbf,
+                        schemes=(scheme,), trace_count=len(traces),
+                        traces=tuple(traces), baseline=baseline)
+    (row,) = run_campaign([cell], cluster)
+    return row
+
+
 class TestMeasureScheme:
+    """The Section 5 overhead of one scheme, measured by the campaign."""
+
     def test_no_failures_all_mat_overhead_is_mat_tax(self, long_chain):
         cluster = Cluster(nodes=2, mttr=1.0)
-        engine = SimulatedEngine(cluster)
-        stats = cluster.stats(1e12)
-        traces = [FailureTrace.empty(2)]
-        measurement = measure_scheme(
-            AllMat(), long_chain, engine, stats, traces
-        )
+        row = _measure(AllMat(), long_chain, cluster,
+                       [FailureTrace.empty(2)])
         # 15 s of materialization (all three ops) over a 300 s baseline
-        assert measurement.overhead_percent == pytest.approx(5.0, rel=0.01)
+        assert row.baseline == pytest.approx(300.0)
+        assert row.overhead_percent == pytest.approx(5.0, rel=0.01)
 
     def test_no_failures_no_mat_overhead_is_zero(self, long_chain):
         cluster = Cluster(nodes=2, mttr=1.0)
-        engine = SimulatedEngine(cluster)
-        stats = cluster.stats(1e12)
-        traces = [FailureTrace.empty(2)]
-        measurement = measure_scheme(
-            NoMatLineage(), long_chain, engine, stats, traces
-        )
-        assert measurement.overhead_percent == pytest.approx(0.0, abs=1e-9)
+        row = _measure(NoMatLineage(), long_chain, cluster,
+                       [FailureTrace.empty(2)], baseline=300.0)
+        assert row.overhead_percent == pytest.approx(0.0, abs=1e-9)
 
     def test_aborted_runs_are_counted(self, long_chain):
         cluster = Cluster(nodes=1, mttr=0.0, max_restarts=2)
-        engine = SimulatedEngine(cluster)
-        stats = cluster.stats(10.0)
         trace = generate_trace(1, 10.0, 50_000.0, seed=0)
-        measurement = measure_scheme(
-            NoMatRestart(), long_chain, engine, stats, [trace]
-        )
-        assert measurement.aborted_runs == 1
-        assert measurement.all_aborted
-        assert measurement.overhead_percent == float("inf")
+        row = _measure(NoMatRestart(), long_chain, cluster, [trace])
+        assert row.aborted_runs == 1
+        assert row.all_aborted
+        assert row.overhead_percent == float("inf")
+        assert row.formatted() == "Aborted"
 
     def test_materialized_ids_reported(self, long_chain):
         cluster = Cluster(nodes=2, mttr=1.0)
-        engine = SimulatedEngine(cluster)
-        stats = cluster.stats(1e12)
-        measurement = measure_scheme(
-            AllMat(), long_chain, engine, stats, [FailureTrace.empty(2)]
-        )
-        assert set(measurement.materialized_ids) == {1, 2, 3}
+        row = _measure(AllMat(), long_chain, cluster,
+                       [FailureTrace.empty(2)])
+        assert set(row.materialized_ids) == {1, 2, 3}
 
 
 class TestCompareSchemes:
@@ -96,16 +95,42 @@ class TestCompareSchemes:
         )
         by_scheme = {row.scheme: row for row in rows}
         finished = [row.overhead_percent for row in rows
-                    if not row.aborted and row.scheme != "cost-based"]
+                    if not row.all_aborted and row.scheme != "cost-based"]
         assert by_scheme["cost-based"].overhead_percent <= \
             min(finished) + 15.0  # small trace-noise allowance
 
-    def test_formatted_overhead(self, long_chain):
+    def test_formatted(self, long_chain):
         rows = compare_schemes(
             [NoMatLineage()], long_chain, "chain",
             Cluster(nodes=1, mttr=1.0), mtbf=1e12, trace_count=1,
+            baseline=200.0,
         )
-        assert rows[0].formatted_overhead().endswith("%")
+        # 300 s against a 200 s baseline
+        assert rows[0].label == "chain"
+        assert rows[0].formatted() == "50%"
+
+    def test_raising_scheme_prints_as_error(self, long_chain):
+        """A unit that raised is an error row, not an ``inf%`` overhead."""
+        rows = compare_schemes(
+            [_Broken(), NoMatLineage()], long_chain, "chain",
+            Cluster(nodes=1, mttr=1.0), mtbf=1e12, trace_count=1,
+            baseline=200.0, preflight_lint=False,
+        )
+        broken, lineage = rows
+        assert broken.error == "RuntimeError: cannot configure"
+        assert broken.overhead_percent == float("inf")
+        assert not broken.all_aborted
+        assert broken.formatted() == "Error"
+        # the other scheme's row is unaffected
+        assert lineage.error is None
+        assert lineage.formatted() == "50%"
+
+
+class _Broken(FaultToleranceScheme):
+    name = "broken"
+
+    def configure(self, plan, stats):
+        raise RuntimeError("cannot configure")
 
 
 class TestExtension:

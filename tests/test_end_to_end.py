@@ -82,7 +82,7 @@ class TestFullPipeline:
         )
         by_scheme = {row.scheme: row for row in rows}
         others = [row.overhead_percent for row in rows
-                  if not row.aborted and row.scheme != "cost-based"]
+                  if not row.all_aborted and row.scheme != "cost-based"]
         assert by_scheme["cost-based"].overhead_percent <= \
             min(others) * 1.25 + 5.0
         # and it always beats the schemes on its own side of the design

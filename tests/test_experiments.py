@@ -5,11 +5,8 @@ benchmark experiments and assert the *shape* claims of the paper's
 evaluation -- who wins, what grows, what stays flat.
 """
 
-import math
-
 import pytest
 
-from repro.core.failure import DAY, HOUR, WEEK
 from repro.experiments import (
     fig1_success,
     fig8_queries,
@@ -73,29 +70,29 @@ class TestFig8:
     def test_restart_aborts_at_low_mtbf(self, result):
         restart = [c for c in result.low_mtbf_cells
                    if c.scheme == "no-mat (restart)"]
-        assert all(cell.aborted for cell in restart)
+        assert all(cell.all_aborted for cell in restart)
 
     def test_cost_based_is_best_or_tied_at_low_mtbf(self, result):
         by_query = {}
         for cell in result.low_mtbf_cells:
-            by_query.setdefault(cell.query, {})[cell.scheme] = cell
+            by_query.setdefault(cell.label, {})[cell.scheme] = cell
         for query, cells in by_query.items():
             finished = [c.overhead_percent for c in cells.values()
-                        if not c.aborted and c.scheme != "cost-based"]
+                        if not c.all_aborted and c.scheme != "cost-based"]
             assert cells["cost-based"].overhead_percent <= \
                 min(finished) * 1.25 + 10.0
 
     def test_q1_has_no_choice(self, result):
         """Q1 has no free operator: fine-grained schemes coincide."""
         q1 = {c.scheme: c for c in result.high_mtbf_cells
-              if c.query == "Q1"}
+              if c.label == "Q1"}
         assert q1["all-mat"].overhead_percent == pytest.approx(
             q1["cost-based"].overhead_percent
         )
         assert q1["cost-based"].materialized_ids == ()
 
     def test_all_mat_pays_tax_on_q1c_at_high_mtbf(self, result):
-        cells = {("%s" % c.query, c.scheme): c
+        cells = {("%s" % c.label, c.scheme): c
                  for c in result.high_mtbf_cells}
         assert cells[("Q1C", "all-mat")].overhead_percent > \
             cells[("Q1C", "cost-based")].overhead_percent + 5.0
@@ -109,22 +106,22 @@ class TestFig10:
         )
 
     def test_short_queries_have_negligible_no_mat_overhead(self, result):
-        cells = {(c.query, c.scheme): c for c in result.cells}
+        cells = {(c.label, c.scheme): c for c in result.cells}
         short = cells[("Q5@SF1", "cost-based")]
         assert short.overhead_percent < 5.0
 
     def test_all_mat_starts_at_the_mat_tax(self, result):
-        cells = {(c.query, c.scheme): c for c in result.cells}
+        cells = {(c.label, c.scheme): c for c in result.cells}
         assert cells[("Q5@SF1", "all-mat")].overhead_percent == \
             pytest.approx(34.1, abs=3.0)
 
     def test_no_mat_overhead_grows_with_runtime(self, result):
         lineage = [c for c in result.cells
-                   if c.scheme == "no-mat (lineage)" and not c.aborted]
+                   if c.scheme == "no-mat (lineage)" and not c.all_aborted]
         assert lineage[-1].overhead_percent > lineage[0].overhead_percent
 
     def test_cost_based_wins_for_long_queries(self, result):
-        cells = {(c.query, c.scheme): c for c in result.cells}
+        cells = {(c.label, c.scheme): c for c in result.cells}
         long_query = "Q5@SF1000"
         best_other = min(
             cells[(long_query, s)].overhead_percent
@@ -156,7 +153,7 @@ class TestFig11:
         for cells in result.by_cluster.values():
             by_scheme = {c.scheme: c for c in cells}
             finished = [c.overhead_percent for c in cells
-                        if not c.aborted and c.scheme != "cost-based"]
+                        if not c.all_aborted and c.scheme != "cost-based"]
             assert by_scheme["cost-based"].overhead_percent <= \
                 min(finished) + 5.0
 

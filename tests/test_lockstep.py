@@ -33,7 +33,7 @@ from repro.engine import coordinator
 from repro.engine import executor as executor_module
 from repro.engine.campaign import CampaignCell, run_campaign
 from repro.engine.cluster import Cluster
-from repro.engine.coordinator import measure_scheme, run_with_extension
+from repro.engine.coordinator import run_with_extension
 from repro.engine.executor import SimulatedEngine
 from repro.engine.storage import LocalStorage
 from repro.engine.traces import (
@@ -308,8 +308,8 @@ class TestLockstepShapes:
 
 
 class TestMeasurementLoops:
-    def test_measure_scheme_runs_in_lockstep(self, paper_plan,
-                                             monkeypatch):
+    def test_scheme_loop_runs_in_lockstep(self, paper_plan, monkeypatch):
+        """Every scheme over one shared, written-back trace list."""
         cluster = Cluster(nodes=3, mttr=1.0)
         stats = cluster.stats(15.0)
 
@@ -319,10 +319,13 @@ class TestMeasurementLoops:
             engine = SimulatedEngine(cluster, record_events=False)
             traces = generate_trace_set(3, 15.0, 20.0, count=14)
             with obs.recording() as recorder:
-                rows = [measure_scheme(scheme, paper_plan, engine, stats,
-                                       traces, baseline=1.0)
-                        for scheme in standard_schemes(
-                            preflight_lint=False)]
+                rows = []
+                for scheme in standard_schemes(preflight_lint=False):
+                    prepared = engine.prepare(
+                        scheme.configure(paper_plan, stats))
+                    batch = engine.execute_many(prepared, traces)
+                    rows.append((batch.finished_runtimes,
+                                 batch.aborted_runs))
             return rows, traces, recorder.deterministic_counters()
 
         lockstep, scalar = measure(ALWAYS), measure(NEVER)
