@@ -16,6 +16,8 @@
    suggested Eq. 9 dominance memo, counted in cost-model calls.
 """
 
+import math
+
 import pytest
 
 from repro.core.cost_model import ClusterStats
@@ -115,7 +117,8 @@ def test_weibull_failures(benchmark, q5_plan, archive):
     cost-based plan (chosen under the exponential assumption) fares when
     reality is bursty.
     """
-    from repro.engine.traces import generate_weibull_trace
+    from repro.chaos import CorrelatedFailures
+    from repro.engine.traces import generate_trace
 
     mtbf = HOUR
     stats = ClusterStats(mtbf=mtbf, mttr=1.0, nodes=10)
@@ -125,23 +128,20 @@ def test_weibull_failures(benchmark, q5_plan, archive):
 
     def measure():
         results = {}
-        for label, generator in (
+        for label, shape in (
             ("exponential", None),
             ("weibull(0.7)", 0.7),
             ("weibull(0.5)", 0.5),
         ):
+            # a Weibull base without bursts; the trace records it, so
+            # an extension redraws the same process
+            correlated = None if shape is None else CorrelatedFailures(
+                burst_mtbf=math.inf, intensity=0.0, base_shape=shape)
             runtimes = []
             for seed in range(8):
-                if generator is None:
-                    from repro.engine.traces import generate_trace
-
-                    trace = generate_trace(10, mtbf, 80_000.0,
-                                           seed=6000 + seed)
-                else:
-                    trace = generate_weibull_trace(
-                        10, mtbf, 80_000.0, seed=6000 + seed,
-                        shape=generator,
-                    )
+                trace = generate_trace(10, mtbf, 80_000.0,
+                                       seed=6000 + seed,
+                                       correlated=correlated)
                 runtimes.append(
                     run_with_extension(engine, configured,
                                        trace)[0].runtime

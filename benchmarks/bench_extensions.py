@@ -16,15 +16,12 @@ conclusion sketches, implemented in this reproduction:
    runner inserts them after the first observation.
 """
 
-import pytest
-
 from repro.core.cost_model import ClusterStats
 from repro.core.plan import Operator, Plan, linear_plan
 from repro.core.strategies import (
     ConfiguredPlan,
     CostBased,
     CostBasedWithOpCheckpoints,
-    NoMatLineage,
     RecoveryMode,
 )
 from repro.engine.adaptive import AdaptiveExecutor

@@ -3,18 +3,20 @@
 Composable :class:`FaultPolicy` objects plug into the existing
 trace/executor/campaign stack:
 
-* correlated rack-scoped failure bursts layered on the exponential or
-  Weibull trace generators (:class:`CorrelatedFailures`, realized by
-  :func:`repro.engine.traces.generate_correlated_trace`);
+* correlated rack-scoped failure bursts layered on exponential or
+  Weibull base streams (:class:`CorrelatedFailures`);
 * checkpoint-write failures with fallback to re-execution from the last
   durable ancestor (:class:`FlakyWrites`);
 * straggler nodes (:class:`Stragglers`);
 * campaign worker crashes with bounded retry + exponential backoff and
   graceful degradation to serial execution (:class:`WorkerCrashes`);
 * drifting failure rates -- stale statistics and diurnal health cycles
-  (:class:`MtbfDrift`, realized by
-  :func:`repro.engine.traces.generate_drifting_trace`) -- the regimes
-  the adaptive re-planner (:mod:`repro.engine.adaptive`) reacts to.
+  (:class:`MtbfDrift`) -- the regimes the adaptive re-planner
+  (:mod:`repro.engine.adaptive`) reacts to.
+
+The trace-level injections (bursts, Weibull base, drift) are all drawn
+by the one trace generator,
+:func:`repro.engine.traces.generate_trace_block`.
 
 Every injection decision is derived from seeds and structural keys, so
 ``jobs=N`` campaigns stay bit-identical to ``jobs=1`` under any policy,

@@ -47,7 +47,6 @@ from .traces import (
     TraceBlock,
     cached_trace_block,
     cached_trace_set,
-    generate_weibull_trace,
     empirical_mtbf,
     extend_trace,
     generate_trace,
@@ -95,7 +94,6 @@ __all__ = [
     "generate_trace",
     "generate_trace_block",
     "generate_trace_set",
-    "generate_weibull_trace",
     "render_gantt",
     "render_line_chart",
     "render_overhead_bars",

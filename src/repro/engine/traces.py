@@ -9,6 +9,17 @@ module reproduces that protocol with seeded NumPy RNGs.
 A :class:`FailureTrace` holds one strictly increasing failure-time sequence
 per node.  Times are in seconds from query start.
 
+Every trace comes from one generator, :func:`generate_trace_block`, and
+records the failure process it was drawn from: ``mtbf``, the
+:class:`~repro.chaos.CorrelatedFailures` spec (rack bursts, and a
+Weibull base through its ``base_shape``), the ``chaos_seed`` that keys
+the bursts, and the :class:`~repro.chaos.MtbfDrift` spec that thins the
+base.  :func:`generate_trace` (one seed), :func:`generate_trace_set`
+(a list) and :func:`cached_trace_set` are views of it, and
+:func:`extend_trace` redraws a trace's recorded process at a larger
+horizon.  Every part of the process is prefix-stable, so an extension
+never changes failures inside the old horizon.
+
 Node ``i`` of seed ``s`` always draws from the RNG key ``[s, i]``
 (``[s, i, 7]`` for Weibull gaps), whatever the MTBF.  The gaps are drawn
 at unit scale, cached per ``(seed, nodes, shape)`` in the process, and
@@ -21,12 +32,11 @@ stream once, and every trace stays bit-identical to drawing
 request in one array pass: every seed a trace set misses in the cache,
 every burst of a trace, every node's drift-thinning stream.
 
-A whole trace set can also be held as a :class:`TraceBlock`: one flat
-float64 array with an ``inf`` sentinel closing each ``(trace, node)``
-row, which the lockstep executor reads directly.  A plain set is drawn
-straight into that form (:func:`generate_trace_block`); the
-per-process cache holds blocks, and :func:`cached_trace_set` hands out
-their :class:`FailureTrace` lists.
+A whole trace set is held as a :class:`TraceBlock`: one flat float64
+array with an ``inf`` sentinel closing each ``(trace, node)`` row, which
+the lockstep executor reads directly.  A plain set is drawn straight
+into that form; the per-process cache holds blocks, and
+:func:`cached_trace_set` hands out their :class:`FailureTrace` lists.
 """
 
 from __future__ import annotations
@@ -65,19 +75,19 @@ class FailureTrace:
         prefix-stable: regenerating with the same seed and a larger
         horizon extends each node's sequence without changing it.
     correlated / chaos_seed:
-        The burst overlay the trace was generated with (``None`` for
-        plain traces) and the chaos seed namespacing it; kept so
-        :func:`extend_trace` can regenerate the overlay together with
-        the base streams.
+        The burst overlay and Weibull ``base_shape`` the trace was
+        generated with (``None`` for exponential traces without
+        bursts) and the chaos seed namespacing the bursts; kept so
+        :func:`extend_trace` regenerates the same process.
     injected:
         Number of failure times the burst overlay added within the
         horizon (0 for plain traces); surfaced by the executor as the
         ``chaos.injected.burst_failures`` counter.
     drift:
-        The :class:`~repro.chaos.MtbfDrift` spec the base streams were
-        thinned with (``None`` for constant-rate traces); kept, like
-        ``correlated``, so :func:`extend_trace` regenerates the same
-        process.
+        The active :class:`~repro.chaos.MtbfDrift` spec the base
+        streams were thinned with (``None`` for constant-rate traces);
+        kept, like ``correlated``, so :func:`extend_trace` regenerates
+        the same process.
     """
 
     node_failures: Tuple[Tuple[float, ...], ...]
@@ -299,47 +309,16 @@ def _block_rows(flat: np.ndarray, offsets: np.ndarray,
     )
 
 
-def _arrivals(
-    draw: Callable[[int], Sequence[np.ndarray]],
-    scale: float,
-    mean_gap: float,
-    horizon: float,
-) -> Tuple[Tuple[float, ...], ...]:
-    """Per-row arrival times up to ``horizon`` (see
-    :func:`_arrival_block`)."""
-    flat, offsets = _arrival_block(draw, scale, mean_gap, horizon)
-    return _block_rows(flat, offsets, 0, len(offsets) - 1)
-
-
-def _base_node_failures(
-    nodes: int,
-    mtbf: float,
-    horizon: float,
-    seed: int,
-    shape: Optional[float] = None,
-) -> Tuple[Tuple[float, ...], ...]:
-    """Per-node base failure streams (exponential, or Weibull if
-    ``shape`` is given) -- the exact streams of :func:`generate_trace` /
-    :func:`generate_weibull_trace`, factored out so the correlated
-    overlay layers on bit-identical base sequences."""
-    scale = mtbf
-    if shape is not None:
-        # scale chosen so the mean inter-arrival equals mtbf:
-        # E[X] = scale * Gamma(1 + 1/shape)
-        scale = mtbf / math.gamma(1.0 + 1.0 / shape)
-    return _arrivals(
-        lambda width: _unit_gaps([seed], nodes, shape, width),
-        scale, mtbf, horizon,
-    )
-
-
 def generate_trace(
     nodes: int,
     mtbf: float,
     horizon: float,
     seed: int,
+    correlated: Optional[CorrelatedFailures] = None,
+    chaos_seed: int = 0,
+    drift: Optional[MtbfDrift] = None,
 ) -> FailureTrace:
-    """Draw one failure trace with exponential inter-arrival times.
+    """Draw one failure trace: :func:`generate_trace_block` with one seed.
 
     Parameters
     ----------
@@ -353,101 +332,14 @@ def generate_trace(
         run outlives its trace (see :class:`TraceExhausted`).
     seed:
         RNG seed; the same seed always yields the same trace.
+    correlated / chaos_seed / drift:
+        The failure process beyond plain exponential gaps (see
+        :func:`generate_trace_block`); all recorded on the trace.
     """
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
-    if mtbf <= 0:
-        raise ValueError("mtbf must be > 0")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    return FailureTrace(
-        node_failures=_base_node_failures(nodes, mtbf, horizon, seed),
-        mtbf=mtbf,
-        seed=seed,
-        horizon=horizon,
-    )
-
-
-def generate_weibull_trace(
-    nodes: int,
-    mtbf: float,
-    horizon: float,
-    seed: int,
-    shape: float = 0.7,
-) -> FailureTrace:
-    """Failure trace with Weibull inter-arrival times.
-
-    Field studies (Schroeder & Gibson, FAST'07) find HPC node failures
-    better fitted by a Weibull with shape < 1 (decreasing hazard --
-    failures cluster) than by the exponential the paper assumes.  The
-    trace keeps the same *mean* inter-arrival (``mtbf``) so the cost
-    model sees identical statistics; the ablation measures how much the
-    exponential assumption costs when reality is bursty.
-
-    ``shape = 1`` reduces to the exponential.
-    """
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
-    if mtbf <= 0:
-        raise ValueError("mtbf must be > 0")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    if shape <= 0:
-        raise ValueError("shape must be > 0")
-    return FailureTrace(
-        node_failures=_base_node_failures(nodes, mtbf, horizon, seed,
-                                          shape=shape),
-        mtbf=mtbf,
-        seed=seed,
-        horizon=horizon,
-    )
-
-
-def generate_correlated_trace(
-    nodes: int,
-    mtbf: float,
-    horizon: float,
-    seed: int,
-    spec: CorrelatedFailures,
-    chaos_seed: int = 0,
-) -> FailureTrace:
-    """Base failure streams plus rack-scoped, time-clustered bursts.
-
-    The base per-node streams are *bit-identical* to
-    :func:`generate_trace` (or :func:`generate_weibull_trace` when
-    ``spec.base_shape`` is set): a spec with ``intensity = 0`` therefore
-    reproduces the un-injected trace exactly.  On top of the base, burst
-    opportunities arrive from one seeded stream with mean gap
-    ``spec.burst_mtbf``; opportunity ``i`` draws its thinning
-    acceptance, rack start, and per-node jitters from a fresh stream
-    keyed ``(chaos_seed, seed, i)``, so the overlay is
-
-    * **prefix-stable** -- extending the horizon never changes failures
-      already inside it (same discipline as the base streams), and
-    * **metamorphic** -- raising ``intensity`` or ``rack_size`` with the
-      same seeds only ever *adds* failure times, never moves or removes
-      one (the monotonicity the property suite pins).
-    """
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
-    if mtbf <= 0:
-        raise ValueError("mtbf must be > 0")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    base = _base_node_failures(nodes, mtbf, horizon, seed,
-                               shape=spec.base_shape)
-    merged, injected = _apply_burst_overlay(
-        base, nodes, horizon, seed, spec, chaos_seed
-    )
-    return FailureTrace(
-        node_failures=merged,
-        mtbf=mtbf,
-        seed=seed,
-        horizon=horizon,
-        correlated=spec,
-        chaos_seed=chaos_seed,
-        injected=injected,
-    )
+    return generate_trace_block(
+        nodes, mtbf, horizon, count=1, base_seed=seed,
+        correlated=correlated, chaos_seed=chaos_seed, drift=drift,
+    )[0]
 
 
 def _apply_burst_overlay(
@@ -460,18 +352,29 @@ def _apply_burst_overlay(
 ) -> Tuple[Tuple[Tuple[float, ...], ...], int]:
     """Layer ``spec``'s rack bursts on the base streams.
 
-    Factored out of :func:`generate_correlated_trace` so the drifting
-    generator composes the same overlay on thinned base streams.
+    Burst opportunities arrive from one seeded stream with mean gap
+    ``spec.burst_mtbf``; opportunity ``i`` draws its thinning
+    acceptance, rack start, and per-node jitters from a fresh stream
+    keyed ``(chaos_seed, seed, BURST_STREAM, i)``, so the overlay is
+
+    * **prefix-stable** -- extending the horizon never changes failures
+      already inside it (same discipline as the base streams), and
+    * **metamorphic** -- raising ``intensity`` or ``rack_size`` with the
+      same seeds only ever *adds* failure times, never moves or removes
+      one (the monotonicity the property suite pins).
+
+    Returns the merged streams and the number of failures added.
     """
     extra: Dict[int, List[float]] = {}
     injected = 0
     if spec.active:
         key = (chaos_seed, seed, BURST_STREAM)
-        opportunities = _arrivals(
+        flat, _ = _arrival_block(
             lambda width: [_generators([key])[0].standard_exponential(
                 (1, width))],
             spec.burst_mtbf, spec.burst_mtbf, horizon,
-        )[0]
+        )
+        opportunities = flat[:-1].tolist()  # drop the inf sentinel
         width = min(spec.rack_size, nodes)
         burst_rngs = _generators([(*key, index)
                                  for index in range(len(opportunities))])
@@ -501,80 +404,6 @@ def _apply_burst_overlay(
         else:
             node_failures.append(base[node])
     return tuple(node_failures), injected
-
-
-def generate_drifting_trace(
-    nodes: int,
-    mtbf: float,
-    horizon: float,
-    seed: int,
-    drift: MtbfDrift,
-    chaos_seed: int = 0,
-    correlated: Optional[CorrelatedFailures] = None,
-) -> FailureTrace:
-    """Failure trace whose instantaneous rate follows an
-    :class:`~repro.chaos.MtbfDrift` spec (stale scale and/or diurnal
-    sinusoid), optionally with a rack-burst overlay on top.
-
-    Generation thins a homogeneous Poisson envelope: each node draws a
-    base stream at the *peak* rate ``drift.max_factor / mtbf`` (from the
-    same ``[seed, node]`` RNG keys as :func:`generate_trace`, with the
-    shrunken mean gap), then accepts arrival ``t`` iff its thinning
-    uniform satisfies ``u * max_factor < drift.rate_factor(t)``.
-    Uniforms come from one sequential stream per node keyed
-    ``[chaos_seed, seed, node, DRIFT_STREAM]``, so the construction is
-
-    * **prefix-stable** -- extending the horizon extends both the
-      arrival and the uniform streams without perturbing their
-      prefixes, and
-    * **identity at zero drift** -- with ``scale = 1, amplitude = 0``
-      the mean gap is ``mtbf`` and every ``u < 1`` accepts, reproducing
-      :func:`generate_trace` bit-for-bit.
-
-    Bursts compose exactly as in :func:`generate_correlated_trace`
-    (``correlated.base_shape`` is rejected: thinning needs the
-    exponential envelope).
-    """
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
-    if mtbf <= 0:
-        raise ValueError("mtbf must be > 0")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    if correlated is not None and correlated.base_shape is not None:
-        raise ValueError(
-            "MTBF drift thins an exponential envelope and cannot "
-            "compose with a Weibull base_shape"
-        )
-    max_factor = drift.max_factor
-    base_gap = mtbf / max_factor
-    base: List[Tuple[float, ...]] = []
-    envelope = _base_node_failures(nodes, base_gap, horizon, seed)
-    accept_rngs = _generators([(chaos_seed, seed, node, DRIFT_STREAM)
-                              for node in range(nodes)])
-    for arrivals, accept_rng in zip(envelope, accept_rngs):
-        uniforms = accept_rng.random(len(arrivals))
-        base.append(tuple(
-            t for t, u in zip(arrivals, uniforms)
-            if float(u) * max_factor < drift.rate_factor(t)
-        ))
-    injected = 0
-    if correlated is not None:
-        merged, injected = _apply_burst_overlay(
-            base, nodes, horizon, seed, correlated, chaos_seed
-        )
-    else:
-        merged = tuple(base)
-    return FailureTrace(
-        node_failures=merged,
-        mtbf=mtbf,
-        seed=seed,
-        horizon=horizon,
-        correlated=correlated,
-        chaos_seed=chaos_seed,
-        injected=injected,
-        drift=drift,
-    )
 
 
 class TraceExhausted(RuntimeError):
@@ -625,26 +454,21 @@ def retry_with_extension(
 def extend_trace(trace: FailureTrace, horizon: float) -> FailureTrace:
     """Regenerate ``trace`` with a larger horizon (same seed, same prefix).
 
-    Correlated traces regenerate their burst overlay along with the base
-    streams; both are prefix-stable, so the extension never changes
-    failures the caller already replayed.
+    The trace records its whole failure process (``mtbf``,
+    ``correlated``, ``chaos_seed``, ``drift``), so the extension is one
+    :func:`generate_trace` call with that process and the new horizon.
+    Every part of the process is prefix-stable, so the extension never
+    changes failures the caller already replayed.
     """
     if trace.seed is None:
         raise ValueError("cannot extend a trace without a seed")
     if horizon <= trace.horizon:
         return trace
-    if trace.drift is not None:
-        return generate_drifting_trace(
-            trace.nodes, trace.mtbf, horizon, seed=trace.seed,
-            drift=trace.drift, chaos_seed=trace.chaos_seed,
-            correlated=trace.correlated,
-        )
-    if trace.correlated is not None:
-        return generate_correlated_trace(
-            trace.nodes, trace.mtbf, horizon, seed=trace.seed,
-            spec=trace.correlated, chaos_seed=trace.chaos_seed,
-        )
-    return generate_trace(trace.nodes, trace.mtbf, horizon, seed=trace.seed)
+    return generate_trace(
+        trace.nodes, trace.mtbf, horizon, trace.seed,
+        correlated=trace.correlated, chaos_seed=trace.chaos_seed,
+        drift=trace.drift,
+    )
 
 
 def _rows_array(
@@ -803,34 +627,88 @@ def generate_trace_block(
     chaos_seed: int = 0,
     drift: Optional[MtbfDrift] = None,
 ) -> TraceBlock:
-    """:func:`generate_trace_set` as a :class:`TraceBlock`.
+    """The one failure-trace generator: ``count`` traces, seeds
+    ``base_seed + i``, as a :class:`TraceBlock`.
 
-    A plain set (no overlay, no drift) is drawn as one block: every
-    seed's cached unit gaps are stacked and summed by a single row-wise
-    ``cumsum``, with failure times bit-identical to
-    :func:`generate_trace`.  Overlaid and drifting sets are generated
-    trace by trace and wrapped.
+    The failure process is ``mtbf`` plus three optional parts, each
+    recorded on every trace so :func:`extend_trace` can redraw it:
+
+    * ``correlated.base_shape`` makes the base gaps Weibull of that
+      shape with the same mean (field studies -- Schroeder & Gibson,
+      FAST'07 -- fit node failures with shape < 1: failures cluster);
+    * ``drift`` (an active :class:`~repro.chaos.MtbfDrift`) thins a
+      homogeneous envelope at the peak rate ``drift.max_factor / mtbf``:
+      arrival ``t`` of node ``n`` is kept iff its uniform ``u`` from the
+      stream keyed ``[chaos_seed, seed, n, DRIFT_STREAM]`` satisfies
+      ``u * max_factor < drift.rate_factor(t)``.  At zero drift the
+      envelope is the exponential process itself and every ``u < 1``
+      accepts;
+    * ``correlated`` (with ``chaos_seed``) layers rack-scoped bursts on
+      the base streams (:func:`_apply_burst_overlay`).
+
+    The base rows of every seed come from one :func:`_arrival_block`
+    pass over the cached unit gaps; thinning and bursts then run trace
+    by trace.  A plain set (no ``correlated``, no active ``drift``)
+    stays in that block form, which the lockstep executor reads
+    directly.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if correlated is not None or (drift is not None and drift.active):
-        return TraceBlock.from_traces(generate_trace_set(
-            nodes, mtbf, horizon, count=count, base_seed=base_seed,
-            correlated=correlated, chaos_seed=chaos_seed, drift=drift,
-        ))
     if nodes < 1:
         raise ValueError("nodes must be >= 1")
     if mtbf <= 0:
         raise ValueError("mtbf must be > 0")
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
+    if drift is not None and not drift.active:
+        drift = None
+    shape = correlated.base_shape if correlated is not None else None
+    if drift is not None and shape is not None:
+        raise ValueError(
+            "MTBF drift thins an exponential envelope and cannot "
+            "compose with a Weibull base_shape"
+        )
     seeds = [base_seed + index for index in range(count)]
+    max_factor = 1.0 if drift is None else drift.max_factor
+    mean_gap = mtbf / max_factor
+    scale = mean_gap
+    if shape is not None:
+        # scale chosen so the mean inter-arrival equals mtbf:
+        # E[X] = scale * Gamma(1 + 1/shape)
+        scale = mtbf / math.gamma(1.0 + 1.0 / shape)
     flat, offsets = _arrival_block(
-        lambda width: _unit_gaps(seeds, nodes, None, width),
-        mtbf, mtbf, horizon,
+        lambda width: _unit_gaps(seeds, nodes, shape, width),
+        scale, mean_gap, horizon,
     )
-    return TraceBlock(nodes, mtbf, seeds, [horizon] * count, flat=flat,
-                      offsets=offsets)
+    if correlated is None and drift is None:
+        return TraceBlock(nodes, mtbf, seeds, [horizon] * count, flat=flat,
+                          offsets=offsets)
+    accept_rngs = [] if drift is None else _generators([
+        (chaos_seed, seed, node, DRIFT_STREAM)
+        for seed in seeds for node in range(nodes)
+    ])
+    traces = []
+    for index, seed in enumerate(seeds):
+        first, stop = index * nodes, (index + 1) * nodes
+        rows = _block_rows(flat, offsets, first, stop)
+        if drift is not None:
+            rows = tuple(
+                tuple(t for t, u in zip(arrivals,
+                                        accept.random(len(arrivals)))
+                      if float(u) * max_factor < drift.rate_factor(t))
+                for arrivals, accept in zip(rows, accept_rngs[first:stop])
+            )
+        injected = 0
+        if correlated is not None:
+            rows, injected = _apply_burst_overlay(
+                rows, nodes, horizon, seed, correlated, chaos_seed,
+            )
+        traces.append(FailureTrace(
+            node_failures=rows, mtbf=mtbf, seed=seed, horizon=horizon,
+            correlated=correlated, chaos_seed=chaos_seed,
+            injected=injected, drift=drift,
+        ))
+    return TraceBlock.from_traces(traces)
 
 
 def generate_trace_set(
@@ -847,30 +725,13 @@ def generate_trace_set(
 
     Seeds are ``base_seed + i`` so trace sets are reproducible and
     disjoint across experiments that pick different ``base_seed`` values.
-    ``correlated`` layers a burst overlay on every trace (the chaos
-    layer's correlated-failure injection); ``drift`` switches the base
-    streams to the thinned time-varying process.
+    :func:`generate_trace_block` as a list; ``correlated`` and ``drift``
+    select the failure process as there.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if drift is not None and drift.active:
-        return [
-            generate_drifting_trace(
-                nodes, mtbf, horizon, seed=base_seed + index,
-                drift=drift, chaos_seed=chaos_seed, correlated=correlated,
-            )
-            for index in range(count)
-        ]
-    if correlated is not None:
-        return [
-            generate_correlated_trace(
-                nodes, mtbf, horizon, seed=base_seed + index,
-                spec=correlated, chaos_seed=chaos_seed,
-            )
-            for index in range(count)
-        ]
-    return generate_trace_block(nodes, mtbf, horizon, count=count,
-                                base_seed=base_seed).as_list()
+    return generate_trace_block(
+        nodes, mtbf, horizon, count=count, base_seed=base_seed,
+        correlated=correlated, chaos_seed=chaos_seed, drift=drift,
+    ).as_list()
 
 
 #: cache key: the full trace protocol, including any chaos overlay

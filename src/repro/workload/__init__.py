@@ -11,7 +11,6 @@ See ``docs/workload.md``.
 
 from .advisor import (
     DEFAULT_ADVICE_RETRIES,
-    AdvisedCostBased,
     configured_from_advice,
     resolve_advice,
 )
@@ -45,7 +44,6 @@ from .tenants import (
 
 __all__ = [
     "DEFAULT_ADVICE_RETRIES",
-    "AdvisedCostBased",
     "configured_from_advice",
     "resolve_advice",
     "DiurnalCycle",

@@ -12,18 +12,11 @@ that sheds with :class:`~repro.serve.ServiceOverloaded` under pressure.
 :func:`resolve_advice` is the client-side contract: bounded retries
 with exponential backoff on shed (counted on the
 ``workload.advice_retries`` counter), then a :class:`ServiceOverloaded`
-whose message carries the retry count.  :class:`AdvisedCostBased` wraps
-that contract as a :class:`~repro.core.strategies.FaultToleranceScheme`
-so campaign cells can route their plan choice through a live engine --
-a shed that survives the retry budget surfaces as a
-:class:`~repro.engine.campaign.CellResult` *error row* (the campaign
-demotes unit exceptions), never as an exception that poisons the grid.
-
-``AdvisedCostBased`` holds a live engine (locks, threads) and therefore
-does not pickle: use it with ``jobs=1`` campaigns, or pre-resolve advice
-in the parent and hand the campaign picklable
-:class:`~repro.core.strategies.ConfiguredPlan` s -- which is what
-:mod:`repro.workload.simulate` does.
+whose message carries the retry count.  The engine holds locks and
+threads and does not pickle, so :mod:`repro.workload.simulate` resolves
+every arrival's advice in the parent and hands the campaign picklable
+:class:`~repro.core.strategies.ConfiguredPlan` s
+(:func:`configured_from_advice`).
 """
 
 from __future__ import annotations
@@ -34,11 +27,7 @@ from typing import Optional
 from .. import obs
 from ..core.cost_model import ClusterStats
 from ..core.plan import Plan
-from ..core.strategies import (
-    ConfiguredPlan,
-    FaultToleranceScheme,
-    RecoveryMode,
-)
+from ..core.strategies import ConfiguredPlan, RecoveryMode
 from ..serve.engine import Advice, AdvisoryEngine, ServiceOverloaded
 
 #: default shed-retry budget of the workload's advisory clients
@@ -61,8 +50,8 @@ def resolve_advice(
     then irrelevant).  Each shed increments ``workload.advice_retries``
     and sleeps ``retry_backoff * 2**attempt`` before retrying; once the
     budget is exhausted the final :class:`ServiceOverloaded` is
-    re-raised with the retry count in its message, so campaign error
-    rows record how hard the client tried.
+    re-raised with the retry count in its message, which records how
+    hard the client tried.
     """
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -82,38 +71,6 @@ def resolve_advice(
             obs.add("workload.advice_retries")
             time.sleep(retry_backoff * (2.0 ** attempt))
     raise AssertionError("unreachable")  # pragma: no cover
-
-
-class AdvisedCostBased(FaultToleranceScheme):
-    """Cost-based plan choice routed through a live advisory engine.
-
-    ``configure`` resolves the materialization configuration via
-    :func:`resolve_advice`; the advice is bit-identical to a direct
-    cost-based search on the engine's canonical stats, so a campaign
-    measuring this scheme measures the same plans the advisory service
-    would hand a real client.  Not picklable (the engine holds locks and
-    threads): campaign use is ``jobs=1`` only.
-    """
-
-    name = "cost-based (advised)"
-
-    def __init__(
-        self,
-        engine: AdvisoryEngine,
-        max_retries: int = DEFAULT_ADVICE_RETRIES,
-        retry_backoff: float = 0.01,
-    ) -> None:
-        self.engine = engine
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-
-    def configure(self, plan: Plan, stats: ClusterStats) -> ConfiguredPlan:
-        advice = resolve_advice(
-            self.engine, plan, stats,
-            max_retries=self.max_retries,
-            retry_backoff=self.retry_backoff,
-        )
-        return configured_from_advice(plan, advice, scheme=self.name)
 
 
 def configured_from_advice(

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.policy import CorrelatedFailures
 from repro.core.plan import linear_plan
 from repro.core.strategies import (
     AllMat,
@@ -47,7 +48,6 @@ from repro.engine.traces import (
     cached_trace_set,
     generate_trace,
     generate_trace_set,
-    generate_weibull_trace,
 )
 
 
@@ -319,12 +319,13 @@ class TestTraceVectorization:
             assert list(trace.failures_of(node)) == expected
 
     def test_weibull_matches_scalar(self):
-        import math
-
         shape, mtbf, horizon, seed = 0.7, 50.0, 2000.0, 3
         scale = mtbf / math.gamma(1.0 + 1.0 / shape)
-        trace = generate_weibull_trace(2, mtbf, horizon, seed=seed,
-                                       shape=shape)
+        trace = generate_trace(
+            2, mtbf, horizon, seed=seed,
+            correlated=CorrelatedFailures(burst_mtbf=math.inf,
+                                          intensity=0.0, base_shape=shape),
+        )
         for node in range(2):
             rng = np.random.default_rng([seed, node, 7])
             expected = []

@@ -41,9 +41,7 @@ from repro.engine.cluster import Cluster
 from repro.engine.traces import (
     cached_trace_set,
     extend_trace,
-    generate_correlated_trace,
     generate_trace,
-    generate_weibull_trace,
 )
 from repro.engine.executor import SimulatedEngine
 
@@ -180,27 +178,17 @@ class TestCorrelatedTraces:
         spec = CorrelatedFailures(burst_mtbf=50.0, intensity=0.0)
         for seed in range(3):
             plain = generate_trace(4, 200.0, 5000.0, seed=seed)
-            injected = generate_correlated_trace(
-                4, 200.0, 5000.0, seed=seed, spec=spec, chaos_seed=9,
+            injected = generate_trace(
+                4, 200.0, 5000.0, seed=seed, correlated=spec, chaos_seed=9,
             )
             assert injected.node_failures == plain.node_failures
             assert injected.injected == 0
 
-    def test_base_shape_matches_weibull_trace(self):
-        spec = CorrelatedFailures(burst_mtbf=50.0, intensity=0.0,
-                                  base_shape=0.7)
-        plain = generate_weibull_trace(3, 200.0, 5000.0, seed=2,
-                                       shape=0.7)
-        injected = generate_correlated_trace(
-            3, 200.0, 5000.0, seed=2, spec=spec,
-        )
-        assert injected.node_failures == plain.node_failures
-
     def test_bursts_only_add_failures(self):
         spec = CorrelatedFailures(burst_mtbf=300.0, rack_size=2)
         base = generate_trace(4, 500.0, 8000.0, seed=11)
-        injected = generate_correlated_trace(
-            4, 500.0, 8000.0, seed=11, spec=spec,
+        injected = generate_trace(
+            4, 500.0, 8000.0, seed=11, correlated=spec,
         )
         added = 0
         for node in range(4):
@@ -217,8 +205,8 @@ class TestCorrelatedTraces:
                                   jitter=0.0)
         nodes = 5
         base = generate_trace(nodes, 1e9, 8000.0, seed=1)
-        injected = generate_correlated_trace(
-            nodes, 1e9, 8000.0, seed=1, spec=spec,
+        injected = generate_trace(
+            nodes, 1e9, 8000.0, seed=1, correlated=spec,
         )
         assert all(not failures for failures in base.node_failures)
         burst_times: dict = {}
@@ -231,8 +219,8 @@ class TestCorrelatedTraces:
     def test_extension_is_prefix_stable(self):
         spec = CorrelatedFailures(burst_mtbf=200.0, rack_size=2,
                                   jitter=1.5)
-        short = generate_correlated_trace(
-            3, 300.0, 3000.0, seed=6, spec=spec, chaos_seed=2,
+        short = generate_trace(
+            3, 300.0, 3000.0, seed=6, correlated=spec, chaos_seed=2,
         )
         longer = extend_trace(short, 9000.0)
         assert longer.horizon == 9000.0
@@ -370,8 +358,8 @@ class TestExecutorInjections:
 
     def test_burst_counter_rides_on_the_trace(self, chain, cluster):
         spec = CorrelatedFailures(burst_mtbf=400.0, rack_size=2)
-        trace = generate_correlated_trace(
-            cluster.nodes, 1e8, 100_000.0, seed=0, spec=spec,
+        trace = generate_trace(
+            cluster.nodes, 1e8, 100_000.0, seed=0, correlated=spec,
         )
         stats = cluster.stats(1e8)
         configured = AllMat().configure(chain, stats)

@@ -1,7 +1,5 @@
 """Tests for the mid-operator checkpointing extension (Section 7)."""
 
-import math
-
 import pytest
 
 from repro.core.checkpointing import (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.collapse import collapse_plan, collapsed_total_costs
-from repro.core.plan import Operator, Plan, linear_plan
+from repro.core.plan import Operator, Plan
 
 
 class TestPaperExample:

@@ -153,7 +153,7 @@ class TestReplanFrontierSearches:
         )
         from repro.engine.cluster import Cluster
         from repro.engine.executor import SimulatedEngine
-        from repro.engine.traces import generate_drifting_trace
+        from repro.engine.traces import generate_trace
 
         from .test_property_adaptive import MTBF, chain_plan
 
@@ -167,7 +167,7 @@ class TestReplanFrontierSearches:
                 engine, stats,
                 envelope=DriftEnvelope(mtbf_ratio=1.5, min_failures=2),
             )
-            trace = generate_drifting_trace(
+            trace = generate_trace(
                 cluster.nodes, MTBF, horizon=200_000.0, seed=seed,
                 drift=MtbfDrift(scale=6.0),
             )

@@ -1,7 +1,5 @@
 """Unit tests for fault-tolerant plan enumeration (Listing 1)."""
 
-import itertools
-
 import pytest
 
 from repro.core import cost_model
@@ -14,7 +12,7 @@ from repro.core.enumeration import (
     find_best_ft_plan,
 )
 from repro.core.paths import enumerate_paths, path_total_costs
-from repro.core.plan import Operator, Plan, linear_plan
+from repro.core.plan import Plan, linear_plan
 from repro.core.pruning import PruningConfig
 
 

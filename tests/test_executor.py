@@ -6,7 +6,6 @@ from repro.core.plan import Operator, Plan, linear_plan
 from repro.core.strategies import (
     AllMat,
     ConfiguredPlan,
-    CostBased,
     NoMatLineage,
     NoMatRestart,
     RecoveryMode,

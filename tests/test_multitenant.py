@@ -6,11 +6,10 @@ Four batteries:
   full result (rows, per-class metrics, admission log); same seed, same
   result; a zero-churn run's measurement rows byte-identical to a plain
   :func:`~repro.engine.campaign.run_campaign` over the prepared cells.
-* **Advisory resilience** -- a cell whose plan choice sheds with
-  :class:`~repro.serve.ServiceOverloaded` through the advisory path
-  surfaces as a :class:`~repro.engine.campaign.CellResult` *error row*
-  carrying the retry count (never an exception), and the retries are
-  counted on ``workload.advice_retries``.
+* **Advisory resilience** -- an advisory request that sheds with
+  :class:`~repro.serve.ServiceOverloaded` past its retry budget raises
+  with the retry count in its message, and the retries are counted on
+  ``workload.advice_retries``.
 * **Metamorphic** -- with a fixed seed, higher spot churn never lowers
   any class's aggregate FT overhead (the chaos layer's superset
   guarantee composed through the whole pipeline); the priority admission
@@ -30,11 +29,9 @@ import pytest
 
 from repro import obs
 from repro.core.cost_model import ClusterStats
-from repro.engine.campaign import CampaignCell, run_campaign
-from repro.engine.cluster import Cluster
+from repro.engine.campaign import run_campaign
 from repro.serve import AdvisoryEngine, ServiceOverloaded
 from repro.workload import (
-    AdvisedCostBased,
     DiurnalCycle,
     MultiTenantConfig,
     generate_tenant_workload,
@@ -143,9 +140,7 @@ def _blocked_engine(monkeypatch):
 
 
 class TestAdvisoryErrorRows:
-    def test_shed_surfaces_as_error_row_with_retry_count(
-        self, paper_plan, monkeypatch
-    ):
+    def test_shed_raises_with_retry_count(self, paper_plan, monkeypatch):
         engine, started, release = _blocked_engine(monkeypatch)
         stats = ClusterStats(mtbf=3600.0, mttr=1.0, nodes=4)
         try:
@@ -153,27 +148,11 @@ class TestAdvisoryErrorRows:
             assert started.wait(10.0)   # worker busy on request 1
             second = engine.submit(paper_plan, stats,
                                     scheme="all-mat")  # queue now full
-            cell = CampaignCell(
-                label="overloaded",
-                plan=paper_plan,
-                mtbf=3600.0,
-                schemes=(AdvisedCostBased(engine, max_retries=2,
-                                          retry_backoff=0.0),),
-                trace_count=2,
-            )
             with obs.recording() as recorder:
-                rows = run_campaign(
-                    [cell], Cluster(nodes=4), preflight_lint=False,
-                )
-            assert len(rows) == 1
-            row = rows[0]
-            assert row.error is not None, (
-                "a shed advisory request must surface as an error row"
-            )
-            assert "ServiceOverloaded" in row.error
-            assert "after 2 retries" in row.error
-            assert row.runtimes == ()
-            assert row.mean_runtime == float("inf")
+                with pytest.raises(ServiceOverloaded,
+                                   match="after 2 retries"):
+                    resolve_advice(engine, paper_plan, stats,
+                                   max_retries=2, retry_backoff=0.0)
             assert recorder.counters["workload.advice_retries"] == 2
         finally:
             release.set()

@@ -7,7 +7,6 @@ from repro.core.enumeration import find_best_ft_plan
 from repro.core.optimizer import FaultTolerantOptimizer, QuerySpec
 from repro.core.pruning import PruningConfig
 from repro.joinorder.tpch_graphs import q3_join_graph, q5_join_graph
-from repro.joinorder.trees import tree_to_plan
 from repro.stats.calibration import default_parameters
 
 

@@ -1,7 +1,5 @@
 """Unit tests for execution-path enumeration (Section 3.4)."""
 
-import pytest
-
 from repro.core.collapse import collapse_plan
 from repro.core.paths import (
     count_paths,

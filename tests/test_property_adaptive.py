@@ -45,7 +45,7 @@ from repro.engine.adaptive import (
 from repro.engine.campaign import CampaignCell, run_campaign
 from repro.engine.cluster import Cluster
 from repro.engine.executor import SimulatedEngine
-from repro.engine.traces import generate_drifting_trace, generate_trace
+from repro.engine.traces import generate_trace
 
 MTBF = 3600.0
 
@@ -217,7 +217,7 @@ class TestTriggerMonotonicity:
         and the never-envelope does not re-plan at all."""
         cluster = small_cluster()
         stats = cluster.stats(MTBF)
-        trace = generate_drifting_trace(
+        trace = generate_trace(
             cluster.nodes, MTBF, horizon=200_000.0, seed=3,
             drift=MtbfDrift(scale=6.0),
         )
@@ -254,7 +254,7 @@ class TestSunkCostInvariant:
         engine = SimulatedEngine(cluster)
         executor = AdaptiveExecutor(engine, stats,
                                     envelope=DriftEnvelope())
-        trace = generate_drifting_trace(
+        trace = generate_trace(
             cluster.nodes, MTBF, horizon=200_000.0, seed=3,
             drift=MtbfDrift(scale=6.0),
         )
@@ -313,7 +313,7 @@ class TestDeterminism:
     def test_same_trace_same_decisions(self):
         cluster = small_cluster()
         stats = cluster.stats(MTBF)
-        trace = generate_drifting_trace(
+        trace = generate_trace(
             cluster.nodes, MTBF, horizon=200_000.0, seed=9,
             drift=MtbfDrift(scale=6.0),
         )

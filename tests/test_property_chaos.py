@@ -33,7 +33,7 @@ from repro.core.strategies import AllMat
 from repro.engine.campaign import CampaignCell, run_campaign
 from repro.engine.cluster import Cluster
 from repro.engine.executor import SimulatedEngine
-from repro.engine.traces import generate_correlated_trace, generate_trace
+from repro.engine.traces import generate_trace
 
 
 def _total_failures(trace) -> int:
@@ -48,8 +48,9 @@ class TestZeroFaultIdentity:
                                                      chaos_seed):
         spec = CorrelatedFailures(burst_mtbf=100.0, intensity=0.0)
         plain = generate_trace(3, 250.0, 4000.0, seed=seed)
-        nulled = generate_correlated_trace(
-            3, 250.0, 4000.0, seed=seed, spec=spec, chaos_seed=chaos_seed,
+        nulled = generate_trace(
+            3, 250.0, 4000.0, seed=seed, correlated=spec,
+            chaos_seed=chaos_seed,
         )
         assert nulled.node_failures == plain.node_failures
         assert nulled.injected == 0
@@ -89,14 +90,14 @@ class TestMonotonicity:
                                           high):
         low, high = sorted((low, high))
         base = dict(burst_mtbf=300.0, rack_size=2, jitter=1.0)
-        mild = generate_correlated_trace(
+        mild = generate_trace(
             4, 500.0, 6000.0, seed=seed,
-            spec=CorrelatedFailures(intensity=low, **base),
+            correlated=CorrelatedFailures(intensity=low, **base),
             chaos_seed=chaos_seed,
         )
-        harsh = generate_correlated_trace(
+        harsh = generate_trace(
             4, 500.0, 6000.0, seed=seed,
-            spec=CorrelatedFailures(intensity=high, **base),
+            correlated=CorrelatedFailures(intensity=high, **base),
             chaos_seed=chaos_seed,
         )
         for node in range(4):
@@ -110,13 +111,15 @@ class TestMonotonicity:
     @settings(max_examples=20, deadline=None)
     def test_rack_size_only_adds_failures(self, seed, small, large):
         small, large = sorted((small, large))
-        narrow = generate_correlated_trace(
+        narrow = generate_trace(
             6, 500.0, 6000.0, seed=seed,
-            spec=CorrelatedFailures(burst_mtbf=300.0, rack_size=small),
+            correlated=CorrelatedFailures(burst_mtbf=300.0,
+                                          rack_size=small),
         )
-        wide = generate_correlated_trace(
+        wide = generate_trace(
             6, 500.0, 6000.0, seed=seed,
-            spec=CorrelatedFailures(burst_mtbf=300.0, rack_size=large),
+            correlated=CorrelatedFailures(burst_mtbf=300.0,
+                                          rack_size=large),
         )
         for node in range(6):
             assert set(narrow.failures_of(node)) <= \
@@ -133,8 +136,8 @@ class TestMonotonicity:
         for intensity in (0.0, 0.5, 1.0):
             spec = CorrelatedFailures(burst_mtbf=250.0,
                                       intensity=intensity, rack_size=2)
-            trace = generate_correlated_trace(
-                3, 400.0, 60_000.0, seed=seed, spec=spec,
+            trace = generate_trace(
+                3, 400.0, 60_000.0, seed=seed, correlated=spec,
             )
             runtimes.append(engine.execute(configured, trace).runtime)
         assert runtimes == sorted(runtimes)

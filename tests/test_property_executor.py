@@ -31,11 +31,7 @@ from repro.engine.coordinator import run_with_extension
 from repro.engine.executor import SimulatedEngine
 from repro.engine.storage import LocalStorage
 from repro.engine.timeline import Timeline
-from repro.engine.traces import (
-    FailureTrace,
-    generate_correlated_trace,
-    generate_trace,
-)
+from repro.engine.traces import FailureTrace, generate_trace
 
 cost_values = st.floats(min_value=0.1, max_value=50.0)
 
@@ -254,10 +250,10 @@ def _battery_trace(kind, cluster, baseline, seed):
     mtbf = baseline * (0.7 + (seed % 4))
     if kind == "burst":
         # jitter 0: a burst fails its whole rack at one instant
-        return generate_correlated_trace(
+        return generate_trace(
             cluster.nodes, mtbf, 20.0 * mtbf, seed,
-            spec=CorrelatedFailures(burst_mtbf=mtbf, rack_size=3,
-                                    jitter=0.0),
+            correlated=CorrelatedFailures(burst_mtbf=mtbf, rack_size=3,
+                                          jitter=0.0),
             chaos_seed=seed,
         )
     return generate_trace(cluster.nodes, mtbf, 20.0 * mtbf, seed)

@@ -7,7 +7,6 @@ partitioning against set identities.
 
 from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

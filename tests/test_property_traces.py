@@ -8,22 +8,50 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.chaos.policy import CorrelatedFailures
+from repro.chaos.policy import CorrelatedFailures, MtbfDrift
 from repro.core.checkpointing import CheckpointSpec, checkpointed_runtime
 from repro.core.cost_model import ClusterStats, operator_runtime
 from repro.engine.seeding import generators, seed_states
 from repro.engine.traces import (
+    TraceExhausted,
     _unit_gaps,
     cached_trace_set,
     extend_trace,
     generate_trace,
-    generate_weibull_trace,
     reset_trace_cache,
+    retry_with_extension,
 )
 
 seeds = st.integers(min_value=0, max_value=200)
 mtbfs = st.floats(min_value=1.0, max_value=1e5)
 nodes = st.integers(min_value=1, max_value=6)
+
+
+def _weibull(shape):
+    """The Weibull base process of ``shape`` without bursts."""
+    return CorrelatedFailures(burst_mtbf=math.inf, intensity=0.0,
+                              base_shape=shape)
+
+
+def _process(name, mtbf):
+    """``generate_trace`` keywords of each failure process a trace can
+    record, scaled to ``mtbf``."""
+    bursts = CorrelatedFailures(burst_mtbf=2.0 * mtbf, rack_size=2,
+                                jitter=0.1 * mtbf)
+    drift = MtbfDrift(scale=2.0, amplitude=0.5, period=3.0 * mtbf,
+                      phase=0.2)
+    return {
+        "exponential": {},
+        "weibull": {"correlated": _weibull(0.7)},
+        "bursts": {"correlated": bursts, "chaos_seed": 4},
+        "drift": {"drift": drift, "chaos_seed": 4},
+        "drift+bursts": {"drift": drift, "correlated": bursts,
+                         "chaos_seed": 4},
+    }[name]
+
+
+processes = st.sampled_from(
+    ("exponential", "weibull", "bursts", "drift", "drift+bursts"))
 
 
 class TestTraceProperties:
@@ -37,17 +65,34 @@ class TestTraceProperties:
             assert list(failures) == sorted(failures)
             assert all(0 < f <= trace.horizon for f in failures)
 
-    @given(seed=seeds, mtbf=mtbfs, node_count=nodes)
-    @settings(max_examples=30, deadline=None)
-    def test_extension_preserves_prefix(self, seed, mtbf, node_count):
+    @given(seed=seeds, mtbf=mtbfs, node_count=nodes, process=processes)
+    @example(seed=3, mtbf=100.0, node_count=2, process="weibull")
+    @settings(max_examples=60, deadline=None)
+    def test_extension_preserves_prefix(self, seed, mtbf, node_count,
+                                        process):
+        """Every failure process extends to exactly the trace drawn at
+        the larger horizon, so the old failures stay as they were."""
+        kwargs = _process(process, mtbf)
         short = generate_trace(node_count, mtbf, horizon=mtbf * 5,
-                               seed=seed)
+                               seed=seed, **kwargs)
         long = extend_trace(short, mtbf * 15)
+        assert long == generate_trace(node_count, mtbf, mtbf * 15,
+                                      seed=seed, **kwargs)
         for node in range(node_count):
             prefix = tuple(
                 f for f in long.failures_of(node) if f <= short.horizon
             )
             assert prefix == short.failures_of(node)
+
+        def run(trace):
+            if trace.horizon < mtbf * 40:
+                raise TraceExhausted
+            return trace.horizon
+
+        result, final = retry_with_extension(run, short)
+        assert result == final.horizon == short.horizon * 16
+        assert final == generate_trace(node_count, mtbf, final.horizon,
+                                       seed=seed, **kwargs)
 
     @given(seed=seeds,
            offset_a=st.floats(min_value=0.0, max_value=100.0),
@@ -76,9 +121,8 @@ class TestTraceProperties:
 
 
 def _draw(mtbf, horizon, seed, shape):
-    if shape is None:
-        return generate_trace(3, mtbf, horizon, seed)
-    return generate_weibull_trace(3, mtbf, horizon, seed, shape=shape)
+    correlated = None if shape is None else _weibull(shape)
+    return generate_trace(3, mtbf, horizon, seed, correlated=correlated)
 
 
 class TestSharedStreams:

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.cost_model import ClusterStats
-from repro.core.enumeration import (
-    enumerate_mat_configs,
-    estimate_plan_cost,
-    find_best_ft_plan,
-)
+from repro.core.enumeration import find_best_ft_plan
 from repro.core.plan import Operator, Plan
 from repro.core.pruning import (
     DominantPathMemo,

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.plan import Operator, Plan
-from repro.core.strategies import AllMat, CostBased, NoMatLineage
+from repro.core.strategies import AllMat, NoMatLineage
 from repro.engine.cluster import Cluster
 from repro.engine.executor import SimulatedEngine
 from repro.engine.reference import ReferenceEngine
-from repro.engine.traces import FailureTrace, generate_trace
+from repro.engine.traces import generate_trace
 
 STEP = 0.05
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational.schema import Column, ColumnType, TableSchema
+from repro.relational.schema import ColumnType, TableSchema
 from repro.relational.table import Table
 
 

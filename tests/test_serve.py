@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
-import math
 import socket
 import statistics
 import sys

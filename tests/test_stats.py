@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.plan import Operator, Plan, linear_plan
+from repro.core.plan import linear_plan
 from repro.stats.calibration import (
     DEFAULT_CPU_ROW_COST,
     DEFAULT_MAT_BYTE_COST,

@@ -1,7 +1,5 @@
 """Tests for the execution-event timeline."""
 
-import pytest
-
 from repro.engine.timeline import (
     Event,
     EventKind,

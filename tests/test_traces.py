@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,8 @@ from repro.engine.traces import (
     TraceExhausted,
     empirical_mtbf,
     extend_trace,
-    generate_correlated_trace,
-    generate_drifting_trace,
     generate_trace,
     generate_trace_set,
-    generate_weibull_trace,
     reset_trace_cache,
     retry_with_extension,
 )
@@ -186,16 +184,22 @@ class TestTraceSet:
             generate_trace_set(2, 100.0, 1_000.0, count=0)
 
 
+def weibull(shape: float = 0.7) -> CorrelatedFailures:
+    """The Weibull base process of ``shape`` with no bursts."""
+    return CorrelatedFailures(burst_mtbf=math.inf, intensity=0.0,
+                              base_shape=shape)
+
+
 class TestWeibullTraces:
     def test_mean_interarrival_matches_mtbf(self):
-        trace = generate_weibull_trace(10, mtbf=100.0,
-                                       horizon=100_000.0, seed=4)
+        trace = generate_trace(10, mtbf=100.0, horizon=100_000.0, seed=4,
+                               correlated=weibull())
         observed = empirical_mtbf(trace)
         assert observed == pytest.approx(100.0, rel=0.1)
 
     def test_shape_one_behaves_like_exponential(self):
-        trace = generate_weibull_trace(5, mtbf=50.0, horizon=50_000.0,
-                                       seed=1, shape=1.0)
+        trace = generate_trace(5, mtbf=50.0, horizon=50_000.0, seed=1,
+                               correlated=weibull(1.0))
         assert empirical_mtbf(trace) == pytest.approx(50.0, rel=0.15)
 
     def test_bursty_shape_clusters_failures(self):
@@ -209,23 +213,27 @@ class TestWeibullTraces:
                 gaps.extend(b - a for a, b in zip(failures, failures[1:]))
             return float(np.std(gaps) / np.mean(gaps))
 
-        bursty = generate_weibull_trace(4, 100.0, 400_000.0, seed=2,
-                                        shape=0.5)
-        memoryless = generate_weibull_trace(4, 100.0, 400_000.0, seed=2,
-                                            shape=1.0)
+        bursty = generate_trace(4, 100.0, 400_000.0, seed=2,
+                                correlated=weibull(0.5))
+        memoryless = generate_trace(4, 100.0, 400_000.0, seed=2,
+                                    correlated=weibull(1.0))
         assert gap_cv(bursty) > gap_cv(memoryless) * 1.3
 
     def test_sorted_and_bounded(self):
-        trace = generate_weibull_trace(3, 20.0, 5_000.0, seed=7)
+        trace = generate_trace(3, 20.0, 5_000.0, seed=7,
+                               correlated=weibull())
         for failures in trace.node_failures:
             assert list(failures) == sorted(failures)
             assert all(0 < f <= 5_000.0 for f in failures)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            generate_weibull_trace(0, 1.0, 1.0, seed=0)
+            generate_trace(0, 1.0, 1.0, seed=0, correlated=weibull())
         with pytest.raises(ValueError):
-            generate_weibull_trace(1, 1.0, 1.0, seed=0, shape=0.0)
+            weibull(0.0)
+        with pytest.raises(ValueError, match="Weibull base_shape"):
+            generate_trace(1, 1.0, 1.0, seed=0, correlated=weibull(),
+                           drift=MtbfDrift(scale=2.0))
 
 
 # ----------------------------------------------------------------------
@@ -245,25 +253,25 @@ GOLDEN_CASES = (
         GOLDEN_NODES, mtbf, horizon, seed)),
     *(
         (f"weibull-{shape}",
-         lambda mtbf, horizon, seed, shape=shape: generate_weibull_trace(
-             GOLDEN_NODES, mtbf, horizon, seed, shape=shape))
+         lambda mtbf, horizon, seed, shape=shape: generate_trace(
+             GOLDEN_NODES, mtbf, horizon, seed, correlated=weibull(shape)))
         for shape in (0.5, 0.7, 1.0)
     ),
-    ("correlated-jitter0", lambda mtbf, horizon, seed:
-        generate_correlated_trace(
-            GOLDEN_NODES, mtbf, horizon, seed,
-            CorrelatedFailures(burst_mtbf=900.0, intensity=0.6,
-                               rack_size=3, jitter=0.0),
-            chaos_seed=5)),
-    ("correlated-jitter", lambda mtbf, horizon, seed:
-        generate_correlated_trace(
-            GOLDEN_NODES, mtbf, horizon, seed,
-            CorrelatedFailures(burst_mtbf=900.0, intensity=0.6,
-                               rack_size=3, jitter=4.0, base_shape=0.7),
-            chaos_seed=5)),
-    ("drifting", lambda mtbf, horizon, seed: generate_drifting_trace(
+    ("correlated-jitter0", lambda mtbf, horizon, seed: generate_trace(
         GOLDEN_NODES, mtbf, horizon, seed,
-        MtbfDrift(scale=0.5, amplitude=0.4, period=3_000.0, phase=0.3),
+        correlated=CorrelatedFailures(burst_mtbf=900.0, intensity=0.6,
+                                      rack_size=3, jitter=0.0),
+        chaos_seed=5)),
+    ("correlated-jitter", lambda mtbf, horizon, seed: generate_trace(
+        GOLDEN_NODES, mtbf, horizon, seed,
+        correlated=CorrelatedFailures(burst_mtbf=900.0, intensity=0.6,
+                                      rack_size=3, jitter=4.0,
+                                      base_shape=0.7),
+        chaos_seed=5)),
+    ("drifting", lambda mtbf, horizon, seed: generate_trace(
+        GOLDEN_NODES, mtbf, horizon, seed,
+        drift=MtbfDrift(scale=0.5, amplitude=0.4, period=3_000.0,
+                        phase=0.3),
         chaos_seed=3)),
     ("extended", lambda mtbf, horizon, seed: extend_trace(
         extend_trace(generate_trace(GOLDEN_NODES, mtbf, horizon / 16,

@@ -6,7 +6,6 @@ from repro.core.strategies import (
     AllMat,
     CostBased,
     NoMatLineage,
-    NoMatRestart,
 )
 from repro.engine.cluster import Cluster
 from repro.engine.traces import FailureTrace, generate_trace
