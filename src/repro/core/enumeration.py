@@ -200,16 +200,25 @@ def plan_fingerprint(plan: Plan) -> Any:
     engines read (operator attributes and the edge set), so it doubles
     as the preflight memo key here and as the plan component of the
     advisory cache key in :mod:`repro.serve`.
+
+    Memoized on the plan (see :class:`~repro.core.plan.Plan`): callers
+    that pass the same plan again -- every advisory cache hit, the
+    preflight memo, the campaign's baseline key -- get the stored tuple
+    back, so their key probes compare it by identity.
     """
-    operators = tuple(
-        (
-            op.op_id, op.name, op.runtime_cost, op.mat_cost,
-            op.materialize, op.free, op.cardinality, op.base_inputs,
-            op.state_ckpt_cost,
+    memo = plan._fingerprint
+    if memo is None:
+        operators = tuple(
+            (
+                op.op_id, op.name, op.runtime_cost, op.mat_cost,
+                op.materialize, op.free, op.cardinality, op.base_inputs,
+                op.state_ckpt_cost,
+            )
+            for _, op in sorted(plan.operators.items())
         )
-        for _, op in sorted(plan.operators.items())
-    )
-    return operators, tuple(sorted(plan.edges()))
+        memo = (operators, tuple(sorted(plan.edges())))
+        setattr(plan, "_fingerprint", memo)  # shadows the ClassVar None
+    return memo
 
 
 def _preflight_once(plan: Plan, stats: ClusterStats) -> None:

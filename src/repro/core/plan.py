@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 
 class PlanError(ValueError):
@@ -118,6 +120,14 @@ class Plan:
     several sources (operators with no producers, e.g. scans) and several
     sinks (operators whose output leaves the plan, e.g. the two outer
     queries of the paper's Q2C).
+
+    A plan changes only through :meth:`add_operator` and
+    :meth:`add_edge`: :func:`~repro.core.enumeration.plan_fingerprint`
+    memoizes its result on the plan and those two methods drop the memo,
+    so editing ``operators`` or the adjacency lists directly after the
+    plan has been fingerprinted is unsupported.  The memo is a plain
+    instance attribute (``_fingerprint``), not a field: it takes no part
+    in ``==``, ``repr``, :func:`dataclasses.fields` or pickles.
     """
 
     operators: Dict[int, Operator] = field(default_factory=dict)
@@ -126,6 +136,24 @@ class Plan:
     #: reverse adjacency: consumer id -> sorted list of producer ids
     _producers: Dict[int, List[int]] = field(default_factory=dict)
 
+    #: plan_fingerprint's memo.  Not a field: a fingerprinted plan
+    #: holds it as an instance attribute shadowing this class-level
+    #: None.  Set and cleared with setattr/delattr, never through
+    #: ``__dict__``: on CPython 3.11, touching an instance's ``__dict__``
+    #: moves its inline attributes into a real dict, and every later
+    #: attribute read on that plan gets ~3x slower.
+    _fingerprint: ClassVar[Optional[Tuple[Any, ...]]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # pickles (pool payloads) carry the fields only, never the memo
+        state = dict(self.__dict__)
+        state.pop("_fingerprint", None)
+        return state
+
+    def _forget_fingerprint(self) -> None:
+        if self._fingerprint is not None:
+            delattr(self, "_fingerprint")
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
@@ -133,6 +161,7 @@ class Plan:
         """Insert ``operator``; its ``op_id`` must be unused."""
         if operator.op_id in self.operators:
             raise PlanError(f"duplicate operator id {operator.op_id}")
+        self._forget_fingerprint()
         self.operators[operator.op_id] = operator
         self._consumers.setdefault(operator.op_id, [])
         self._producers.setdefault(operator.op_id, [])
@@ -154,6 +183,7 @@ class Plan:
             raise PlanError(
                 f"edge {producer_id} -> {consumer_id} would create a cycle"
             )
+        self._forget_fingerprint()
         self._consumers[producer_id].append(consumer_id)
         self._producers[consumer_id].append(producer_id)
 

@@ -33,11 +33,15 @@ adjacent buckets.  No randomization, no state.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..core.cost_model import ClusterStats
+
+#: a stats bucket: (mtbf index, mttr/mtbf ratio index or None, nodes,
+#: const_cost, const_pipe, success_percentile, scale_mtbf_by_nodes)
+Bucket = Tuple[int, Optional[int], int, float, float, float, bool]
 
 
 def log_bucket_index(value: float, resolution: int) -> int:
@@ -86,15 +90,42 @@ class StatsBucketing:
             self.mtbf_resolution,
         )
 
-    def canonical_mttr(self, mttr: float, canonical_mtbf: float,
-                       mtbf: float) -> float:
-        if mttr <= 0.0:  # exact-zero repair delay is its own bucket
-            return 0.0
-        ratio = log_bucket_representative(
-            log_bucket_index(mttr / mtbf, self.ratio_resolution),
-            self.ratio_resolution,
+    def bucket(self, stats: ClusterStats) -> Bucket:
+        """The identity of the bucket ``stats`` fall in.
+
+        The MTBF index, the MTTR/MTBF ratio index (``None`` for
+        ``mttr == 0``) and the pass-through fields.  Two stats have the
+        same canonical stats exactly when their buckets are equal, so
+        the identity doubles as a memo key for :meth:`canonicalize`.  A
+        NaN or infinite MTBF or MTTR raises here, as
+        :func:`log_bucket_index` does.
+        """
+        mtbf_index = log_bucket_index(stats.mtbf, self.mtbf_resolution)
+        ratio_index: Optional[int] = None
+        if not stats.mttr <= 0.0:  # exact-zero repair delay: own bucket
+            ratio_index = log_bucket_index(stats.mttr / stats.mtbf,
+                                           self.ratio_resolution)
+        return (
+            mtbf_index, ratio_index, stats.nodes, stats.const_cost,
+            stats.const_pipe, stats.success_percentile,
+            stats.scale_mtbf_by_nodes,
         )
-        return ratio * canonical_mtbf
+
+    def bucket_stats(self, bucket: Bucket) -> ClusterStats:
+        """The canonical (representative) stats of a :meth:`bucket`."""
+        (mtbf_index, ratio_index, nodes, const_cost, const_pipe,
+         success_percentile, scale_mtbf_by_nodes) = bucket
+        mtbf = log_bucket_representative(mtbf_index, self.mtbf_resolution)
+        mttr = 0.0
+        if ratio_index is not None:
+            mttr = log_bucket_representative(
+                ratio_index, self.ratio_resolution
+            ) * mtbf
+        return ClusterStats(
+            mtbf=mtbf, mttr=mttr, nodes=nodes, const_cost=const_cost,
+            const_pipe=const_pipe, success_percentile=success_percentile,
+            scale_mtbf_by_nodes=scale_mtbf_by_nodes,
+        )
 
     def canonicalize(self, stats: ClusterStats) -> ClusterStats:
         """The bucket-representative stats a request is answered for.
@@ -104,6 +135,4 @@ class StatsBucketing:
         canonical object lands back in its own bucket's representative
         family -- so cache keys built on the result are stable.
         """
-        mtbf = self.canonical_mtbf(stats.mtbf)
-        mttr = self.canonical_mttr(stats.mttr, mtbf, stats.mtbf)
-        return dataclasses.replace(stats, mtbf=mtbf, mttr=mttr)
+        return self.bucket_stats(self.bucket(stats))

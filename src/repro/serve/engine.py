@@ -56,13 +56,16 @@ from ..core.enumeration import find_best_ft_plan, plan_fingerprint
 from ..core.plan import Plan
 from ..core.pruning import PruningConfig
 from ..core.strategies import RecoveryMode, scheme_by_name
-from .bucketing import StatsBucketing
+from .bucketing import Bucket, StatsBucketing
 from .cache import AdviceCache
 
 #: scheme names advise() accepts (the paper's line-up)
 SCHEME_NAMES = (
     "all-mat", "no-mat (lineage)", "no-mat (restart)", "cost-based",
 )
+
+#: distinct buckets one engine interns before its memo resets
+_CANONICAL_CAPACITY = 4096
 
 
 class ServiceOverloaded(RuntimeError):
@@ -215,6 +218,10 @@ class AdvisoryEngine:
         self.config_limit = config_limit
         self._lock = threading.Lock()
         self._inflight: Dict[Hashable, _Inflight] = {}
+        #: searches run (``serve.searches``, kept without a recorder)
+        self.searches = 0
+        #: bucket -> its one interned canonical stats (canonical_stats)
+        self._canonicals: Dict[Bucket, ClusterStats] = {}
         #: last pushed canonical stats (see push_cluster_stats)
         self._current_canonical: Optional[ClusterStats] = None
         self._stats_pushes = 0
@@ -227,10 +234,26 @@ class AdvisoryEngine:
     # the advisory core
     # ------------------------------------------------------------------
     def canonical_stats(self, stats: ClusterStats) -> ClusterStats:
-        """The stats the request is actually answered for."""
+        """The stats the request is actually answered for.
+
+        Interned per engine: every request in one bucket gets the same
+        canonical object, so a cache probe compares its stats by
+        identity.  Capacity-capped like the preflight memo: once full
+        the memo resets rather than growing without bound.  A hit reads
+        the memo without the lock; a new bucket is published under it,
+        so racing threads share the first object and the cap holds.
+        """
         if self.bucketing is None:
             return stats
-        return self.bucketing.canonicalize(stats)
+        bucket = self.bucketing.bucket(stats)
+        canonical = self._canonicals.get(bucket)
+        if canonical is None:
+            fresh = self.bucketing.bucket_stats(bucket)
+            with self._lock:
+                if len(self._canonicals) >= _CANONICAL_CAPACITY:
+                    self._canonicals.clear()
+                canonical = self._canonicals.setdefault(bucket, fresh)
+        return canonical
 
     def advice_key(self, plan: Plan, canonical: ClusterStats,
                    scheme: str) -> Hashable:
@@ -291,6 +314,7 @@ class AdvisoryEngine:
                 leader = entry is None
                 if leader:
                     entry = self._inflight[key] = _Inflight()
+                    self.searches += 1
         if cached is not None:
             if probed:
                 obs.add("serve.coalesced")

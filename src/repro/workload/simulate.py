@@ -359,7 +359,7 @@ def prepare(
         hits=cache_stats["hits"],
         misses=cache_stats["misses"],
         evictions=cache_stats["evictions"],
-        searches=len(group_advice),
+        searches=engine.searches,
     )
     groups: List[MeasurementGroup] = []
     cells: List[CampaignCell] = []

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.plan import Plan
@@ -218,16 +219,24 @@ def generate_tenant_workload(
         )
 
     times = _thinned_arrival_times(count, duration, diurnal, rng)
-    weights = [tenant.weight for tenant in classes]
+    # cumulative weights, built once: rng.choices accumulates the same
+    # floats from plain weights and draws one random() per choice
+    # either way, so the arrivals are those of per-call weight lists
+    class_cum = list(accumulate(tenant.weight for tenant in classes))
+    zipf_cum = [
+        list(accumulate(1.0 / (rank + 1) ** tenant.zipf_s
+                        for rank in range(templates_per_class)))
+        for tenant in classes
+    ]
+    class_range = range(len(classes))
     arrivals: List[QueryArrival] = []
     for index, time in enumerate(times):
-        tenant_index = rng.choices(range(len(classes)),
-                                   weights=weights)[0]
+        tenant_index = rng.choices(class_range, cum_weights=class_cum)[0]
         tenant = classes[tenant_index]
-        members = class_template_indices[tenant_index]
-        zipf = [1.0 / (rank + 1) ** tenant.zipf_s
-                for rank in range(len(members))]
-        template_index = rng.choices(members, weights=zipf)[0]
+        template_index = rng.choices(
+            class_template_indices[tenant_index],
+            cum_weights=zipf_cum[tenant_index],
+        )[0]
         arrivals.append(QueryArrival(
             index=index,
             time=time,

@@ -303,6 +303,7 @@ class TestServeCacheUnderLoad:
             counters.get("serve.searches", 0)
             + counters.get("serve.coalesced", 0)
         )
+        assert engine.searches == counters.get("serve.searches", 0)
         # the cache was big enough: nothing evicted, one entry per
         # distinct canonical identity
         assert stats_now["evictions"] == 0
@@ -361,3 +362,26 @@ class TestServeCacheUnderLoad:
         )
         assert recorder.counters.get("serve.coalesced", 0) \
             + recorder.counters.get("serve.cache.hits", 0) == 1
+
+
+# ----------------------------------------------------------------------
+# advice traffic accounting
+# ----------------------------------------------------------------------
+class TestAdviceTrafficSearches:
+    @pytest.mark.parametrize("cache_size", [0, 4])
+    def test_searches_are_the_searches_the_engine_ran(self, cache_size):
+        # a cache smaller than the working set evicts and searches a
+        # group again, so the distinct groups undercount the searches
+        config = MultiTenantConfig(queries=400, cache_size=cache_size)
+        with obs.recording() as recorder:
+            traced = prepare(config)
+        searches = recorder.counters["serve.searches"]
+        assert traced.advice.searches == searches
+        assert searches > len(traced.groups)
+        if cache_size == 0:
+            assert searches == config.queries
+        else:
+            assert traced.advice.evictions > 0
+            assert searches == traced.advice.misses
+        # the tally needs no recorder
+        assert prepare(config).advice == traced.advice

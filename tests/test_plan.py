@@ -1,7 +1,14 @@
 """Unit tests for DAG plans and operators."""
 
-import pytest
+import dataclasses
+import pickle
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.sanitizer import fingerprint
+from repro.core.enumeration import plan_fingerprint
 from repro.core.plan import Operator, Plan, PlanError, linear_plan
 from repro.core.serialize import plan_from_dict, plan_to_dict
 
@@ -263,3 +270,65 @@ class TestLinearConstruction:
         with pytest.raises(PlanError, match="would create a cycle"):
             plan.add_edge(50, 1)
         assert calls == []
+
+
+class TestFingerprintMemo:
+    """plan_fingerprint memoizes on the plan without entering its value
+    identity (fields, ==, repr, pickles, replay row digests)."""
+
+    @staticmethod
+    def _fresh(plan):
+        # a pickle round-trip rebuilds the plan without the memo
+        return plan_fingerprint(pickle.loads(pickle.dumps(plan)))
+
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("op"), st.integers(1, 6),
+                      st.floats(0.0, 100.0)),
+            st.tuples(st.just("edge"), st.integers(1, 6),
+                      st.integers(1, 6)),
+        ),
+        max_size=20,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_memo_tracks_every_change(self, steps):
+        plan = Plan()
+        for step in steps:
+            try:
+                if step[0] == "op":
+                    plan.add_operator(
+                        Operator(step[1], f"op{step[1]}", step[2], 1.0)
+                    )
+                else:
+                    plan.add_edge(step[1], step[2])
+            except PlanError:
+                pass  # a rejected change leaves plan and memo as they were
+            memo = plan_fingerprint(plan)
+            assert memo == self._fresh(plan)
+            assert plan_fingerprint(plan) is memo
+
+    def test_copies_start_without_the_memo(self, paper_plan):
+        plan_fingerprint(paper_plan)
+        configured = paper_plan.with_mat_config({1: True})
+        assert configured._fingerprint is None
+        assert plan_fingerprint(configured) == self._fresh(configured)
+        assert plan_fingerprint(configured) != plan_fingerprint(paper_plan)
+
+    def test_pickle_bytes_unchanged(self, paper_plan):
+        before = pickle.dumps(paper_plan)
+        plan_fingerprint(paper_plan)
+        assert pickle.dumps(paper_plan) == before
+        assert "_fingerprint" not in pickle.loads(before).__dict__
+
+    def test_value_identity_unchanged(self, paper_plan):
+        untouched = Plan.from_edges(paper_plan.operators.values(),
+                                    paper_plan.edges())
+        fields = dataclasses.fields(paper_plan)
+        digest = fingerprint(paper_plan)
+        text = repr(paper_plan)
+        plan_fingerprint(paper_plan)
+        assert dataclasses.fields(paper_plan) == fields
+        assert "_fingerprint" not in {f.name for f in fields}
+        assert paper_plan == untouched and untouched == paper_plan
+        assert fingerprint(paper_plan) == digest == fingerprint(untouched)
+        assert repr(paper_plan) == text

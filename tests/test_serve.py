@@ -13,8 +13,10 @@ across connections.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import http.client
 import json
+import math
 import socket
 import statistics
 import sys
@@ -24,6 +26,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.cost_model import ClusterStats
@@ -40,7 +44,7 @@ from repro.serve import (
     log_bucket_index,
     log_bucket_representative,
 )
-from repro.serve.engine import _Pending
+from repro.serve.engine import _CANONICAL_CAPACITY, _Pending
 from repro.serve import app
 from repro.serve.app import MAX_BODY_BYTES, create_server
 
@@ -134,6 +138,143 @@ class TestBucketing:
             log_bucket_index(-1.0, 8)
         with pytest.raises(ValueError):
             log_bucket_index(10.0, 0)
+
+
+def _reference_canonical(bucketing, stats):
+    """canonicalize as the two-step arithmetic it always was: snap the
+    MTBF, snap the MTTR/MTBF ratio against the raw MTBF, replace."""
+    mtbf = log_bucket_representative(
+        log_bucket_index(stats.mtbf, bucketing.mtbf_resolution),
+        bucketing.mtbf_resolution,
+    )
+    mttr = 0.0
+    if not stats.mttr <= 0.0:
+        mttr = log_bucket_representative(
+            log_bucket_index(stats.mttr / stats.mtbf,
+                             bucketing.ratio_resolution),
+            bucketing.ratio_resolution,
+        ) * mtbf
+    return dataclasses.replace(stats, mtbf=mtbf, mttr=mttr)
+
+
+#: MTBFs on, just below and just above bucket edges 10**(i/8)
+_EDGE_MTBFS = st.integers(-8, 56).flatmap(
+    lambda i: st.sampled_from([
+        10.0 ** (i / 8),
+        math.nextafter(10.0 ** (i / 8), 0.0),
+        math.nextafter(10.0 ** (i / 8), math.inf),
+    ])
+)
+
+_STATS = st.builds(
+    ClusterStats,
+    mtbf=st.one_of(_EDGE_MTBFS, st.floats(1e-3, 1e8)),
+    mttr=st.one_of(st.just(0.0), _EDGE_MTBFS, st.floats(1e-4, 1e5)),
+    nodes=st.integers(1, 64),
+    const_pipe=st.sampled_from([1.0, 0.8, 0.5]),
+    scale_mtbf_by_nodes=st.booleans(),
+)
+
+
+class TestCanonicalInterning:
+    """AdvisoryEngine.canonical_stats interns one canonical object per
+    bucket without changing what canonicalize computes."""
+
+    @given(batch=st.lists(_STATS, min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_interned_equals_canonicalize(self, batch):
+        # one engine per batch: an interned object must never answer
+        # for stats of another bucket
+        bucketing = StatsBucketing()
+        engine = small_engine()
+        for stats in batch:
+            canonical = bucketing.canonicalize(stats)
+            assert canonical == _reference_canonical(bucketing, stats)
+            interned = engine.canonical_stats(stats)
+            assert interned == canonical
+            assert engine.canonical_stats(stats) is interned
+            assert engine.canonical_stats(canonical) == canonical
+
+    def test_one_object_per_bucket(self):
+        engine = small_engine()
+        a = engine.canonical_stats(ClusterStats(mtbf=86400.0, mttr=1.0,
+                                                nodes=10))
+        b = engine.canonical_stats(ClusterStats(mtbf=86900.0, mttr=1.05,
+                                                nodes=10))
+        assert a is b
+        other = engine.canonical_stats(ClusterStats(mtbf=86400.0, mttr=1.0,
+                                                    nodes=11))
+        assert other is not a and other != a
+
+    def test_memo_is_per_engine(self):
+        stats = ClusterStats(mtbf=3600.0, mttr=2.0, nodes=4)
+        first = small_engine().canonical_stats(stats)
+        second = small_engine().canonical_stats(stats)
+        assert first == second and first is not second
+
+    def test_memo_stays_bounded(self):
+        engine = small_engine()
+        for nodes in range(1, 3 * _CANONICAL_CAPACITY):
+            engine.canonical_stats(ClusterStats(mtbf=3600.0, mttr=1.0,
+                                                nodes=nodes))
+            assert len(engine._canonicals) <= _CANONICAL_CAPACITY
+        again = ClusterStats(mtbf=3600.0, mttr=1.0, nodes=1)
+        assert engine.canonical_stats(again) \
+            == StatsBucketing().canonicalize(again)
+
+    def test_racing_threads_share_one_object_per_bucket(self):
+        class SlowBucketing(StatsBucketing):
+            # widens the window between a memo miss and its publish
+            def bucket_stats(self, bucket):
+                time.sleep(0.002)
+                return super().bucket_stats(bucket)
+
+        engine = small_engine(bucketing=SlowBucketing())
+        requests = [ClusterStats(mtbf=3600.0, mttr=1.0, nodes=1 + i % 5)
+                    for i in range(40)]
+        seen = [[] for _ in range(6)]
+        barrier = threading.Barrier(len(seen))
+
+        def work(out):
+            barrier.wait(10.0)
+            out.extend(engine.canonical_stats(stats) for stats in requests)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out,))
+                       for out in seen]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        by_bucket = {}
+        for out in seen:
+            assert len(out) == len(requests)
+            for stats, canonical in zip(requests, out):
+                first = by_bucket.setdefault(
+                    engine.bucketing.bucket(stats), canonical
+                )
+                assert canonical is first
+        assert len(engine._canonicals) == len(by_bucket)
+
+    @pytest.mark.parametrize("mtbf, mttr", [
+        (math.nan, 1.0), (math.inf, 1.0), (math.nan, 0.0),
+        (math.inf, 0.0), (3600.0, math.nan), (3600.0, math.inf),
+    ])
+    def test_invalid_stats_raise_as_canonicalize_does(self, mtbf, mttr):
+        stats = ClusterStats(mtbf=mtbf, mttr=mttr)
+        with pytest.raises((ValueError, OverflowError)) as expected:
+            _reference_canonical(StatsBucketing(), stats)
+        with pytest.raises(expected.type):
+            StatsBucketing().canonicalize(stats)
+        engine = small_engine()
+        with pytest.raises(expected.type):
+            engine.canonical_stats(stats)
+        assert engine._canonicals == {}
 
 
 # ----------------------------------------------------------------------
