@@ -30,8 +30,10 @@ Reported numbers:
   bit-identity acceptance gate.
 
 Exit status 1 when a gate fails: any request error, a sampled response
-that differs from direct search, no sampled response at all, or (in
---quick mode) a cache hit rate below 0.5.
+that differs from direct search, no sampled response at all, (in
+--quick mode) a cache hit rate below 0.5, or counters that do not add
+up (``hits + misses != serve.requests`` or ``misses != serve.searches
++ serve.coalesced + serve.shed``).
 
 The zipf sampling and the stats jitter are seeded: two runs issue the
 same request sequence.
@@ -364,8 +366,10 @@ def main(argv=None) -> int:
 
 def gate_failures(report: Dict[str, Any], quick: bool) -> List[str]:
     """The acceptance gates: no request errors, every sampled response
-    bit-identical to a direct search (and at least one sampled), and in
-    --quick mode a warm enough cache on the fixed zipf mix."""
+    bit-identical to a direct search (and at least one sampled), in
+    --quick mode a warm enough cache on the fixed zipf mix, and
+    consistent traffic accounting: every request one hit or one miss,
+    every miss one search, one coalesced follower or one shed."""
     failures = []
     if report["errors"]:
         failures.append(f"{report['errors']} request errors")
@@ -377,6 +381,18 @@ def gate_failures(report: Dict[str, Any], quick: bool) -> List[str]:
     if quick and hit_rate < QUICK_HIT_RATE_FLOOR:
         failures.append(f"hit rate {hit_rate:.3f} < "
                         f"{QUICK_HIT_RATE_FLOOR}")
+    if report["cache"] is not None:
+        counters = report["counters"]
+        hits, misses = report["cache"]["hits"], report["cache"]["misses"]
+        requests = counters.get("serve.requests", 0)
+        if hits + misses != requests:
+            failures.append(f"hits {hits} + misses {misses} != "
+                            f"serve.requests {requests}")
+        outcomes = sum(counters.get(f"serve.{name}", 0)
+                       for name in ("searches", "coalesced", "shed"))
+        if misses != outcomes:
+            failures.append(f"misses {misses} != serve.searches + "
+                            f"serve.coalesced + serve.shed {outcomes}")
     return failures
 
 

@@ -38,8 +38,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..chaos import CorrelatedFailures, FaultPolicy, MtbfDrift, Stragglers
 from ..core.failure import HOUR
-from ..core.search_context import SearchContext
-from ..core.strategies import ConfiguredPlan, RecoveryMode
 from ..engine.adaptive import AdaptiveCostBased, DriftEnvelope
 from ..engine.campaign import CampaignCell, run_campaign
 from ..engine.cluster import Cluster
@@ -49,8 +47,8 @@ from ..tpch.queries import build_query_plan
 from .common import (
     DEFAULT_MTTR,
     DEFAULT_NODES,
-    config_label,
     default_params_for,
+    sweep_configs,
 )
 from .robustness import Regime
 
@@ -131,18 +129,6 @@ class AdaptiveDriftResult:
     rows: Tuple[AdaptiveDriftRow, ...]
 
 
-def _regime_effective_mtbf(
-    regime: Regime, nodes: int, mtbf: float
-) -> float:
-    if regime.policy is None:
-        return mtbf
-    if regime.policy.mtbf_drift is not None:
-        return regime.policy.mtbf_drift.effective_mtbf(mtbf)
-    if regime.policy.correlated is not None:
-        return regime.policy.correlated.effective_mtbf(nodes, mtbf)
-    return mtbf
-
-
 def run(
     query: str = "Q5",
     scale_factor: float = 100.0,
@@ -179,23 +165,9 @@ def run(
     stats = cluster.stats(mtbf)
 
     # what the cost-based scheme picks under the assumed statistics
-    context = SearchContext(plan, stats)
-    scored: List[Tuple[float, Tuple[Tuple[int, bool], ...]]] = [
-        (context.scores(mask)[1], context.config_for(mask))
-        for mask in range(1 << len(context.free_ids))
-    ]
-    chosen_index = min(range(len(scored)), key=lambda i: scored[i][0])
-
-    configs = [config for _, config in scored]
-    labels = [config_label(config) for config in configs]
-    configured = tuple(
-        ConfiguredPlan(
-            plan=plan.with_mat_config(dict(config)),
-            recovery=RecoveryMode.FINE_GRAINED,
-            scheme=label,
-        )
-        for config, label in zip(configs, labels)
-    )
+    sweep = sweep_configs(plan, stats)
+    chosen_index, labels = sweep.chosen, sweep.labels
+    configured = sweep.configured(plan)
     adaptive_scheme = AdaptiveCostBased(
         envelope=envelope, half_life=half_life,
     )
@@ -237,7 +209,7 @@ def run(
         oracle_index = min(range(len(means)), key=means.__getitem__)
         rows.append(AdaptiveDriftRow(
             regime=regime.name,
-            effective_mtbf=_regime_effective_mtbf(regime, nodes, mtbf),
+            effective_mtbf=regime.effective_mtbf(nodes, mtbf),
             chosen_config=labels[chosen_index],
             oracle_config=labels[oracle_index],
             static_mean=means[chosen_index],

@@ -12,14 +12,21 @@ Every overhead experiment follows the paper's protocol (Section 5.1/5.2):
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
+from ..core.cost_model import ClusterStats
+from ..core.plan import Plan
+from ..core.search_context import SearchContext
+from ..core.strategies import ConfiguredPlan, RecoveryMode
 from ..engine.campaign import CellResult
 from ..stats.calibration import DEFAULT_NODES, default_parameters
 from ..stats.estimates import CostParameters
 
 #: the paper's cluster configuration
 DEFAULT_MTTR = 1.0
+
+#: a materialization configuration: ``(op_id, materialize)`` pairs
+MatConfigKey = Tuple[Tuple[int, bool], ...]
 
 
 def overhead_grid(cells: Sequence[CellResult]) -> str:
@@ -49,3 +56,38 @@ def config_label(config: Sequence[Tuple[int, bool]]) -> str:
 
 def default_params_for(nodes: int = DEFAULT_NODES) -> CostParameters:
     return default_parameters(nodes=nodes)
+
+
+class ConfigSweep(NamedTuple):
+    """Every materialization configuration of one plan with its
+    estimated runtime, in mask order (the naive enumeration's order)."""
+
+    costs: Tuple[float, ...]
+    configs: Tuple[MatConfigKey, ...]
+
+    @property
+    def chosen(self) -> int:
+        """Index of the cost-based scheme's pick: the first cheapest."""
+        return min(range(len(self.costs)), key=self.costs.__getitem__)
+
+    @property
+    def labels(self) -> Tuple[str, ...]:
+        return tuple(config_label(config) for config in self.configs)
+
+    def configured(self, plan: Plan) -> Tuple[ConfiguredPlan, ...]:
+        """Each configuration as a fine-grained plan named by its label."""
+        return tuple(
+            ConfiguredPlan(plan=plan.with_mat_config(dict(config)),
+                           recovery=RecoveryMode.FINE_GRAINED, scheme=label)
+            for config, label in zip(self.configs, self.labels)
+        )
+
+
+def sweep_configs(plan: Plan, stats: ClusterStats) -> ConfigSweep:
+    """Score every configuration through one :class:`SearchContext`."""
+    context = SearchContext(plan, stats)
+    costs, configs = zip(*[
+        (context.scores(mask)[1], context.config_for(mask))
+        for mask in range(1 << len(context.free_ids))
+    ])
+    return ConfigSweep(costs, configs)

@@ -35,8 +35,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..chaos import CorrelatedFailures, FaultPolicy, FlakyWrites, Stragglers
 from ..core.failure import HOUR
-from ..core.search_context import SearchContext
-from ..core.strategies import ConfiguredPlan, RecoveryMode
 from ..engine.campaign import CampaignCell, run_campaign
 from ..engine.cluster import Cluster
 from ..engine.coordinator import pure_baseline_runtime
@@ -45,8 +43,8 @@ from ..tpch.queries import build_query_plan
 from .common import (
     DEFAULT_MTTR,
     DEFAULT_NODES,
-    config_label,
     default_params_for,
+    sweep_configs,
 )
 
 
@@ -56,6 +54,15 @@ class Regime:
 
     name: str
     policy: Optional[FaultPolicy]   #: ``None`` = the assumed regime
+
+    def effective_mtbf(self, nodes: int, mtbf: float) -> float:
+        """The MTBF this regime's failure process really implies."""
+        policy = self.policy
+        if policy is not None and policy.mtbf_drift is not None:
+            return policy.mtbf_drift.effective_mtbf(mtbf)
+        if policy is not None and policy.correlated is not None:
+            return policy.correlated.effective_mtbf(nodes, mtbf)
+        return mtbf
 
 
 def default_regimes(
@@ -154,24 +161,9 @@ def run(
     stats = cluster.stats(mtbf)
 
     # what the cost-based scheme would pick under the assumed statistics
-    # (mask order keeps labels aligned with the naive enumeration)
-    context = SearchContext(plan, stats)
-    scored: List[Tuple[float, Tuple[Tuple[int, bool], ...]]] = [
-        (context.scores(mask)[1], context.config_for(mask))
-        for mask in range(1 << len(context.free_ids))
-    ]
-    chosen_index = min(range(len(scored)), key=lambda i: scored[i][0])
-
-    configs = [config for _, config in scored]
-    labels = [config_label(config) for config in configs]
-    configured = tuple(
-        ConfiguredPlan(
-            plan=plan.with_mat_config(dict(config)),
-            recovery=RecoveryMode.FINE_GRAINED,
-            scheme=label,
-        )
-        for config, label in zip(configs, labels)
-    )
+    sweep = sweep_configs(plan, stats)
+    chosen_index, labels = sweep.chosen, sweep.labels
+    configured = sweep.configured(plan)
     engine = SimulatedEngine(cluster)
     baseline = pure_baseline_runtime(plan, engine, stats)
 
@@ -191,12 +183,9 @@ def run(
         )
         means = [result.mean_runtime for result in results]
         oracle_index = min(range(len(means)), key=means.__getitem__)
-        effective = mtbf
-        if regime.policy is not None and regime.policy.correlated is not None:
-            effective = regime.policy.correlated.effective_mtbf(nodes, mtbf)
         rows.append(RobustnessRow(
             regime=regime.name,
-            effective_mtbf=effective,
+            effective_mtbf=regime.effective_mtbf(nodes, mtbf),
             chosen_config=labels[chosen_index],
             oracle_config=labels[oracle_index],
             chosen_mean=means[chosen_index],

@@ -18,7 +18,6 @@ from typing import Dict, List, Sequence, Tuple
 from ..core.cost_model import ClusterStats
 from ..core.failure import HOUR
 from ..core.plan import Plan
-from ..core.search_context import SearchContext
 from ..engine.campaign import campaign_map
 from ..stats.perturbation import (
     PAPER_FACTORS,
@@ -27,9 +26,10 @@ from ..stats.perturbation import (
     perturb_stats,
 )
 from ..tpch.queries import build_query_plan
-from .common import DEFAULT_MTTR, DEFAULT_NODES, default_params_for
-
-MatConfigKey = Tuple[Tuple[int, bool], ...]
+from .common import (
+    DEFAULT_MTTR, DEFAULT_NODES, MatConfigKey, default_params_for,
+    sweep_configs,
+)
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,10 @@ class Tab3Result:
 def _ranking(
     plan: Plan, stats: ClusterStats
 ) -> List[Tuple[float, MatConfigKey]]:
-    """All configurations with their estimated runtime, cheapest first.
-
-    Scored through a :class:`SearchContext` sweep in mask order; the
-    stable sort keeps equal-cost configurations in enumeration order,
-    exactly like a per-config rebuild would.
-    """
-    context = SearchContext(plan, stats)
-    scored = [
-        (context.scores(mask)[1], context.config_for(mask))
-        for mask in range(1 << len(context.free_ids))
-    ]
-    scored.sort(key=lambda item: item[0])
-    return scored
+    """All configurations with their estimated runtime, cheapest first
+    (the stable sort keeps equal costs in enumeration order)."""
+    sweep = sweep_configs(plan, stats)
+    return sorted(zip(sweep.costs, sweep.configs), key=lambda item: item[0])
 
 
 def _perturbed_top5(

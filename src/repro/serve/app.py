@@ -39,23 +39,24 @@ the response; ``Content-Length`` bodies only) and answers them:
 * a **cache hit** is answered inline: decode, ``engine.submit`` (which
   answers a hit on the calling thread), encode and one ``send()``, with
   no thread hand-off;
-* a **miss** takes a slot in the engine's bounded queue.  The done-
-  callback of its handle runs on the worker that finishes it, encodes
-  the response, queues it and wakes the loop, which writes it.  A batch
-  answers when its last entry finishes.  While a connection waits on a
-  miss the loop parses none of its later (pipelined) requests, so
-  responses leave in request order.
+* a **miss** of a new key takes a slot in the engine's bounded queue;
+  a miss of a key already in flight shares that search's handle.  Each
+  connection waiting on a handle adds its own done-callback, which runs
+  on the worker that finishes it, encodes the response, queues it and
+  wakes the loop, which writes it.  A batch answers when its last entry
+  finishes.  While a connection waits on a miss the loop parses none of
+  its later (pipelined) requests, so responses leave in request order.
 
 No thread is spawned per connection or per miss, and the loop does not
 poll: it sleeps in ``select`` until a socket is ready, a miss
 completes, or a deadline passes.  A request whose head or body is still
 incomplete :data:`REQUEST_READ_TIMEOUT_S` after its first byte arrived
 closes its connection; until then it holds only its buffer, so slow
-clients cannot delay others.  When misses outrun the workers the queue
-sheds them (429) instead of building unbounded latency; a hit is never
-shed.  An unexpected error while handling one socket event is printed
-with its traceback and closes that connection only; the loop keeps
-serving.
+clients cannot delay others.  When new keys outrun the workers the
+queue sheds them (429) instead of building unbounded latency; a hit or
+a miss that joins an in-flight search is never shed.  An unexpected
+error while handling one socket event is printed with its traceback
+and closes that connection only; the loop keeps serving.
 
 Each response leaves in one ``send()`` with Nagle's algorithm off
 (``TCP_NODELAY``).  A response written as headers then body with Nagle
@@ -511,9 +512,10 @@ class AdvisoryServer:
                render: Callable[[], _Answer], close: bool) -> None:
         """Answer ``conn`` once every handle in ``pendings`` finishes.
 
-        Waits on the first unfinished handle; its done-callback runs on
-        the worker that finishes it and moves on to the next, and the
-        last one encodes the response, queues it and wakes the loop.
+        Adds a done-callback to the first unfinished handle (other
+        connections may wait on the same one); it runs on the worker
+        that finishes the handle and moves on to the next, and the last
+        one encodes the response, queues it and wakes the loop.
         """
         for pending in pendings:
             if not pending.done():

@@ -25,7 +25,12 @@ from .. import obs
 
 
 class AdviceCache:
-    """Thread-safe LRU mapping advisory keys to advice objects."""
+    """Thread-safe LRU mapping advisory keys to advice objects.
+
+    The engine calls :meth:`get` exactly once per request, inside the
+    claim step that also looks up the key's in-flight search, so every
+    request is one counted hit or one counted miss.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -54,15 +59,6 @@ class AdviceCache:
             obs.add("serve.cache.misses")
         else:
             obs.add("serve.cache.hits")
-        return value
-
-    def peek(self, key: Hashable) -> Optional[Any]:
-        """:meth:`get` without the hit/miss tally: a second look for a
-        request whose miss was already counted."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
         return value
 
     def put(self, key: Hashable, value: Any) -> None:

@@ -18,27 +18,31 @@ lookup":
    pinned bit-identical across them, so including them would only split
    the cache.
 
-2. **Single-flight dedup.**  Concurrent requests for the same key
-   coalesce onto one in-flight search: the first becomes the leader and
-   computes, the rest wait on an event and share the leader's result
-   (or its exception).  N identical concurrent requests cost exactly one
-   search (``serve.coalesced`` counts the followers).
+2. **Single-flight dedup.**  The engine keeps one in-flight handle per
+   key.  One claim step under the engine lock makes a request a hit, a
+   follower of the key's handle or the leader that registers a new
+   one.  Only the leader computes; it publishes to the cache and
+   finishes the handle, which answers every follower with its result
+   (or its exception).  N identical concurrent requests cost exactly
+   one search (``serve.coalesced`` counts the followers).
 
 3. **Fan-out.**  Distinct keys compute independently -- the
-   frontend's worker threads each drive their own search, and a search
-   itself can fan out over the resilient process-pool sharded scan
-   (``parallelism``, ``shards``).
+   frontend's worker threads each drive their own leader's search, and
+   a search itself can fan out over the resilient process-pool sharded
+   scan (``parallelism``, ``shards``).
 
 The bounded-queue/backpressure frontend (:meth:`AdvisoryEngine.start` /
 :meth:`submit`) is part of the engine so the HTTP layer stays a thin
-codec.  :meth:`submit` answers a cache hit on the caller's thread;
-only misses reach the workers, plain ``threading.Thread`` s draining a
+codec.  :meth:`submit` answers a cache hit on the caller's thread and
+hands a follower its key's handle there too; only a new key's leader
+reaches the workers, plain ``threading.Thread`` s draining a
 ``queue.Queue`` (each blocks in its own search's process pool, so
-threads are the right concurrency primitive here).  A finished miss
-wakes :meth:`_Pending.result` and runs the handle's done-callback on
-the worker, which is how the HTTP event loop learns of it without a
-thread of its own.  A full queue sheds a miss immediately with
-:class:`ServiceOverloaded` -- the HTTP layer maps that to 429.
+threads are the right concurrency primitive here).  A finished search
+wakes :meth:`_Pending.result` and runs every done-callback of its
+handle on the worker, which is how the HTTP event loop learns of it
+without a thread of its own.  A full queue sheds a new key's leader
+immediately with :class:`ServiceOverloaded` -- the HTTP layer maps that
+to 429; a hit or a follower is never shed.
 """
 
 from __future__ import annotations
@@ -108,26 +112,21 @@ class Advice:
         }
 
 
-class _Inflight:
-    """One in-progress computation concurrent requests coalesce onto."""
-
-    __slots__ = ("event", "advice", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.advice: Optional[Advice] = None
-        self.error: Optional[BaseException] = None
-
-
 class _Pending:
-    """Handle for a submitted request.
+    """Handle for one advisory answer, shared by all its waiters.
 
     A cache hit is answered on the submitting thread, so its handle is
-    born finished and carries no event; a miss finishes on a worker,
-    which wakes :meth:`result` and runs the done-callback, if any.
+    born finished and carries no event.  A miss's handle is the
+    single-flight entry of its key: every request that claims the key
+    while it is in flight waits on this one handle, and the leader
+    finishes it, which wakes :meth:`result` and runs every
+    done-callback.  ``cacheable`` is cleared by a stats push that
+    supersedes the key's bucket; the leader then answers but does not
+    cache.
     """
 
-    __slots__ = ("_event", "_lock", "_callback", "_advice", "_error")
+    __slots__ = ("_event", "_lock", "_callbacks", "_advice", "_error",
+                 "cacheable")
 
     def __init__(self, advice: Optional[Advice] = None) -> None:
         self._event: Optional[threading.Event] = None
@@ -135,9 +134,10 @@ class _Pending:
         if advice is None:
             self._event = threading.Event()
             self._lock = threading.Lock()
-        self._callback: Optional[Callable[["_Pending"], None]] = None
+        self._callbacks: List[Callable[["_Pending"], None]] = []
         self._advice = advice
         self._error: Optional[BaseException] = None
+        self.cacheable = True
 
     def done(self) -> bool:
         return self._event is None or self._event.is_set()
@@ -145,14 +145,15 @@ class _Pending:
     def add_done_callback(
         self, callback: Callable[["_Pending"], None]
     ) -> None:
-        """Call ``callback(self)`` once the request has finished: at
-        once on this thread if it already has, else on the worker that
-        finishes it.  One callback per handle; it must not raise."""
+        """Call ``callback(self)`` once the answer is known: at once on
+        this thread if it already is, else on the thread that finishes
+        the handle.  Each added callback runs exactly once; it must not
+        raise."""
         if self._lock is not None:
             assert self._event is not None
             with self._lock:
                 if not self._event.is_set():
-                    self._callback = callback
+                    self._callbacks.append(callback)
                     return
         callback(self)
 
@@ -163,8 +164,8 @@ class _Pending:
             self._advice = advice
             self._error = error
             self._event.set()
-            callback = self._callback
-        if callback is not None:
+            callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
             callback(self)
 
     def result(self, timeout: Optional[float] = None) -> Advice:
@@ -174,6 +175,11 @@ class _Pending:
             raise self._error
         assert self._advice is not None
         return self._advice
+
+
+#: a claimed miss for its leader: (plan, canonical stats, scheme, key,
+#: the key's in-flight handle)
+_Job = Tuple[Plan, ClusterStats, str, Hashable, _Pending]
 
 
 class AdvisoryEngine:
@@ -217,7 +223,7 @@ class AdvisoryEngine:
         self.shards = shards
         self.config_limit = config_limit
         self._lock = threading.Lock()
-        self._inflight: Dict[Hashable, _Inflight] = {}
+        self._inflight: Dict[Hashable, _Pending] = {}
         #: searches run (``serve.searches``, kept without a recorder)
         self.searches = 0
         #: bucket -> its one interned canonical stats (canonical_stats)
@@ -228,7 +234,6 @@ class AdvisoryEngine:
         # frontend state (started lazily by start())
         self._queue: Optional["queue.Queue"] = None
         self._workers: List[threading.Thread] = []
-        self._stopping = False
 
     # ------------------------------------------------------------------
     # the advisory core
@@ -277,77 +282,80 @@ class AdvisoryEngine:
         """Answer one request (synchronously; thread-safe).
 
         Cache hit -> the stored advice.  Same key already in flight ->
-        wait for the leader's result.  Otherwise compute, publish to the
-        cache and the followers atomically, and return.
+        wait for the leader's result.  Otherwise lead: compute on this
+        thread, publish to the cache and the followers, and return.
         """
-        canonical, key = self._identify(plan, stats, scheme)
-        return self._advise_keyed(plan, canonical, scheme, key,
-                                  probed=False)
+        cached, pending, job = self._claim(plan, stats, scheme, None)
+        if cached is not None:
+            return cached
+        if job is not None:
+            self._lead(*job)
+        assert pending is not None
+        return pending.result()
 
-    def _identify(self, plan: Plan, stats: ClusterStats,
-                  scheme: str) -> Tuple[ClusterStats, Hashable]:
-        """Validate and count one request; its canonical stats and key."""
+    def _claim(
+        self, plan: Plan, stats: ClusterStats, scheme: str,
+        request_queue: "Optional[queue.Queue[Optional[_Job]]]",
+    ) -> Tuple[Optional[Advice], Optional[_Pending], Optional[_Job]]:
+        """Count one request; decide under the engine lock whether it
+        is a hit ``(advice, None, None)``, a follower of its key's
+        in-flight handle ``(None, handle, None)`` or the leader of a
+        new handle.  A leader takes a slot in ``request_queue`` (or is
+        shed before anyone can follow it) and returns like a follower;
+        without a queue it returns ``(None, handle, job)`` for the
+        caller to run through :meth:`_lead`.  So every miss counts once:
+        as a search, a coalesced follower or a shed.
+        """
         if scheme not in SCHEME_NAMES:
             raise ValueError(f"unknown fault-tolerance scheme {scheme!r} "
                              f"(expected one of {SCHEME_NAMES})")
         obs.add("serve.requests")
         canonical = self.canonical_stats(stats)
-        return canonical, self.advice_key(plan, canonical, scheme)
-
-    def _advise_keyed(self, plan: Plan, canonical: ClusterStats,
-                      scheme: str, key: Hashable, probed: bool) -> Advice:
-        """The single-flight core behind :meth:`advise` and the workers.
-
-        ``probed`` requests already missed the cache in :meth:`submit`:
-        they look again without counting a second miss, and an entry
-        published since (by the leader they raced) answers them as a
-        coalesced follower, so every miss is a search, a follower or a
-        shed.
-        """
+        key = self.advice_key(plan, canonical, scheme)
         with self._lock:
-            cached = None
             if self.cache is not None:
-                cached = (self.cache.peek(key) if probed
-                          else self.cache.get(key))
-            if cached is None:
-                entry = self._inflight.get(key)
-                leader = entry is None
-                if leader:
-                    entry = self._inflight[key] = _Inflight()
-                    self.searches += 1
-        if cached is not None:
-            if probed:
+                cached = self.cache.get(key)
+                if cached is not None:
+                    return cached, None, None
+            pending = self._inflight.get(key)
+            if pending is not None:
                 obs.add("serve.coalesced")
-            return cached
-        if not leader:
-            obs.add("serve.coalesced")
-            assert entry is not None
-            entry.event.wait()
-            if entry.error is not None:
-                raise entry.error
-            assert entry.advice is not None
-            return entry.advice
-        assert entry is not None
+                return None, pending, None
+            pending = _Pending()
+            job = (plan, canonical, scheme, key, pending)
+            if request_queue is not None:
+                try:
+                    request_queue.put_nowait(job)
+                except queue.Full:
+                    obs.add("serve.shed")
+                    raise ServiceOverloaded(
+                        "advisory queue full; retry later"
+                    ) from None
+            self._inflight[key] = pending
+            self.searches += 1
+        return None, pending, job if request_queue is None else None
+
+    def _lead(self, plan: Plan, canonical: ClusterStats, scheme: str,
+              key: Hashable, pending: _Pending) -> None:
+        """Compute a claimed key and finish its handle for every waiter.
+
+        Publish-then-unregister under one lock: a request claiming the
+        key meanwhile sees either the cache entry or the handle, never
+        neither, so no duplicate search can start.  Errors reach every
+        waiter but are never cached -- the next request retries.
+        """
+        advice: Optional[Advice] = None
+        error: Optional[BaseException] = None
         try:
             advice = self._compute(plan, canonical, scheme)
-        except BaseException as error:
-            # errors propagate to every coalesced waiter but are never
-            # cached -- the next request retries the computation
-            entry.error = error
-            with self._lock:
-                del self._inflight[key]
-            entry.event.set()
-            raise
-        entry.advice = advice
+        except BaseException as caught:  # delivered to the waiters
+            error = caught
         with self._lock:
-            # publish-then-unregister under one lock: a request arriving
-            # here either sees the cache entry or the in-flight entry,
-            # never neither (no duplicate search can start)
-            if self.cache is not None:
+            if (advice is not None and pending.cacheable
+                    and self.cache is not None):
                 self.cache.put(key, advice)
             del self._inflight[key]
-        entry.event.set()
-        return advice
+        pending._finish(advice, error)
 
     def push_cluster_stats(self, stats: ClusterStats) -> Dict[str, Any]:
         """Hot cluster-stats push: the cluster's effective statistics
@@ -366,9 +374,10 @@ class AdvisoryEngine:
         is a no-op beyond the bookkeeping: bucketing absorbs estimation
         noise exactly as it does on the request path.
 
-        Runs under the engine lock, serialized with :meth:`advise`'s
-        publish step, so a concurrent request can never re-publish stale
-        advice after its bucket was invalidated.
+        Runs under the engine lock, serialized with the leaders' publish
+        step: searches of the superseded bucket still in flight are
+        marked not cacheable, so their leaders answer every waiter but
+        never re-publish stale advice after its bucket was invalidated.
         """
         obs.add("serve.stats_push")
         canonical = self.canonical_stats(stats)
@@ -378,11 +387,16 @@ class AdvisoryEngine:
             self._current_canonical = canonical
             self._stats_pushes += 1
             changed = previous is not None and previous != canonical
-            if changed and self.cache is not None:
-                evicted = self.cache.invalidate(
-                    lambda key: isinstance(key, tuple) and len(key) > 1
-                    and key[1] == previous
-                )
+            if changed:
+                def superseded(key: Hashable) -> bool:
+                    return (isinstance(key, tuple) and len(key) > 1
+                            and key[1] == previous)
+
+                for key, pending in self._inflight.items():
+                    if superseded(key):
+                        pending.cacheable = False
+                if self.cache is not None:
+                    evicted = self.cache.invalidate(superseded)
         return {
             "canonical": canonical,
             "changed": changed,
@@ -450,11 +464,11 @@ class AdvisoryEngine:
         with self._lock:
             if self._queue is not None:
                 raise RuntimeError("engine already started")
-            self._queue = queue.Queue(maxsize=max_queue)
-            self._stopping = False
+            request_queue = self._queue = queue.Queue(maxsize=max_queue)
         for index in range(workers):
             thread = threading.Thread(
                 target=self._worker_loop,
+                args=(request_queue,),
                 name=f"advisory-worker-{index}",
                 daemon=True,
             )
@@ -467,7 +481,6 @@ class AdvisoryEngine:
             request_queue = self._queue
             if request_queue is None:
                 return
-            self._stopping = True
         for _ in self._workers:
             request_queue.put(None)  # one wake-up pill per worker
         for thread in self._workers:
@@ -478,11 +491,13 @@ class AdvisoryEngine:
 
     def submit(self, plan: Plan, stats: ClusterStats,
                scheme: str = "cost-based") -> _Pending:
-        """Answer a cache hit at once; enqueue a miss.
+        """Answer a cache hit at once; enqueue a new miss.
 
         The hit path is one cache probe on the caller's thread: no queue
-        slot, no worker wake-up, so a hit is never shed.  A miss carries
-        its canonical stats and key to a worker and raises
+        slot, no worker wake-up, so a hit is never shed.  A miss whose
+        key is already in flight gets that key's handle, with no queue
+        slot or worker of its own.  Only a new key's leader carries its
+        canonical stats and key to a worker, and raises
         :class:`ServiceOverloaded` when the bounded queue is full (the
         backpressure signal).
         """
@@ -490,36 +505,17 @@ class AdvisoryEngine:
             request_queue = self._queue
         if request_queue is None:
             raise RuntimeError("engine not started (call start())")
-        canonical, key = self._identify(plan, stats, scheme)
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return _Pending(cached)
-        pending = _Pending()
-        try:
-            request_queue.put_nowait((plan, canonical, scheme, key,
-                                      pending))
-        except queue.Full:
-            obs.add("serve.shed")
-            raise ServiceOverloaded(
-                "advisory queue full; retry later"
-            ) from None
-        return pending
+        cached, pending, _ = self._claim(plan, stats, scheme,
+                                         request_queue)
+        return _Pending(cached) if pending is None else pending
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, request_queue: "queue.Queue[Optional[_Job]]"
+                     ) -> None:
         while True:
-            assert self._queue is not None
-            item = self._queue.get()
-            if item is None:
+            job = request_queue.get()
+            if job is None:
                 return
-            plan, canonical, scheme, key, pending = item
-            try:
-                advice = self._advise_keyed(plan, canonical, scheme, key,
-                                            probed=True)
-            except BaseException as error:  # delivered to the waiter
-                pending._finish(None, error)
-            else:
-                pending._finish(advice, None)
+            self._lead(*job)
 
     # ------------------------------------------------------------------
     # introspection

@@ -121,8 +121,8 @@ class TestDeterminism:
 def _blocked_engine(monkeypatch):
     """A started engine whose worker is stuck and whose queue is full.
 
-    Every further submission sheds with :class:`ServiceOverloaded`
-    until ``release`` is set.
+    Every further submission of a key not already in flight sheds
+    with :class:`ServiceOverloaded` until ``release`` is set.
     """
     engine = AdvisoryEngine(cache_size=64)
     started = threading.Event()
@@ -152,6 +152,7 @@ class TestAdvisoryErrorRows:
                 with pytest.raises(ServiceOverloaded,
                                    match="after 2 retries"):
                     resolve_advice(engine, paper_plan, stats,
+                                   scheme="no-mat (restart)",
                                    max_retries=2, retry_backoff=0.0)
             assert recorder.counters["workload.advice_retries"] == 2
         finally:

@@ -595,12 +595,55 @@ class TestStatsPush:
         assert counters["serve.stats_push"] == 2
         assert counters["serve.cache.invalidations"] == 1
 
+    def test_push_keeps_an_in_flight_superseded_search_out_of_the_cache(
+        self, paper_plan, monkeypatch
+    ):
+        """A search of the superseded bucket that is still running when
+        the push lands answers its caller but is never cached."""
+        old = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        engine = small_engine()
+        engine.push_cluster_stats(old)
+        started, release = _block_cost_based(monkeypatch)
+        answers = []
+        request = threading.Thread(
+            target=lambda: answers.append(engine.advise(paper_plan, old)))
+        request.start()
+        try:
+            assert started.wait(10.0)
+            result = engine.push_cluster_stats(
+                ClusterStats(mtbf=86400.0, mttr=0.0, nodes=1))
+            assert result["changed"] is True
+            assert result["evicted"] == 0
+        finally:
+            release.set()
+            request.join(timeout=30.0)
+        assert len(engine.cache) == 0
+        assert engine.metrics()["inflight"] == 0
+        assert answers == [direct_advice(paper_plan, old, engine)]
+
     def test_cache_disabled_push_is_safe(self):
         engine = small_engine(cache_size=0)
         engine.push_cluster_stats(self.OLD)
         result = engine.push_cluster_stats(self.NEW)
         assert result["changed"] is True
         assert result["evicted"] == 0
+
+
+def _block_cost_based(monkeypatch):
+    """Hold every cost-based search until ``release`` is set; other
+    schemes compute at once.  Returns ``(started, release)``."""
+    started = threading.Event()
+    release = threading.Event()
+    original = AdvisoryEngine._compute
+
+    def blocking_compute(self, plan, canonical, scheme):
+        if scheme == "cost-based":
+            started.set()
+            release.wait(10.0)
+        return original(self, plan, canonical, scheme)
+
+    monkeypatch.setattr(AdvisoryEngine, "_compute", blocking_compute)
+    return started, release
 
 
 class TestFrontend:
@@ -651,6 +694,56 @@ class TestFrontend:
         finally:
             release.set()
             engine.stop()
+
+    def test_followers_take_no_queue_slot(self, paper_plan, monkeypatch):
+        """Identical misses attach to the in-flight handle when they are
+        claimed: behind one busy worker and a one-slot queue, none of
+        them is shed and the key is searched once."""
+        engine = small_engine()
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        started, release = _block_cost_based(monkeypatch)
+        engine.start(workers=1, max_queue=1)
+        try:
+            with obs.recording() as recorder:
+                leader = engine.submit(paper_plan, stats)
+                assert started.wait(10.0)  # the worker is busy on it
+                followers = [engine.submit(paper_plan, stats)
+                             for _ in range(3)]
+                release.set()
+                answers = [pending.result(timeout=30.0)
+                           for pending in [leader] + followers]
+                counters = dict(recorder.counters)
+        finally:
+            release.set()
+            engine.stop()
+        assert counters.get("serve.shed", 0) == 0
+        assert counters["serve.searches"] == engine.searches == 1
+        assert counters["serve.coalesced"] == 3
+        assert answers == [direct_advice(paper_plan, stats, engine)] * 4
+
+    def test_followers_leave_workers_free(self, paper_plan, monkeypatch):
+        """Followers wait on the leader's handle, not on a worker: while
+        one search of four identical misses is blocked, a distinct key
+        is answered by the other worker."""
+        engine = small_engine()
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        started, release = _block_cost_based(monkeypatch)
+        engine.start(workers=2, max_queue=8)
+        try:
+            blocked = [engine.submit(paper_plan, stats) for _ in range(4)]
+            assert started.wait(10.0)
+            cheap = engine.submit(paper_plan, stats, scheme="all-mat")
+            cheap_advice = cheap.result(timeout=10.0)
+            assert not any(pending.done() for pending in blocked)
+            release.set()
+            answers = [pending.result(timeout=30.0) for pending in blocked]
+        finally:
+            release.set()
+            engine.stop()
+        assert engine.searches == 2
+        assert cheap_advice == direct_advice(paper_plan, stats, engine,
+                                             "all-mat")
+        assert answers == [direct_advice(paper_plan, stats, engine)] * 4
 
     def test_submit_hammer_counters_consistent(
         self, paper_plan, chain_plan, monkeypatch
@@ -883,6 +976,51 @@ class TestHTTP:
         finally:
             connection.close()
         assert statistics.median(round_trips) < 0.015
+
+    def test_connections_share_one_in_flight_search(
+        self, paper_plan, monkeypatch
+    ):
+        """Two keep-alive connections asking for the same cold key wait
+        on one handle: the second is coalesced when it is claimed, while
+        the search still runs, and both get the same answer."""
+        started, release = _block_cost_based(monkeypatch)
+        engine = small_engine()
+        engine.start(workers=1, max_queue=1)
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        body = _advise_body(paper_plan, stats)
+        connections = []
+        try:
+            with _serving(engine) as address, \
+                    obs.recording() as recorder:
+                for _ in range(2):
+                    connection = http.client.HTTPConnection(
+                        *address, timeout=30.0)
+                    connections.append(connection)
+                    connection.request(
+                        "POST", "/advise", body=body,
+                        headers={"Content-Type": "application/json"})
+                    assert started.wait(10.0)
+                deadline = time.monotonic() + 10.0
+                while (engine.cache.stats()["misses"] < 2
+                       and time.monotonic() < deadline):
+                    time.sleep(0.005)
+                assert recorder.counters.get("serve.coalesced", 0) == 1
+                release.set()
+                replies = []
+                for connection in connections:
+                    response = connection.getresponse()
+                    replies.append((response.status, response.read()))
+                counters = dict(recorder.counters)
+        finally:
+            release.set()
+            for connection in connections:
+                connection.close()
+        assert [status for status, _ in replies] == [200, 200]
+        assert replies[0][1] == replies[1][1]
+        assert json.loads(replies[0][1])["advice"] \
+            == direct_advice(paper_plan, stats, engine).to_dict()
+        assert counters["serve.searches"] == 1
+        assert counters["serve.coalesced"] == 1
 
     def test_batch_unknown_scheme_is_a_per_entry_error(
         self, http_service, paper_plan
