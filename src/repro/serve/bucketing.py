@@ -100,16 +100,27 @@ class StatsBucketing:
         NaN or infinite MTBF or MTTR raises here, as
         :func:`log_bucket_index` does.
         """
-        mtbf_index = log_bucket_index(stats.mtbf, self.mtbf_resolution)
-        ratio_index: Optional[int] = None
-        if not stats.mttr <= 0.0:  # exact-zero repair delay: own bucket
-            ratio_index = log_bucket_index(stats.mttr / stats.mtbf,
-                                           self.ratio_resolution)
+        mtbf_index, ratio_index = self.indices(stats.mtbf, stats.mttr)
         return (
             mtbf_index, ratio_index, stats.nodes, stats.const_cost,
             stats.const_pipe, stats.success_percentile,
             stats.scale_mtbf_by_nodes,
         )
+
+    def indices(self, mtbf: float,
+                mttr: float) -> Tuple[int, Optional[int]]:
+        """The MTBF and MTTR/MTBF ratio indices of :meth:`bucket`.
+
+        Callers holding plain floats (the multi-tenant workload's
+        arrival columns) take a bucket's identity from here without
+        building a :class:`ClusterStats`; :meth:`bucket` calls it too,
+        so there is one copy of the arithmetic.
+        """
+        mtbf_index = log_bucket_index(mtbf, self.mtbf_resolution)
+        if mttr <= 0.0:  # exact-zero repair delay: own bucket
+            return mtbf_index, None
+        return mtbf_index, log_bucket_index(mttr / mtbf,
+                                            self.ratio_resolution)
 
     def bucket_stats(self, bucket: Bucket) -> ClusterStats:
         """The canonical (representative) stats of a :meth:`bucket`."""

@@ -228,6 +228,8 @@ class AdvisoryEngine:
         self.searches = 0
         #: bucket -> its one interned canonical stats (canonical_stats)
         self._canonicals: Dict[Bucket, ClusterStats] = {}
+        #: id -> each interned canonical stats that is its own canonical
+        self._interned: Dict[int, ClusterStats] = {}
         #: last pushed canonical stats (see push_cluster_stats)
         self._current_canonical: Optional[ClusterStats] = None
         self._stats_pushes = 0
@@ -247,17 +249,27 @@ class AdvisoryEngine:
         the memo resets rather than growing without bound.  A hit reads
         the memo without the lock; a new bucket is published under it,
         so racing threads share the first object and the cap holds.
+        A caller that sends an interned object back (the multi-tenant
+        workload sends one per bucket) is answered by identity, without
+        the bucket arithmetic: the object is registered only once it is
+        checked to fall in its own bucket.
         """
         if self.bucketing is None:
+            return stats
+        if self._interned.get(id(stats)) is stats:
             return stats
         bucket = self.bucketing.bucket(stats)
         canonical = self._canonicals.get(bucket)
         if canonical is None:
             fresh = self.bucketing.bucket_stats(bucket)
+            own_bucket = self.bucketing.bucket(fresh) == bucket
             with self._lock:
                 if len(self._canonicals) >= _CANONICAL_CAPACITY:
                     self._canonicals.clear()
+                    self._interned.clear()
                 canonical = self._canonicals.setdefault(bucket, fresh)
+                if canonical is fresh and own_bucket:
+                    self._interned[id(fresh)] = fresh
         return canonical
 
     def advice_key(self, plan: Plan, canonical: ClusterStats,
@@ -304,7 +316,10 @@ class AdvisoryEngine:
         shed before anyone can follow it) and returns like a follower;
         without a queue it returns ``(None, handle, job)`` for the
         caller to run through :meth:`_lead`.  So every miss counts once:
-        as a search, a coalesced follower or a shed.
+        as a search, a coalesced follower or a shed.  A leader whose
+        ``request_queue`` is no longer the engine's (:meth:`stop` has
+        detached it) is shed with :class:`RuntimeError`: queued now, it
+        would land behind the workers' wake-up pills and never finish.
         """
         if scheme not in SCHEME_NAMES:
             raise ValueError(f"unknown fault-tolerance scheme {scheme!r} "
@@ -324,6 +339,9 @@ class AdvisoryEngine:
             pending = _Pending()
             job = (plan, canonical, scheme, key, pending)
             if request_queue is not None:
+                if self._queue is not request_queue:
+                    obs.add("serve.shed")
+                    raise RuntimeError("engine stopped")
                 try:
                     request_queue.put_nowait(job)
                 except queue.Full:
@@ -476,18 +494,24 @@ class AdvisoryEngine:
             self._workers.append(thread)
 
     def stop(self) -> None:
-        """Drain and join the workers (idempotent)."""
+        """Drain and join the workers (idempotent).
+
+        The queue is detached under the engine lock before the wake-up
+        pills go in.  A leader is enqueued only under that lock and only
+        while its queue is still the engine's, so every job lands ahead
+        of the pills and is searched before its worker exits; a submit
+        that arrives after the detach raises :class:`RuntimeError`
+        instead of queueing behind the pills.
+        """
         with self._lock:
-            request_queue = self._queue
-            if request_queue is None:
-                return
-        for _ in self._workers:
+            request_queue, self._queue = self._queue, None
+            workers, self._workers = self._workers, []
+        if request_queue is None:
+            return
+        for _ in workers:
             request_queue.put(None)  # one wake-up pill per worker
-        for thread in self._workers:
+        for thread in workers:
             thread.join()
-        with self._lock:
-            self._queue = None
-            self._workers = []
 
     def submit(self, plan: Plan, stats: ClusterStats,
                scheme: str = "cost-based") -> _Pending:

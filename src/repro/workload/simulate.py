@@ -35,7 +35,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .. import obs
 from ..chaos import FaultPolicy
@@ -153,9 +155,12 @@ class MultiTenantPrepared:
     advice: AdviceTraffic
 
 
-@dataclass(frozen=True)
-class AdmissionRecord:
-    """One query's trip through the admission queue."""
+class AdmissionRecord(NamedTuple):
+    """One query's trip through the admission queue.
+
+    A ``NamedTuple``, like :class:`~repro.workload.tenants.QueryArrival`:
+    the replay builds one per arrival, in one pass over its columns.
+    """
 
     index: int
     tenant_index: int
@@ -314,6 +319,57 @@ def arrival_stats(
     )
 
 
+def _request_stats(
+    config: MultiTenantConfig, workload: TenantWorkload,
+    engine: AdvisoryEngine,
+) -> List[ClusterStats]:
+    """The stats each arrival sends to ``engine``, in arrival order.
+
+    Equal to ``arrival_stats`` per arrival.  Without bucketing each
+    arrival sends its own raw stats.  With it, every arrival of one
+    bucket sends the same object: the engine's interned canonical stats
+    of the bucket's first arrival, which the engine maps back to
+    itself.  The bucket identity comes from the arrival's MTBF and
+    MTTR floats through :meth:`StatsBucketing.indices`, so only one
+    :class:`ClusterStats` is built per bucket.  (The other bucket
+    fields are the config's ``nodes`` and the defaults, the same for
+    every arrival.)
+    """
+    arrivals = workload.arrivals
+    bucketing = engine.bucketing
+    if bucketing is None:
+        return [arrival_stats(config, arrival.time, arrival.mtbf_jitter,
+                              arrival.mttr_jitter)
+                for arrival in arrivals]
+    _, times, _, _, _, mtbf_jitters, mttr_jitters = zip(*arrivals)
+    diurnal = config.diurnal
+    period = diurnal.period
+    phases = diurnal.phases
+    # arrival_stats' diurnal.mtbf_at, with DiurnalCycle.phase_index
+    # inlined: one more copy of the last phase's MTBF stands for its
+    # clamp of int(position * phases) to the last phase
+    phase_mtbf = [diurnal.phase_mtbf(config.base_mtbf, phase)
+                  for phase in range(phases)]
+    phase_mtbf.append(phase_mtbf[-1])
+    mttr = config.mttr
+    indices = bucketing.indices
+    interned: Dict[Tuple[int, Optional[int]], ClusterStats] = {}
+    requests: List[ClusterStats] = []
+    append = requests.append
+    for time, mtbf_jitter, mttr_jitter in zip(times, mtbf_jitters,
+                                              mttr_jitters):
+        identity = indices(
+            phase_mtbf[int(time % period / period * phases)] * mtbf_jitter,
+            mttr * mttr_jitter,
+        )
+        canonical = interned.get(identity)
+        if canonical is None:
+            canonical = interned[identity] = engine.canonical_stats(
+                arrival_stats(config, time, mtbf_jitter, mttr_jitter))
+        append(canonical)
+    return requests
+
+
 def prepare(
     config: MultiTenantConfig,
     engine: Optional[AdvisoryEngine] = None,
@@ -339,18 +395,20 @@ def prepare(
     group_arrivals: Dict[Hashable, List[int]] = {}
     group_advice: Dict[Hashable, Advice] = {}
     with obs.span("workload.advice", arrivals=len(workload.arrivals)):
-        for arrival in workload.arrivals:
-            template = workload.templates[arrival.template_index]
-            stats = arrival_stats(config, arrival.time,
-                                  arrival.mtbf_jitter,
-                                  arrival.mttr_jitter)
-            advice = resolve_advice(engine, template.plan, stats)
-            key = (arrival.template_index, advice.canonical_mtbf,
+        plans = [template.plan for template in workload.templates]
+        template_column = [arrival.template_index
+                           for arrival in workload.arrivals]
+        requests = _request_stats(config, workload, engine)
+        for index, (template_index, stats) in enumerate(
+                zip(template_column, requests)):
+            advice = resolve_advice(engine, plans[template_index], stats)
+            key = (template_index, advice.canonical_mtbf,
                    advice.canonical_mttr)
-            if key not in group_advice:
+            members = group_arrivals.get(key)
+            if members is None:
                 group_advice[key] = advice
-                group_arrivals[key] = []
-            group_arrivals[key].append(arrival.index)
+                members = group_arrivals[key] = []
+            members.append(index)
     cache_stats = engine.cache.stats() if engine.cache is not None else {
         "hits": 0, "misses": len(workload.arrivals), "evictions": 0,
     }
@@ -425,45 +483,57 @@ def simulate_admission(
     rows) occupy no slot time (``service = 0``) but still flow through
     the queue, so their class's wait accounting stays honest.  Pure
     deterministic replay -- no randomness, no wall clock.
+
+    The replay reads the arrival columns and fills admitted/finished
+    columns; the records are built from them in one pass at the end.
+    Between events, either nobody waits or every slot is busy.  So an
+    arrival to a free slot is admitted at once, and a finishing query
+    hands its slot to the first waiting query, if there is one.  A
+    waiting entry is the int ``priority * count + index``, which orders
+    like the ``(priority, index)`` pair.
     """
+    if slots < 1:
+        raise ValueError("slots must be >= 1")
     arrivals = workload.arrivals
-    records: List[Optional[AdmissionRecord]] = [None] * len(arrivals)
-    waiting: List[Tuple[int, int]] = []      # (priority, arrival index)
-    running: List[float] = []                # finish-time min-heap
-    cursor = 0
+    count = len(arrivals)
+    if not count:
+        return ()
+    _, times, tenants, priorities, _, _, _ = zip(*arrivals)
+    admitted = [0.0] * count
+    finished = [0.0] * count
+    waiting: List[int] = []      # priority * count + arrival index
+    running: List[float] = []    # finish-time min-heap
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
 
-    def admit(now: float) -> None:
-        while waiting and len(running) < slots:
-            _, index = heapq.heappop(waiting)
-            arrival = arrivals[index]
-            service = services[index]
-            finished = now + service
-            heapq.heappush(running, finished)
-            records[index] = AdmissionRecord(
-                index=index,
-                tenant_index=arrival.tenant_index,
-                priority=arrival.priority,
-                arrival=arrival.time,
-                admitted=now,
-                finished=finished,
-                service=service,
-                failed=failed[index],
-            )
+    def hand_over() -> None:
+        """The earliest finish frees its slot for the first waiter."""
+        now = running[0]
+        index = heappop(waiting) % count
+        admitted[index] = now
+        finished[index] = done = now + services[index]
+        heapreplace(running, done)
 
-    while cursor < len(arrivals) or waiting or running:
-        next_arrival = (arrivals[cursor].time
-                        if cursor < len(arrivals) else math.inf)
-        next_finish = running[0] if running else math.inf
-        if next_finish <= next_arrival:
-            now = heapq.heappop(running)
+    for index, (time, priority) in enumerate(zip(times, priorities)):
+        # finishes up to and at this arrival's instant come first
+        while running and running[0] <= time:
+            if waiting:
+                hand_over()
+            else:
+                heappop(running)
+        if len(running) < slots:
+            admitted[index] = time
+            finished[index] = done = time + services[index]
+            heappush(running, done)
         else:
-            now = next_arrival
-            arrival = arrivals[cursor]
-            heapq.heappush(waiting, (arrival.priority, arrival.index))
-            cursor += 1
-        admit(now)
-    assert all(record is not None for record in records)
-    return tuple(records)  # type: ignore[arg-type]
+            heappush(waiting, priority * count + index)
+    while waiting:
+        hand_over()
+    return tuple(map(AdmissionRecord._make, zip(
+        range(count), tenants, priorities, times, admitted, finished,
+        services, failed,
+    )))
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -483,8 +553,11 @@ def assemble(
     targets = len(SCHEME_ORDER)
     assert len(rows) == len(prepared.cells) * targets
 
+    count = len(workload.arrivals)
     group_outcomes: List[GroupOutcome] = []
-    arrival_group: Dict[int, int] = {}
+    arrival_group = [0] * count
+    services = [0.0] * count
+    failed_flags = [False] * count
     for group in prepared.groups:
         group_rows = rows[group.index * targets:
                           (group.index + 1) * targets]
@@ -503,40 +576,50 @@ def assemble(
             oracle_scheme=SCHEME_ORDER[oracle_index],
             error=error,
         ))
+        # the services and failed-flag columns: an arrival's service is
+        # one of its group's chosen runtimes, picked by arrival index
+        runtimes = chosen.runtimes
+        measured = chosen.error is None and len(runtimes) > 0
         for index in group.arrivals:
             arrival_group[index] = group.index
-
-    services: List[float] = []
-    failed_flags: List[bool] = []
-    for arrival in workload.arrivals:
-        group_index = arrival_group[arrival.index]
-        chosen = rows[group_index * targets + CHOSEN_INDEX]
-        if chosen.error is not None or not chosen.runtimes:
-            services.append(0.0)
-            failed_flags.append(True)
-        else:
-            pick = arrival.index % len(chosen.runtimes)
-            services.append(chosen.runtimes[pick])
-            failed_flags.append(False)
+            if measured:
+                services[index] = runtimes[index % len(runtimes)]
+            else:
+                failed_flags[index] = True
     admissions = simulate_admission(workload, services, failed_flags,
                                     config.slots)
 
+    baselines = [outcome.baseline for outcome in group_outcomes]
+    chosen_means = [outcome.chosen_mean for outcome in group_outcomes]
+    oracle_means = [outcome.oracle_mean for outcome in group_outcomes]
+    class_records: List[List[AdmissionRecord]] = [
+        [] for _ in workload.classes
+    ]
+    for record in admissions:
+        class_records[record.tenant_index].append(record)
     class_metrics: List[ClassMetrics] = []
-    for tenant_index, tenant in enumerate(workload.classes):
-        members = [record for record in admissions
-                   if record.tenant_index == tenant_index]
-        finished = [record for record in members if not record.failed]
-        latencies = sorted(record.latency for record in finished)
-        waits = sorted(record.wait for record in members)
-        service_sum = sum(record.service for record in finished)
+    for tenant, members in zip(workload.classes, class_records):
+        # one pass in ascending arrival order, the order every float
+        # sum below must add in to reproduce the pinned results
+        latencies: List[float] = []
+        waits: List[float] = []
+        finished_services: List[float] = []
         baseline_sum = 0.0
         chosen_sum = 0.0
         oracle_sum = 0.0
-        for record in finished:
-            outcome = group_outcomes[arrival_group[record.index]]
-            baseline_sum += outcome.baseline
-            chosen_sum += outcome.chosen_mean
-            oracle_sum += outcome.oracle_mean
+        for (index, _, _, arrival, admitted, finished, service,
+             failed) in members:
+            waits.append(admitted - arrival)
+            if not failed:
+                latencies.append(finished - arrival)
+                finished_services.append(service)
+                group_index = arrival_group[index]
+                baseline_sum += baselines[group_index]
+                chosen_sum += chosen_means[group_index]
+                oracle_sum += oracle_means[group_index]
+        latencies.sort()
+        waits.sort()
+        service_sum = sum(finished_services)
         overhead = (service_sum / baseline_sum - 1.0
                     if baseline_sum > 0 else float("inf"))
         regret = (chosen_sum / oracle_sum
@@ -545,7 +628,7 @@ def assemble(
             name=tenant.name,
             priority=tenant.priority,
             queries=len(members),
-            failed=len(members) - len(finished),
+            failed=len(members) - len(latencies),
             overhead_percent=overhead * 100.0,
             latency_p50=_percentile(latencies, 0.50),
             latency_p99=_percentile(latencies, 0.99),
@@ -568,7 +651,7 @@ def assemble(
         rows=tuple(rows),
         admissions=admissions,
         error_rows=error_rows,
-        failed_queries=sum(1 for flag in failed_flags if flag),
+        failed_queries=failed_flags.count(True),
         aborted_runs=aborted_runs,
         makespan=max((record.finished for record in admissions),
                      default=0.0),

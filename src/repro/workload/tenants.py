@@ -24,10 +24,12 @@ experiment pin goldens and guarantee ``jobs=N == jobs=1``.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.plan import Plan
 from ..stats.calibration import default_parameters
@@ -58,8 +60,9 @@ class TenantClass:
     def __post_init__(self) -> None:
         if self.priority < 0:
             raise ValueError("priority must be >= 0")
-        if self.weight <= 0:
-            raise ValueError("weight must be > 0")
+        if not 0 < self.weight < math.inf:
+            # random.choices rejected a non-finite weight total too
+            raise ValueError("weight must be > 0 and finite")
         if not self.queries:
             raise ValueError("a tenant class needs at least one query")
         if not 0 < self.sf_low <= self.sf_high:
@@ -98,14 +101,16 @@ class PlanTemplate:
     plan: Plan
 
 
-@dataclass(frozen=True)
-class QueryArrival:
+class QueryArrival(NamedTuple):
     """One submitted query: who, what, and when.
 
     ``mtbf_jitter``/``mttr_jitter`` perturb the *measured* cluster
     statistics the tenant attaches to its request (every monitoring
     window reads slightly differently), so raw stats are almost never
     bit-equal and advice-cache hits must come from log-bucketing.
+    A ``NamedTuple``: a workload builds tens of thousands of them in
+    one pass, and a tuple builds several times faster than a frozen
+    dataclass.
     """
 
     index: int
@@ -141,8 +146,6 @@ def _class_templates(
     log-uniform inside the class band (the "seconds to hours" spread of
     the mixed-workload scenario, scoped per class).
     """
-    import math
-
     templates: List[PlanTemplate] = []
     for offset in range(per_class):
         query_name = tenant.queries[offset % len(tenant.queries)]
@@ -166,13 +169,31 @@ def _thinned_arrival_times(
     rng: random.Random,
 ) -> List[float]:
     """``count`` seeded arrival instants whose density follows the
-    diurnal intensity (rejection-sampled uniform draws)."""
-    peak = max(diurnal.arrival_intensities)
+    diurnal intensity (rejection-sampled uniform draws).
+
+    Each candidate is ``rng.uniform(0.0, duration)`` and is kept when
+    ``rng.random() * peak <= diurnal.arrival_intensity(t)``; both calls
+    are inlined as their float operations on one bound ``random``, so
+    the instants are those of the calls.
+    """
+    random_ = rng.random
+    intensities = diurnal.arrival_intensities
+    peak = max(intensities)
+    period = diurnal.period
+    phases = diurnal.phases
+    # DiurnalCycle.phase_index clamps int(position * phases) to the last
+    # phase; one more copy of the last intensity does the same
+    intensity = intensities + intensities[-1:]
+    # uniform(0.0, duration) is 0.0 + (duration - 0.0) * random(), and
+    # adding 0.0 to a non-negative product returns it unchanged
+    span = duration - 0.0
     times: List[float] = []
+    append = times.append
     while len(times) < count:
-        t = rng.uniform(0.0, duration)
-        if rng.random() * peak <= diurnal.arrival_intensity(t):
-            times.append(t)
+        t = span * random_()
+        if random_() * peak <= intensity[int(t % period / period
+                                             * phases)]:
+            append(t)
     times.sort()
     return times
 
@@ -207,45 +228,52 @@ def generate_tenant_workload(
         params = default_parameters()
     rng = random.Random(seed)
 
+    # class i owns templates [i * templates_per_class, (i + 1) * ...)
     templates: List[PlanTemplate] = []
-    class_template_indices: List[List[int]] = []
     for tenant in classes:
         start = len(templates)
         templates.extend(_class_templates(
             tenant, start, templates_per_class, rng, params,
         ))
-        class_template_indices.append(
-            list(range(start, start + templates_per_class))
-        )
 
     times = _thinned_arrival_times(count, duration, diurnal, rng)
-    # cumulative weights, built once: rng.choices accumulates the same
-    # floats from plain weights and draws one random() per choice
-    # either way, so the arrivals are those of per-call weight lists
+    # One pass over the instants.  Every arrival draws four random()
+    # values, in this order: its class, its template, its MTBF jitter
+    # and its MTTR jitter.  Each draw is the float operations of the
+    # call it stands for, so the stream is that of the calls:
+    # rng.choices(population, cum_weights=cum)[0] is
+    # population[bisect(cum, random() * (cum[-1] + 0.0), 0, len(cum) - 1)]
+    # and rng.uniform(a, b) is a + (b - a) * random().
+    random_ = rng.random
     class_cum = list(accumulate(tenant.weight for tenant in classes))
+    class_total = class_cum[-1] + 0.0
+    class_hi = len(class_cum) - 1
     zipf_cum = [
         list(accumulate(1.0 / (rank + 1) ** tenant.zipf_s
                         for rank in range(templates_per_class)))
         for tenant in classes
     ]
-    class_range = range(len(classes))
+    zipf_total = [cum[-1] + 0.0 for cum in zipf_cum]
+    zipf_hi = templates_per_class - 1
+    priorities = [tenant.priority for tenant in classes]
+    make = QueryArrival._make
     arrivals: List[QueryArrival] = []
+    append = arrivals.append
     for index, time in enumerate(times):
-        tenant_index = rng.choices(class_range, cum_weights=class_cum)[0]
-        tenant = classes[tenant_index]
-        template_index = rng.choices(
-            class_template_indices[tenant_index],
-            cum_weights=zipf_cum[tenant_index],
-        )[0]
-        arrivals.append(QueryArrival(
-            index=index,
-            time=time,
-            tenant_index=tenant_index,
-            priority=tenant.priority,
-            template_index=template_index,
-            mtbf_jitter=rng.uniform(0.93, 1.07),
-            mttr_jitter=rng.uniform(0.9, 1.1),
-        ))
+        tenant_index = bisect_right(class_cum, random_() * class_total,
+                                    0, class_hi)
+        template_index = (
+            tenant_index * templates_per_class
+            + bisect_right(zipf_cum[tenant_index],
+                           random_() * zipf_total[tenant_index],
+                           0, zipf_hi)
+        )
+        append(make((
+            index, time, tenant_index, priorities[tenant_index],
+            template_index,
+            0.93 + (1.07 - 0.93) * random_(),
+            0.9 + (1.1 - 0.9) * random_(),
+        )))
     return TenantWorkload(
         classes=classes,
         templates=tuple(templates),

@@ -23,6 +23,10 @@ Four batteries:
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
+import math
+import random
 import threading
 
 import pytest
@@ -30,16 +34,28 @@ import pytest
 from repro import obs
 from repro.core.cost_model import ClusterStats
 from repro.engine.campaign import run_campaign
-from repro.serve import AdvisoryEngine, ServiceOverloaded
+from repro.serve import (
+    AdvisoryEngine,
+    ServiceOverloaded,
+    log_bucket_index,
+)
+from repro.stats.calibration import default_parameters
 from repro.workload import (
+    AdviceTraffic,
     DiurnalCycle,
     MultiTenantConfig,
+    QueryArrival,
+    arrival_stats,
+    default_tenant_mix,
     generate_tenant_workload,
     prepare,
     resolve_advice,
     run_multitenant,
+    simulate_admission,
     spot_fleet_policy,
 )
+from repro.workload.simulate import _request_stats
+from repro.workload.tenants import _class_templates
 
 
 def small_config(**overrides) -> MultiTenantConfig:
@@ -386,3 +402,216 @@ class TestAdviceTrafficSearches:
             assert searches == traced.advice.misses
         # the tally needs no recorder
         assert prepare(config).advice == traced.advice
+
+
+# ----------------------------------------------------------------------
+# the flat passes against the per-arrival reference code
+# ----------------------------------------------------------------------
+def _reference_arrivals(classes, count, seed, duration,
+                        templates_per_class, diurnal):
+    """The per-call generator the flat one replaces: ``rng.choices``,
+    ``rng.uniform`` and ``DiurnalCycle.arrival_intensity`` per arrival,
+    after the same template draws."""
+    rng = random.Random(seed)
+    params = default_parameters()
+    for index, tenant in enumerate(classes):
+        _class_templates(tenant, index * templates_per_class,
+                         templates_per_class, rng, params)
+    peak = max(diurnal.arrival_intensities)
+    times = []
+    while len(times) < count:
+        t = rng.uniform(0.0, duration)
+        if rng.random() * peak <= diurnal.arrival_intensity(t):
+            times.append(t)
+    times.sort()
+    arrivals = []
+    for index, time_ in enumerate(times):
+        tenant_index = rng.choices(range(len(classes)),
+                                   [tenant.weight for tenant in classes])[0]
+        tenant = classes[tenant_index]
+        start = tenant_index * templates_per_class
+        template_index = rng.choices(
+            range(start, start + templates_per_class),
+            [1.0 / (rank + 1) ** tenant.zipf_s
+             for rank in range(templates_per_class)],
+        )[0]
+        arrivals.append((index, time_, tenant_index, tenant.priority,
+                         template_index, rng.uniform(0.93, 1.07),
+                         rng.uniform(0.9, 1.1)))
+    return arrivals
+
+
+def _reference_admission(arrivals, services, slots):
+    """The event-by-event admission replay the column one replaces:
+    ``(admitted, finished)`` per arrival."""
+    out = [None] * len(arrivals)
+    waiting, running, cursor = [], [], 0
+    while cursor < len(arrivals) or waiting or running:
+        next_arrival = (arrivals[cursor].time if cursor < len(arrivals)
+                        else math.inf)
+        if (running[0] if running else math.inf) <= next_arrival:
+            now = heapq.heappop(running)
+        else:
+            now = next_arrival
+            heapq.heappush(waiting, (arrivals[cursor].priority, cursor))
+            cursor += 1
+        while waiting and len(running) < slots:
+            _, index = heapq.heappop(waiting)
+            heapq.heappush(running, now + services[index])
+            out[index] = (now, now + services[index])
+    return out
+
+
+def _edge_floats(resolution=8, decades=range(-4, 7)):
+    """Every 10^(i/resolution) in ``decades``, the first float of
+    bucket ``i`` (a few ulps from it) and that float's neighbours 1 ulp
+    away."""
+    values = []
+    for index in range(decades.start * resolution,
+                       decades.stop * resolution):
+        edge = 10.0 ** (index / resolution)
+        values.append(edge)
+        while log_bucket_index(edge, resolution) >= index:
+            edge = math.nextafter(edge, 0.0)
+        while log_bucket_index(edge, resolution) < index:
+            edge = math.nextafter(edge, math.inf)
+        values += [math.nextafter(edge, 0.0), edge,
+                   math.nextafter(edge, math.inf)]
+    return values
+
+
+class TestFlatPassesMatchReference:
+    CYCLE = DiurnalCycle(period=3600.0,
+                         mtbf_multipliers=(0.7, 1.3, 2.9),
+                         arrival_intensities=(0.4, 2.5, 1.0))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("classes", [1, 2, 3])
+    @pytest.mark.parametrize("diurnal", [None, CYCLE])
+    def test_generator(self, seed, classes, diurnal):
+        mix = default_tenant_mix(classes)
+        for count in (1, 2, 17, 5000):
+            flat = generate_tenant_workload(
+                classes=mix, count=count, seed=seed, duration=7200.0,
+                templates_per_class=3, diurnal=diurnal)
+            assert [tuple(arrival) for arrival in flat.arrivals] \
+                == _reference_arrivals(mix, count, seed, 7200.0, 3,
+                                       diurnal or DiurnalCycle())
+
+    def test_bucket_edges_map_to_the_interned_canonical(self):
+        """Arrivals whose MTBF or MTTR/MTBF ratio sits on a bucket edge,
+        or 1 ulp beside it, send exactly the object the engine interns
+        for their own ``arrival_stats``; ``mttr == 0`` too."""
+        cycle = DiurnalCycle(period=3.0,
+                             mtbf_multipliers=(1.0, 0.6, 1.7),
+                             arrival_intensities=(1.0, 1.0, 1.0))
+        edges = _edge_floats()
+        # (base_mtbf, mttr) pairs: MTBF on an edge (ratio off it), the
+        # ratio on an edge at MTBF 1 (where it is the MTTR itself), and
+        # no repair delay
+        cases = [(edge, 0.5) for edge in edges]
+        cases += [(1.0, edge) for edge in edges]
+        cases += [(edge, 0.0) for edge in edges[::7]]
+        workload = generate_tenant_workload(count=1, seed=0,
+                                            templates_per_class=1)
+        # phase 0 multiplies by exactly 1.0 and jitters of 1.0 keep
+        # the edges; the other times cover every phase, phase starts,
+        # the wrap at the period and 1 ulp below it, and a time whose
+        # position rounds to 1.0 (phase_index clamps it to the last)
+        arrivals = tuple(
+            QueryArrival(index, time_, 0, 0, 0, mtbf_jitter, mttr_jitter)
+            for index, (time_, mtbf_jitter, mttr_jitter) in enumerate([
+                (0.0, 1.0, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 1.0),
+                (2.0, 1.0, 1.0), (3.0, 1.0, 1.0),
+                (math.nextafter(3.0, 0.0), 1.0, 1.0),
+                (-1e-20, 1.0, 1.0), (1.5, 1.07, 0.9), (2.5, 0.93, 1.1),
+            ])
+        )
+        workload = dataclasses.replace(workload, arrivals=arrivals)
+        engine = AdvisoryEngine()
+        for base_mtbf, mttr in cases:
+            config = MultiTenantConfig(base_mtbf=base_mtbf, mttr=mttr,
+                                       diurnal=cycle)
+            sent = _request_stats(config, workload, engine)
+            for arrival, stats in zip(arrivals, sent):
+                assert stats is engine.canonical_stats(arrival_stats(
+                    config, arrival.time, arrival.mtbf_jitter,
+                    arrival.mttr_jitter))
+
+    @pytest.mark.parametrize("engine_kwargs", [
+        dict(bucketing=None), dict(cache_size=0), dict(cache_size=4),
+        dict(),
+    ])
+    @pytest.mark.parametrize("started", [False, True])
+    def test_prepare(self, engine_kwargs, started):
+        config = MultiTenantConfig(queries=60, templates_per_class=2,
+                                   seed=11, config_limit=64)
+
+        def engine():
+            made = AdvisoryEngine(config_limit=config.config_limit,
+                                  **engine_kwargs)
+            if started:
+                made.start(workers=2, max_queue=256)
+            return made
+
+        reference_engine = engine()
+        flat_engine = engine()
+        try:
+            workload = generate_tenant_workload(
+                classes=config.tenant_classes, count=config.queries,
+                seed=config.seed, duration=config.duration,
+                templates_per_class=config.templates_per_class,
+                diurnal=config.diurnal)
+            groups = {}
+            for arrival in workload.arrivals:
+                advice = resolve_advice(
+                    reference_engine,
+                    workload.templates[arrival.template_index].plan,
+                    arrival_stats(config, arrival.time,
+                                  arrival.mtbf_jitter,
+                                  arrival.mttr_jitter))
+                key = (arrival.template_index, advice.canonical_mtbf,
+                       advice.canonical_mttr)
+                groups.setdefault(key, (advice, []))[1].append(
+                    arrival.index)
+            prepared = prepare(config, engine=flat_engine)
+        finally:
+            reference_engine.stop()
+            flat_engine.stop()
+        assert [
+            ((group.template_index, group.canonical_mtbf,
+              group.canonical_mttr), (group.advice, list(group.arrivals)))
+            for group in prepared.groups
+        ] == list(groups.items())
+        cache = (reference_engine.cache.stats()
+                 if reference_engine.cache is not None else
+                 {"hits": 0, "misses": config.queries, "evictions": 0})
+        assert prepared.advice == AdviceTraffic(
+            requests=config.queries, hits=cache["hits"],
+            misses=cache["misses"], evictions=cache["evictions"],
+            searches=reference_engine.searches)
+
+    @pytest.mark.parametrize("slots", [1, 2, 5])
+    def test_admission(self, slots):
+        workload = generate_tenant_workload(count=400, seed=4,
+                                            duration=3600.0)
+        # whole-second arrivals and services make finish/arrival ties
+        # common; zero services are the failed queries
+        workload = dataclasses.replace(workload, arrivals=tuple(
+            arrival._replace(time=float(math.floor(arrival.time)))
+            for arrival in workload.arrivals))
+        rng = random.Random(slots)
+        services = [float(rng.choice([0, 0, 5, 20, 60]))
+                    for _ in workload.arrivals]
+        failed = [service == 0.0 for service in services]
+        records = simulate_admission(workload, services, failed, slots)
+        assert [(record.admitted, record.finished) for record in records] \
+            == _reference_admission(workload.arrivals, services, slots)
+        assert [(record.index, record.tenant_index, record.priority,
+                 record.arrival, record.service, record.failed)
+                for record in records] == [
+            (arrival.index, arrival.tenant_index, arrival.priority,
+             arrival.time, service, flag)
+            for arrival, service, flag in zip(workload.arrivals, services,
+                                              failed)]
+        assert any(record.wait > 0 for record in records)

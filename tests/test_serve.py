@@ -24,6 +24,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,7 @@ class TestCanonicalInterning:
             assert interned == canonical
             assert engine.canonical_stats(stats) is interned
             assert engine.canonical_stats(canonical) == canonical
+            assert engine.canonical_stats(interned) is interned
 
     def test_one_object_per_bucket(self):
         engine = small_engine()
@@ -205,6 +207,32 @@ class TestCanonicalInterning:
         other = engine.canonical_stats(ClusterStats(mtbf=86400.0, mttr=1.0,
                                                     nodes=11))
         assert other is not a and other != a
+
+    def test_interned_object_sent_back_skips_the_bucket(self):
+        """An interned canonical is answered by identity; an equal copy
+        and an object interned before a memo reset take the bucket
+        arithmetic and land on the current interned object."""
+        calls = []
+
+        class CountingBucketing(StatsBucketing):
+            def bucket(self, stats):
+                calls.append(stats)
+                return super().bucket(stats)
+
+        engine = small_engine(bucketing=CountingBucketing())
+        canonical = engine.canonical_stats(
+            ClusterStats(mtbf=3600.0, mttr=1.0, nodes=4))
+        del calls[:]
+        assert engine.canonical_stats(canonical) is canonical
+        assert calls == []
+        copy = dataclasses.replace(canonical)
+        assert engine.canonical_stats(copy) is canonical
+        assert calls == [copy]
+        engine._canonicals.clear()
+        engine._interned.clear()
+        fresh = engine.canonical_stats(canonical)
+        assert fresh == canonical and fresh is not canonical
+        assert engine.canonical_stats(fresh) is fresh
 
     def test_memo_is_per_engine(self):
         stats = ClusterStats(mtbf=3600.0, mttr=2.0, nodes=4)
@@ -323,6 +351,47 @@ class TestAdviceCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             AdviceCache(capacity=0)
+
+    @given(ops=st.lists(st.tuples(st.sampled_from("gpi"),
+                                  st.integers(0, 6)), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_an_ordered_dict_lru(self, ops):
+        """The linked-list LRU keeps the order, values and counters of
+        the OrderedDict LRU it replaced, through gets, puts and
+        invalidations."""
+        cache = AdviceCache(capacity=3)
+        model = OrderedDict()
+        hits = misses = evictions = invalidations = 0
+        for step, (op, key) in enumerate(ops):
+            if op == "g":
+                value = model.get(key)
+                if value is None:
+                    misses += 1
+                else:
+                    model.move_to_end(key)
+                    hits += 1
+                assert cache.get(key) == value
+            elif op == "p":
+                model[key] = step
+                model.move_to_end(key)
+                while len(model) > 3:
+                    model.popitem(last=False)
+                    evictions += 1
+                cache.put(key, step)
+            else:
+                stale = [k for k in model if k % 2 == key % 2]
+                for k in stale:
+                    del model[k]
+                invalidations += len(stale)
+                assert cache.invalidate(
+                    lambda k, parity=key % 2: k % 2 == parity) \
+                    == len(stale)
+            assert cache.keys() == list(model)
+        assert cache.stats() == {
+            "size": len(model), "capacity": 3, "hits": hits,
+            "misses": misses, "evictions": evictions,
+            "invalidations": invalidations,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -766,8 +835,8 @@ class TestFrontend:
             for scheme in ("cost-based", "all-mat")
         ]
         # every thread walks the same order, so each key is wanted by
-        # four threads at once: leaders, in-flight followers, and queued
-        # misses that find the leader's entry already published
+        # four threads at once: one leader, followers of its in-flight
+        # handle, and hits once it is published
         requests = cells * 3
         answers = {}
         errors = []
@@ -845,6 +914,102 @@ class TestFrontend:
         hit = _Pending(pendings[0].result())
         hit.add_done_callback(callback)  # born finished: runs at once
         assert calls[-1] is hit
+
+    def test_submit_during_stop_never_hangs(self, paper_plan, monkeypatch):
+        """A miss submitted while stop() waits on a busy worker is
+        refused or answered; it never queues behind the wake-up pill."""
+        engine = small_engine()
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        started, release = _block_cost_based(monkeypatch)
+        engine.start(workers=1, max_queue=4)
+        request_queue = engine._queue
+        stopper = threading.Thread(target=engine.stop)
+        try:
+            busy = engine.submit(paper_plan, stats)
+            assert started.wait(10.0)  # the one worker is blocked
+            stopper.start()
+            deadline = time.monotonic() + 10.0
+            while request_queue.qsize() < 1:  # the pill is queued
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            try:
+                late = engine.submit(paper_plan, stats, scheme="all-mat")
+            except RuntimeError:
+                late = None
+            release.set()
+            assert busy.result(timeout=30.0) \
+                == direct_advice(paper_plan, stats, engine)
+            if late is not None:
+                assert late.result(timeout=10.0) == direct_advice(
+                    paper_plan, stats, engine, "all-mat")
+        finally:
+            release.set()
+            stopper.join(timeout=30.0)
+        assert not stopper.is_alive()
+        assert not engine.started
+
+    def test_claim_racing_stop_never_queues_behind_the_pill(
+        self, paper_plan, monkeypatch
+    ):
+        """A submit that read the queue before stop() detached it but
+        claims its key after is refused; queued, it would sit behind the
+        wake-up pill and never finish."""
+        engine = small_engine()
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        started, release = _block_cost_based(monkeypatch)
+        claiming = threading.Event()
+        resume = threading.Event()
+        original = AdvisoryEngine.canonical_stats
+
+        def held_canonical_stats(self, request_stats):
+            # _claim canonicalizes before it takes the engine lock
+            if threading.current_thread().name == "late-submit":
+                claiming.set()
+                resume.wait(10.0)
+            return original(self, request_stats)
+
+        monkeypatch.setattr(AdvisoryEngine, "canonical_stats",
+                            held_canonical_stats)
+        outcome = {}
+
+        def late_submit():
+            try:
+                outcome["pending"] = engine.submit(paper_plan, stats,
+                                                   scheme="all-mat")
+            except RuntimeError as error:
+                outcome["error"] = error
+
+        engine.start(workers=1, max_queue=4)
+        request_queue = engine._queue
+        late = threading.Thread(target=late_submit, name="late-submit")
+        stopper = threading.Thread(target=engine.stop)
+        try:
+            busy = engine.submit(paper_plan, stats)
+            assert started.wait(10.0)  # the one worker is blocked
+            late.start()
+            assert claiming.wait(10.0)  # it holds the queue, unclaimed
+            stopper.start()
+            deadline = time.monotonic() + 10.0
+            while request_queue.qsize() < 1:  # the pill is queued
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            resume.set()
+            late.join(timeout=10.0)
+            assert not late.is_alive()
+            release.set()
+            busy.result(timeout=30.0)
+            if "pending" in outcome:
+                assert outcome["pending"].result(timeout=10.0) \
+                    == direct_advice(paper_plan, stats, engine, "all-mat")
+            else:
+                assert "stopped" in str(outcome["error"])
+        finally:
+            resume.set()
+            release.set()
+            late.join(timeout=30.0)
+            if stopper.ident is not None:  # started
+                stopper.join(timeout=30.0)
+        assert not stopper.is_alive()
 
     def test_submit_requires_start(self, paper_plan):
         engine = small_engine()
