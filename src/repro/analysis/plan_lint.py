@@ -36,6 +36,7 @@ from ..core import cost_model
 from ..core.collapse import CollapsedPlan, collapse_plan
 from ..core.cost_model import ClusterStats
 from ..core.plan import Plan, PlanError
+from ..core.summation import left_sum
 from .diagnostics import (
     Diagnostic,
     DiagnosticSink,
@@ -365,7 +366,7 @@ def _check_dominant_path(
         return
     if any(op_id not in plan.operators for op_id in path):
         return  # coverage rule already reported the missing operator
-    path_runtime = sum(plan[op_id].runtime_cost for op_id in path)
+    path_runtime = left_sum(plan[op_id].runtime_cost for op_id in path)
     pipe = const_pipe if len(path) > 1 else 1.0
     expected = path_runtime * pipe
     if not math.isfinite(expected) or not math.isfinite(group.runtime_cost):

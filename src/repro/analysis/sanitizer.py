@@ -332,10 +332,11 @@ def quick_search_workload() -> Tuple[List[Any], Any, Optional[int]]:
     different Gray ranges, small enough to finish in seconds.
     """
     from ..core.cost_model import ClusterStats
+    from ..core.summation import left_sum
     from ..joinorder.synthetic import SyntheticSpec, synthetic_plan
 
     plan = synthetic_plan(SyntheticSpec(n_joins=12, seed=4))
-    base = sum(op.runtime_cost for op in plan.operators.values())
+    base = left_sum(op.runtime_cost for op in plan.operators.values())
     stats = ClusterStats(mtbf=base * 20.0, mttr=base * 0.1,
                          const_pipe=0.9)
     return [plan], stats, 1024

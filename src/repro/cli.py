@@ -48,6 +48,7 @@ from . import obs
 from .chaos import PRESET_NAMES, preset
 from .core.cost_model import ClusterStats
 from .core.strategies import CostBased, standard_schemes
+from .core.summation import left_sum
 from .engine.cluster import Cluster
 from .engine.coordinator import compare_schemes
 from .experiments import (
@@ -619,7 +620,7 @@ def _run_advise(args) -> int:
     ).configure(plan, stats)
     search = configured.search
 
-    baseline = sum(op.runtime_cost for op in plan.operators.values())
+    baseline = left_sum(op.runtime_cost for op in plan.operators.values())
     print(f"{args.query} @ SF {args.scale_factor:g} on {args.nodes} nodes "
           f"(MTBF {args.mtbf:.0f}s, MTTR {args.mttr:.0f}s)")
     print(f"  baseline runtime (no failures): ~{baseline:.0f}s")

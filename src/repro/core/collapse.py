@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .plan import Plan, PlanError
+from .summation import left_sum
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class CollapsedPlan:
     @property
     def total_cost(self) -> float:
         """Sum of ``t(c)`` over all collapsed operators."""
-        return sum(group.total_cost for group in self.groups.values())
+        return left_sum(group.total_cost for group in self.groups.values())
 
     def pretty(self) -> str:
         """Human-readable rendering in topological order."""

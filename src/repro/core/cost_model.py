@@ -38,6 +38,7 @@ from typing import Iterable, List, Sequence
 
 
 from .failure import effective_mtbf
+from .summation import left_sum
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ def path_cost(
     exact_waste: bool = False,
 ) -> float:
     """Total cost of an execution path ``T_Pt = sum T(c)`` (Eq. 7)."""
-    return sum(
+    return left_sum(
         operator_runtime(cost, stats, exact_waste=exact_waste)
         for cost in operator_costs
     )
@@ -245,7 +246,7 @@ def path_cost(
 
 def path_cost_failure_free(operator_costs: Iterable[float]) -> float:
     """``R_Pt = sum t(c)`` -- path runtime ignoring failures (Rule 3)."""
-    return sum(operator_costs)
+    return left_sum(operator_costs)
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,28 @@ def _load_preflight_check() -> Callable[..., None]:
     return _preflight_check
 
 
+class PlanFingerprint(tuple):
+    """A plan fingerprint: a plain tuple whose hash is computed once.
+
+    Equal to, and hashing like, the plain ``(operators, edges)`` tuple,
+    but every advisory cache probe hashes its key, and CPython does not
+    cache tuple hashes, so the nested operator tuples would be rehashed
+    on each call.  The stored hash never travels: string hashes are
+    salted per process, so pickles and copies carry a plain tuple.
+    """
+
+    def __new__(cls, parts: Tuple[Any, Any]) -> "PlanFingerprint":
+        self = super().__new__(cls, parts)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (tuple, (tuple(self),))
+
+
 def plan_fingerprint(plan: Plan) -> Any:
     """Hashable identity of a plan's operators, flags, costs and edges.
 
@@ -204,7 +226,8 @@ def plan_fingerprint(plan: Plan) -> Any:
     Memoized on the plan (see :class:`~repro.core.plan.Plan`): callers
     that pass the same plan again -- every advisory cache hit, the
     preflight memo, the campaign's baseline key -- get the stored tuple
-    back, so their key probes compare it by identity.
+    back, so their key probes compare it by identity and reuse its
+    stored hash (:class:`PlanFingerprint`).
     """
     memo = plan._fingerprint
     if memo is None:
@@ -216,7 +239,7 @@ def plan_fingerprint(plan: Plan) -> Any:
             )
             for _, op in sorted(plan.operators.items())
         )
-        memo = (operators, tuple(sorted(plan.edges())))
+        memo = PlanFingerprint((operators, tuple(sorted(plan.edges()))))
         setattr(plan, "_fingerprint", memo)  # shadows the ClassVar None
     return memo
 

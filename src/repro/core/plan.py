@@ -28,6 +28,8 @@ from typing import (
     Any, ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
+from .summation import left_sum
+
 
 class PlanError(ValueError):
     """Raised when a plan or operator is structurally invalid."""
@@ -367,12 +369,13 @@ class Plan:
     @property
     def total_runtime_cost(self) -> float:
         """Sum of ``tr(o)`` over all operators (no parallelism model)."""
-        return sum(op.runtime_cost for op in self.operators.values())
+        return left_sum(op.runtime_cost for op in self.operators.values())
 
     @property
     def total_mat_cost(self) -> float:
         """Sum of ``tm(o)`` over the operators currently materializing."""
-        return sum(op.mat_cost for op in self.operators.values() if op.materialize)
+        return left_sum(op.mat_cost for op in self.operators.values()
+                        if op.materialize)
 
     def validate(self) -> None:
         """Check structural invariants; raise :class:`PlanError` on failure."""

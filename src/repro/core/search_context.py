@@ -39,7 +39,8 @@ The context is *bit-identical* to the naive pipeline, not merely close:
   operation (same member BFS, same longest-path DP with the same
   ``max``/tie-break, same ``CONST_pipe`` application), so every
   ``t(c)`` equals the naive value bit-for-bit.
-* A path cost in the naive engine is a left-fold ``sum`` of ``T(c)``.
+* A path cost in the naive engine is a left fold of ``T(c)``
+  (:func:`~repro.core.summation.left_sum`).
   The DP computes ``pre[c] = max(pre[producer]) + T(c)`` with
   ``pre[source] = T(source)``, which performs the additions in the same
   order as the left fold for whichever path realizes the maximum; since

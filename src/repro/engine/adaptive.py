@@ -74,6 +74,7 @@ from ..core.strategies import (
     FaultToleranceScheme,
     RecoveryMode,
 )
+from ..core.summation import left_sum
 from ..stats.mtbf_estimation import MtbfTracker
 from .executor import ExecutionResult, SimulatedEngine, TraceExhausted
 from .timeline import EventKind, Timeline
@@ -556,10 +557,10 @@ class AdaptiveExecutor:
         Skew -- configured or chaos-injected stragglers -- inflates
         observation via the slowest node.
         """
-        estimated = sum(
+        estimated = left_sum(
             estimated_plan[m].runtime_cost for m in group.members
         )
-        observed = sum(
+        observed = left_sum(
             executable[m].runtime_cost for m in group.members
         )
         worst_skew = max(

@@ -33,12 +33,22 @@ grid explicit and executes it fast:
   engine, and worker crashes exercise the pool resilience above.
   Baselines stay chaos-free; a null policy is bit-identical to no
   policy.
+* **One measurement per distinct unit.**  A unit's row is a pure
+  function of its identity, so units with equal keys
+  (:func:`_unit_key`: pre-configured targets of generated-trace cells
+  with the same measured plans, MTBF and trace protocol) are measured
+  once and the duplicates take a copy of that row with their own
+  ``cell_index``/``label``/``scheme``.  Scheme targets (adaptive ones
+  included) and cells with explicit traces always run on their own.
 * **Hot-path caches.**  Each unit reuses one
   :class:`~repro.engine.executor.PreparedExecution` across all of its
   traces (collapse/topology/lineage costs computed once, not per run),
-  shares trace sets through :func:`~repro.engine.traces.cached_trace_block`
-  and the memoized :func:`~repro.engine.coordinator.pure_baseline_runtime`,
-  and runs them through
+  and one campaign prepares each distinct pre-configured plan once for
+  all the units that measure it (the memo belongs to the call, or to
+  the pool worker, never to the module).  Units share trace sets
+  through :func:`~repro.engine.traces.cached_trace_block` and the
+  memoized :func:`~repro.engine.coordinator.pure_baseline_runtime`,
+  and run them through
   :meth:`~repro.engine.executor.SimulatedEngine.execute_many` -- in
   lockstep over the set's flat failure array when the unit qualifies.
 
@@ -50,13 +60,15 @@ rankings, the workload runner's per-scheme runs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar,
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
+    TypeVar,
 )
 
 from .. import obs
 from ..chaos.policy import FaultPolicy
+from ..core.enumeration import plan_fingerprint
 from ..core.plan import Plan
 from ..core.pool import maybe_crash, resilient_map, worker_state
 from ..core.strategies import (
@@ -64,14 +76,18 @@ from ..core.strategies import (
     FaultToleranceScheme,
     standard_schemes,
 )
+from ..core.summation import left_sum
 from .adaptive import AdaptiveCostBased, run_adaptive_with_extension
 from .cluster import Cluster
 from .coordinator import _default_horizon, pure_baseline_runtime
-from .executor import SimulatedEngine
+from .executor import PreparedExecution, SimulatedEngine
 from .traces import FailureTrace, cached_trace_block
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+
+#: one campaign's prepared plans, keyed by :func:`_prepared_key`
+PreparedMemo = Dict[Hashable, PreparedExecution]
 
 #: the paper's protocol: 10 traces per unique MTBF
 DEFAULT_TRACE_COUNT = 10
@@ -170,7 +186,7 @@ class CellResult:
         """Mean runtime over *finished* runs (inf when all aborted)."""
         if not self.runtimes:
             return float("inf")
-        return sum(self.runtimes) / len(self.runtimes)
+        return left_sum(self.runtimes) / len(self.runtimes)
 
     @property
     def overhead(self) -> float:
@@ -197,18 +213,57 @@ class CellResult:
         return f"{self.overhead_percent:.0f}%"
 
 
+def _prepared_key(target: ConfiguredPlan, const_pipe: float) -> Hashable:
+    """Everything a pre-configured target's prepared execution (and its
+    recovery) reads besides the campaign-wide cluster."""
+    return (
+        plan_fingerprint(target.plan),
+        target.recovery,
+        tuple(sorted((target.op_checkpoints or {}).items())),
+        const_pipe,
+    )
+
+
+def _unit_key(cell: CampaignCell, target: Any) -> Optional[Hashable]:
+    """The identity one (cell, target) unit's row is a function of, or
+    ``None`` when the unit is never shared.
+
+    Only pre-configured targets of cells that generate their traces
+    have one: it covers the measured plan (:func:`_prepared_key`), the
+    cell's plan (the baseline and the ``free`` flags behind
+    ``materialized_ids``) and the trace protocol.  The cluster and the
+    chaos policy are the same for every unit of a campaign.  A scheme
+    target configures itself inside the unit, and an explicit trace set
+    has no cheap identity, so those units always run.
+    """
+    if cell.traces is not None or not isinstance(target, ConfiguredPlan):
+        return None
+    return (
+        _prepared_key(target, cell.const_pipe),
+        plan_fingerprint(cell.plan),
+        cell.mtbf,
+        cell.trace_count,
+        cell.base_seed,
+        cell.horizon,
+        cell.baseline,
+    )
+
+
 def _measure_unit(
     cell: CampaignCell,
     cell_index: int,
     target_index: int,
     cluster: Cluster,
     chaos: Optional[FaultPolicy] = None,
+    prepared_memo: Optional[PreparedMemo] = None,
 ) -> CellResult:
     """Measure one (cell, target) unit -- the campaign's parallel grain.
 
     Pure given its arguments: every cache it touches (trace sets,
     baselines, prepared plans) memoizes a deterministic function, so a
     unit computes the same row in any process at any time.
+    ``prepared_memo`` shares one prepared execution between the
+    pre-configured targets of one campaign that measure the same plan.
 
     ``chaos`` perturbs the measurement only: correlated bursts enter the
     generated trace set, executor-level injections ride on the engine.
@@ -272,7 +327,14 @@ def _measure_unit(
                           target=target_index):
                 configured = target.configure(cell.plan, stats)
         unit_span.set(scheme=configured.scheme)
-        prepared = engine.prepare(configured)
+        if prepared_memo is not None and configured is target:
+            prepared_key = _prepared_key(target, cell.const_pipe)
+            prepared = prepared_memo.get(prepared_key)
+            if prepared is None:
+                prepared = prepared_memo[prepared_key] = \
+                    engine.prepare(configured)
+        else:
+            prepared = engine.prepare(configured)
         with obs.span("campaign.execute", cell=cell_index,
                       target=target_index,
                       traces=len(traces)) as execute_span:
@@ -373,12 +435,20 @@ def _unit_row(
     )
 
 
+def _target_name(target: Any) -> str:
+    """The scheme name an error row reports for ``target``."""
+    return getattr(target, "scheme", None) or getattr(
+        target, "name", type(target).__name__
+    )
+
+
 def _measure_unit_safe(
     cell: CampaignCell,
     cell_index: int,
     target_index: int,
     cluster: Cluster,
     chaos: Optional[FaultPolicy] = None,
+    prepared_memo: Optional[PreparedMemo] = None,
 ) -> CellResult:
     """:func:`_measure_unit`, demoting exceptions to error rows.
 
@@ -391,7 +461,7 @@ def _measure_unit_safe(
     """
     try:
         return _measure_unit(cell, cell_index, target_index, cluster,
-                             chaos=chaos)
+                             chaos=chaos, prepared_memo=prepared_memo)
     except Exception as exc:  # noqa: BLE001 -- reported, not swallowed
         recorder = obs.get_recorder()
         if recorder is not None:
@@ -399,10 +469,7 @@ def _measure_unit_safe(
         targets = cell.targets()
         scheme = "?"
         if 0 <= target_index < len(targets):
-            target = targets[target_index]
-            scheme = getattr(target, "scheme", None) or getattr(
-                target, "name", type(target).__name__
-            )
+            scheme = _target_name(targets[target_index])
         return CellResult(
             cell_index=cell_index,
             label=cell.label,
@@ -422,14 +489,47 @@ def _measure_units(
     cluster: Cluster,
     units: Sequence[Tuple[int, int, int]],
     chaos: Optional[FaultPolicy],
+    prepared_memo: PreparedMemo,
 ) -> List[CellResult]:
     """In-process rows of ``(unit, cell, target)`` units: the ``jobs=1``
-    path and the pooled campaign's in-process fallback."""
+    path, the pool workers and the pooled campaign's in-process
+    fallback."""
     return [
         _measure_unit_safe(cells[cell_index], cell_index, target_index,
-                           cluster, chaos=chaos)
+                           cluster, chaos=chaos, prepared_memo=prepared_memo)
         for _, cell_index, target_index in units
     ]
+
+
+def _distinct_units(
+    cells: Sequence[CampaignCell],
+    targets: Sequence[Tuple[Any, ...]],
+    units: Sequence[Tuple[int, int, int]],
+) -> Tuple[List[Tuple[int, int, int]], List[int]]:
+    """The units to measure, and for every unit the position in that
+    list of the unit whose row it takes: the first unit of each
+    :func:`_unit_key`, and every unit without one."""
+    measured: List[Tuple[int, int, int]] = []
+    sources: List[int] = []
+    first: Dict[Hashable, int] = {}
+    for unit in units:
+        key = _unit_key(cells[unit[1]], targets[unit[1]][unit[2]])
+        source = first.get(key) if key is not None else None
+        if source is None:
+            source = len(measured)
+            measured.append(unit)
+            if key is not None:
+                first[key] = source
+        sources.append(source)
+    return measured, sources
+
+
+def _shared_row(row: CellResult, cell: CampaignCell, cell_index: int,
+                target: ConfiguredPlan) -> CellResult:
+    """A measured row, relabelled for a unit with the same key."""
+    scheme = target.scheme if row.error is None else _target_name(target)
+    return replace(row, cell_index=cell_index, label=cell.label,
+                   scheme=scheme)
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +537,7 @@ def _measure_units(
 # ----------------------------------------------------------------------
 def _campaign_init(cells: Sequence[CampaignCell],
                    cluster: Cluster) -> Dict[str, Any]:
-    return {"cells": cells, "cluster": cluster}
+    return {"cells": cells, "cluster": cluster, "prepared": {}}
 
 
 def _campaign_chunk(chunk: Sequence[Tuple[int, int, int]]) -> List[CellResult]:
@@ -445,7 +545,7 @@ def _campaign_chunk(chunk: Sequence[Tuple[int, int, int]]) -> List[CellResult]:
         maybe_crash(unit_index)  # crash decisions are keyed per unit
     state = worker_state()
     return _measure_units(state["cells"], state["cluster"], chunk,
-                          state["chaos"])
+                          state["chaos"], state["prepared"])
 
 
 def _preflight_cells(
@@ -457,9 +557,8 @@ def _preflight_cells(
     cost-based search -- keeps the workers purely computational and
     reports a broken plan before any process is forked.
     """
-    # deferred imports: repro.analysis imports repro.core
+    # deferred import: repro.analysis imports repro.core
     from ..analysis.plan_lint import preflight_check
-    from ..core.enumeration import plan_fingerprint
 
     seen = set()
     for cell in cells:
@@ -482,8 +581,9 @@ def run_campaign(
 
     ``jobs=1`` (the default) runs the units serially in the calling
     process; ``jobs=N`` fans them out over ``N`` worker processes.  Both
-    paths run the same unit function over the same unit list and merge
-    in unit order, so the output is exactly equal either way.
+    paths measure the same distinct units (:func:`_unit_key`) with the
+    same unit function and merge in unit order, every duplicate unit
+    taking its source's row, so the output is exactly equal either way.
 
     ``preflight_lint`` statically validates each distinct plan once up
     front (raising :class:`~repro.analysis.diagnostics.LintError` on
@@ -505,37 +605,65 @@ def run_campaign(
         raise ValueError("jobs must be >= 1")
     if preflight_lint:
         _preflight_cells(cells, cluster)
+    targets = [cell.targets() for cell in cells]
     units: List[Tuple[int, int, int]] = []
-    for cell_index, cell in enumerate(cells):
-        for target_index in range(len(cell.targets())):
+    for cell_index, cell_targets in enumerate(targets):
+        for target_index in range(len(cell_targets)):
             units.append((len(units), cell_index, target_index))
+    measured, sources = _distinct_units(cells, targets, units)
     with obs.span("campaign", cells=len(cells), units=len(units),
                   jobs=jobs):
-        workers = min(jobs, len(units))
-        if workers <= 1:
-            return _measure_units(cells, cluster, units, chaos)
-        # Parallel grain: one chunk per *cell* when there are enough
-        # cells to keep every worker busy -- a cell's targets share its
-        # trace set, and process-local caches only pay off when they run
-        # in the same worker.  With fewer cells than workers, fall back
-        # to one chunk per unit so a single big cell still fans out.
-        if len(cells) >= workers:
-            chunks: List[List[Tuple[int, int, int]]] = [[] for _ in cells]
-            for unit in units:
-                chunks[unit[1]].append(unit)
-        else:
-            chunks = [[unit] for unit in units]
-        rows = resilient_map(
-            _campaign_chunk, chunks, workers,
-            fallback=lambda batch: [
-                _measure_units(cells, cluster, chunk, chaos)
-                for chunk in batch
-            ],
-            namespace="campaign", track="campaign-worker",
-            init=_campaign_init, initargs=(cells, cluster), chaos=chaos,
-        )
+        measured_rows = _measure_distinct(cells, cluster, measured, jobs,
+                                          chaos)
         # unit-order merge: equals the jobs=1 list
-        return [row for chunk_rows in rows for row in chunk_rows]
+        rows: List[CellResult] = []
+        for (unit_index, cell_index, target_index), source in zip(units,
+                                                                  sources):
+            row = measured_rows[source]
+            if measured[source][0] != unit_index:
+                row = _shared_row(row, cells[cell_index], cell_index,
+                                  targets[cell_index][target_index])
+            rows.append(row)
+        shared = len(units) - len(measured)
+        if shared:
+            obs.add("campaign.units_shared", shared)
+        return rows
+
+
+def _measure_distinct(
+    cells: Sequence[CampaignCell],
+    cluster: Cluster,
+    measured: Sequence[Tuple[int, int, int]],
+    jobs: int,
+    chaos: Optional[FaultPolicy],
+) -> List[CellResult]:
+    """The rows of the distinct units, in their order, at any job count."""
+    prepared_memo: PreparedMemo = {}
+    workers = min(jobs, len(measured))
+    if workers <= 1:
+        return _measure_units(cells, cluster, measured, chaos,
+                              prepared_memo)
+    # Parallel grain: one chunk per *cell* when there are enough cells
+    # to keep every worker busy -- a cell's targets share its trace set,
+    # and process-local caches only pay off when they run in the same
+    # worker.  With fewer cells than workers, fall back to one chunk per
+    # unit so a single big cell still fans out.
+    by_cell: Dict[int, List[Tuple[int, int, int]]] = {}
+    for unit in measured:
+        by_cell.setdefault(unit[1], []).append(unit)
+    chunks = list(by_cell.values())
+    if len(chunks) < workers:
+        chunks = [[unit] for unit in measured]
+    rows = resilient_map(
+        _campaign_chunk, chunks, workers,
+        fallback=lambda batch: [
+            _measure_units(cells, cluster, chunk, chaos, prepared_memo)
+            for chunk in batch
+        ],
+        namespace="campaign", track="campaign-worker",
+        init=_campaign_init, initargs=(cells, cluster), chaos=chaos,
+    )
+    return [row for chunk_rows in rows for row in chunk_rows]
 
 
 def campaign_map(

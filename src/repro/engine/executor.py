@@ -69,6 +69,7 @@ from ..chaos.inject import ChaosRun
 from ..chaos.policy import FaultPolicy
 from ..core.collapse import CollapsedOperator, CollapsedPlan, collapse_plan
 from ..core.strategies import ConfiguredPlan, RecoveryMode
+from ..core.summation import left_sum
 from .cluster import Cluster
 from .timeline import EventKind, MutedTimeline, Timeline
 from .traces import (
@@ -794,7 +795,7 @@ class SimulatedEngine:
         # sorted(): float addition is order-sensitive and set order is
         # not stable across processes -- the sum must not depend on it
         return {
-            anchor: sum(collapsed[a].total_cost
+            anchor: left_sum(collapsed[a].total_cost
                         for a in sorted(group_ancestors))
             for anchor, group_ancestors in ancestors.items()
         }

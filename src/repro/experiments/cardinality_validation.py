@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from ..core.summation import left_sum
 from ..relational.executor import profile
 from ..tpch.datagen import generate
 from ..tpch.queries import QUERIES
@@ -67,7 +68,7 @@ class ValidationResult:
     @property
     def mean_absolute_error(self) -> float:
         errors = [abs(p.relative_error) for p in self.points]
-        return sum(errors) / len(errors)
+        return left_sum(errors) / len(errors)
 
     @property
     def worst_absolute_error(self) -> float:

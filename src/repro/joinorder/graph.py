@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List
 
+from ..core.summation import left_sum
+
 
 @dataclass(frozen=True)
 class Relation:
@@ -137,4 +139,4 @@ class JoinGraph:
     def set_width(self, names: Iterable[str]) -> float:
         """Output row width of the joined set (sum of member widths)."""
         # sorted(): callers pass sets; keep the float sum order-stable
-        return sum(self.relations[name].width for name in sorted(names))
+        return left_sum(self.relations[name].width for name in sorted(names))

@@ -48,6 +48,7 @@ from ..core.strategies import (
     NoMatLineage,
     NoMatRestart,
 )
+from ..core.summation import left_sum
 from ..engine.campaign import CampaignCell, CellResult, run_campaign
 from ..engine.cluster import Cluster
 from ..serve import AdvisoryEngine
@@ -421,6 +422,9 @@ def prepare(
     )
     groups: List[MeasurementGroup] = []
     cells: List[CampaignCell] = []
+    # the static schemes ignore the stats: configure each template once
+    # and share the configured plans across its groups' cells
+    static: Dict[int, Tuple[ConfiguredPlan, ...]] = {}
     for index, (key, advice) in enumerate(group_advice.items()):
         template_index = key[0]
         template = workload.templates[template_index]
@@ -437,15 +441,18 @@ def prepare(
             advice=advice,
             arrivals=tuple(group_arrivals[key]),
         ))
-        canonical = ClusterStats(
-            mtbf=advice.canonical_mtbf,
-            mttr=advice.canonical_mttr,
-            nodes=config.nodes,
-        )
-        configured: Tuple[ConfiguredPlan, ...] = (
-            AllMat().configure(template.plan, canonical),
-            NoMatLineage().configure(template.plan, canonical),
-            NoMatRestart().configure(template.plan, canonical),
+        schemes = static.get(template_index)
+        if schemes is None:
+            canonical = ClusterStats(
+                mtbf=advice.canonical_mtbf,
+                mttr=advice.canonical_mttr,
+                nodes=config.nodes,
+            )
+            schemes = static[template_index] = tuple(
+                scheme.configure(template.plan, canonical)
+                for scheme in (AllMat(), NoMatLineage(), NoMatRestart())
+            )
+        configured = schemes + (
             configured_from_advice(template.plan, advice,
                                    scheme="cost-based"),
         )
@@ -619,7 +626,7 @@ def assemble(
                 oracle_sum += oracle_means[group_index]
         latencies.sort()
         waits.sort()
-        service_sum = sum(finished_services)
+        service_sum = left_sum(finished_services)
         overhead = (service_sum / baseline_sum - 1.0
                     if baseline_sum > 0 else float("inf"))
         regret = (chosen_sum / oracle_sum
@@ -632,7 +639,7 @@ def assemble(
             overhead_percent=overhead * 100.0,
             latency_p50=_percentile(latencies, 0.50),
             latency_p99=_percentile(latencies, 0.99),
-            wait_mean=(sum(waits) / len(waits) if waits else 0.0),
+            wait_mean=(left_sum(waits) / len(waits) if waits else 0.0),
             wait_p99=_percentile(waits, 0.99),
             regret=regret,
         ))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.strategies import FaultToleranceScheme, standard_schemes
+from ..core.summation import left_sum
 from ..engine.campaign import campaign_map
 from ..engine.cluster import Cluster
 from ..engine.executor import SimulatedEngine
@@ -145,7 +146,7 @@ def _execute_at(engine, configured, trace, clock):
 
 
 def _initial_horizon(workload, mtbf) -> float:
-    total = sum(query.baseline_cost for query in workload)
+    total = left_sum(query.baseline_cost for query in workload)
     return max(total * 30.0, mtbf * 4.0, 10_000.0)
 
 

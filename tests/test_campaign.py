@@ -9,7 +9,9 @@ The load-bearing guarantees:
 * the vectorized trace generator is bit-identical to the scalar loop it
   replaced;
 * shared trace sets only ever change by prefix-stable extension, and the
-  extension is written back so later sharers reuse it.
+  extension is written back so later sharers reuse it;
+* units with equal keys are measured once, and every duplicate's row
+  equals what measuring it on its own gives.
 """
 
 import json
@@ -24,14 +26,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.policy import CorrelatedFailures
+from repro import obs
 from repro.core.plan import linear_plan
 from repro.core.strategies import (
     AllMat,
+    ConfiguredPlan,
     NoMatLineage,
+    NoMatRestart,
+    RecoveryMode,
     standard_schemes,
 )
+from repro.engine.adaptive import AdaptiveCostBased
 from repro.engine.campaign import (
     CampaignCell,
+    _measure_unit_safe,
     campaign_map,
     run_campaign,
 )
@@ -237,6 +245,123 @@ class TestPartialResults:
             run_campaign([_poisoned_cell(chain)], cluster)
             counters = recorder.summary()["counters"]
         assert counters["campaign.unit_errors"] == 4
+
+
+def _unit_reference(cells, cluster):
+    """Every unit measured on its own: no shared rows, no shared
+    prepared plans."""
+    return [
+        _measure_unit_safe(cell, cell_index, target_index, cluster)
+        for cell_index, cell in enumerate(cells)
+        for target_index in range(len(cell.targets()))
+    ]
+
+
+def _recorded_campaign(cells, cluster, jobs=1):
+    with obs.recording() as recorder:
+        rows = run_campaign(cells, cluster, jobs=jobs)
+        counters = recorder.summary()["counters"]
+    return rows, counters
+
+
+def _repeated_cells(chain, cluster):
+    """Pre-configured cells repeating units at two MTBFs: equal cells
+    under other labels, a target listed twice under two scheme names,
+    and an equal plan that is a different object."""
+    stats = cluster.stats(150.0)
+    all_mat = AllMat().configure(chain, stats)
+    lineage = NoMatLineage().configure(chain, stats)
+    restart = NoMatRestart().configure(chain, stats)
+    renamed = ConfiguredPlan(
+        plan=chain.with_mat_config({op_id: True
+                                    for op_id in chain.free_operators}),
+        recovery=RecoveryMode.FINE_GRAINED, scheme="chosen",
+    )
+    configured = (all_mat, lineage, restart, renamed)
+    return [
+        CampaignCell(label=f"{label}@{mtbf:g}", plan=chain, mtbf=mtbf,
+                     trace_count=3, configured=configured)
+        for mtbf in (150.0, 400.0)
+        for label in ("a", "b")
+    ]
+
+
+class TestSharedUnits:
+    """Each distinct unit is measured once; duplicates copy its row."""
+
+    def test_repeated_units_equal_the_per_unit_reference(self, chain,
+                                                         cluster):
+        cells = _repeated_cells(chain, cluster)
+        reference = _unit_reference(cells, cluster)
+        assert run_campaign(cells, cluster, jobs=1) == reference
+        assert run_campaign(cells, cluster, jobs=2) == reference
+
+    def test_two_mtbfs_are_two_measurements(self, chain, cluster):
+        rows, counters = _recorded_campaign(
+            _repeated_cells(chain, cluster), cluster
+        )
+        # per MTBF: all-mat (also listed as "chosen"), no-mat lineage
+        # and no-mat restart; the second label repeats all four
+        assert counters["campaign.units"] == 6
+        assert counters["campaign.units_shared"] == 10
+        assert [row.label for row in rows[:8]] == \
+            ["a@150"] * 4 + ["b@150"] * 4
+        assert rows[3].scheme == "chosen"
+        assert rows[3].runtimes == rows[0].runtimes
+        assert rows[8].runtimes != rows[0].runtimes
+
+    def test_counters_add_up_to_the_rows(self, chain, cluster):
+        cells = _repeated_cells(chain, cluster) + [_cell(chain)]
+        for jobs in (1, 2):
+            rows, counters = _recorded_campaign(cells, cluster, jobs=jobs)
+            assert counters["campaign.units"] + \
+                counters["campaign.units_shared"] == len(rows)
+            assert counters["campaign.trace_runs"] == \
+                3 * 6 + 4 * 4
+
+    def test_duplicate_of_a_raising_unit_keeps_its_identity(
+            self, chain, cluster):
+        # the configured plan has an operator the cell's plan lacks, so
+        # the unit raises while it builds its row
+        longer = linear_plan([(100.0, 5.0)] * 4)
+        broken = AllMat().configure(longer, cluster.stats(150.0))
+        cells = [
+            CampaignCell(label=label, plan=chain, mtbf=150.0,
+                         trace_count=2, configured=(
+                             ConfiguredPlan(plan=broken.plan,
+                                            recovery=broken.recovery,
+                                            scheme=scheme),
+                         ))
+            for label, scheme in (("x", "first"), ("y", "second"))
+        ]
+        for jobs in (1, 2):
+            rows, counters = _recorded_campaign(cells, cluster, jobs=jobs)
+            assert rows == _unit_reference(cells, cluster)
+            assert [(r.cell_index, r.label, r.scheme) for r in rows] == \
+                [(0, "x", "first"), (1, "y", "second")]
+            assert rows[0].error is not None
+            assert rows[0].error == rows[1].error
+            assert counters["campaign.unit_errors"] == 1
+            assert counters["campaign.units_shared"] == 1
+
+    @pytest.mark.parametrize("kind", ["schemes", "adaptive", "traces"])
+    def test_unkeyed_units_are_never_shared(self, chain, cluster, kind):
+        stats = cluster.stats(150.0)
+        if kind == "schemes":
+            extra = {"schemes": (AllMat(), AllMat())}
+        elif kind == "adaptive":
+            extra = {"schemes": (AdaptiveCostBased(), AdaptiveCostBased())}
+        else:
+            traces = tuple(generate_trace_set(cluster.nodes, 150.0,
+                                              5000.0, count=2,
+                                              base_seed=3))
+            all_mat = AllMat().configure(chain, stats)
+            extra = {"configured": (all_mat, all_mat), "traces": traces}
+        cells = [_cell(chain, trace_count=2, **extra) for _ in range(2)]
+        rows, counters = _recorded_campaign(cells, cluster)
+        assert rows == _unit_reference(cells, cluster)
+        assert counters["campaign.units"] == len(rows) == 4
+        assert "campaign.units_shared" not in counters
 
 
 class TestPreparedMatchesFresh:

@@ -1,5 +1,6 @@
 """Unit tests for DAG plans and operators."""
 
+import copy
 import dataclasses
 import pickle
 
@@ -319,6 +320,20 @@ class TestFingerprintMemo:
         plan_fingerprint(paper_plan)
         assert pickle.dumps(paper_plan) == before
         assert "_fingerprint" not in pickle.loads(before).__dict__
+
+    def test_hash_is_stored_but_never_pickled(self, paper_plan):
+        memo = plan_fingerprint(paper_plan)
+        plain = tuple(memo)
+        assert type(plain) is tuple
+        assert memo == plain and plain == memo
+        assert hash(memo) == hash(plain)
+        assert {plain: 1}[memo] == 1
+        # string hashes are salted per process: the stored hash stays
+        # behind and a pickle (or copy) carries the plain tuple
+        restored = pickle.loads(pickle.dumps(memo))
+        assert type(restored) is tuple and restored == plain
+        assert type(copy.copy(memo)) is tuple
+        assert b"_hash" not in pickle.dumps(memo)
 
     def test_value_identity_unchanged(self, paper_plan):
         untouched = Plan.from_edges(paper_plan.operators.values(),
