@@ -125,10 +125,11 @@ class Plan:
 
     A plan changes only through :meth:`add_operator` and
     :meth:`add_edge`: :func:`~repro.core.enumeration.plan_fingerprint`
-    memoizes its result on the plan and those two methods drop the memo,
-    so editing ``operators`` or the adjacency lists directly after the
-    plan has been fingerprinted is unsupported.  The memo is a plain
-    instance attribute (``_fingerprint``), not a field: it takes no part
+    and :meth:`topological_order` memoize their results on the plan and
+    those two methods drop the memos, so editing ``operators`` or the
+    adjacency lists directly after the plan has been fingerprinted or
+    sorted is unsupported.  The memos are plain instance attributes
+    (``_fingerprint``, ``_topo_order``), not fields: they take no part
     in ``==``, ``repr``, :func:`dataclasses.fields` or pickles.
     """
 
@@ -145,16 +146,21 @@ class Plan:
     #: moves its inline attributes into a real dict, and every later
     #: attribute read on that plan gets ~3x slower.
     _fingerprint: ClassVar[Optional[Tuple[Any, ...]]] = None
+    #: topological_order's memo, held the same way
+    _topo_order: ClassVar[Optional[Tuple[int, ...]]] = None
 
     def __getstate__(self) -> Dict[str, object]:
-        # pickles (pool payloads) carry the fields only, never the memo
+        # pickles (pool payloads) carry the fields only, never the memos
         state = dict(self.__dict__)
         state.pop("_fingerprint", None)
+        state.pop("_topo_order", None)
         return state
 
-    def _forget_fingerprint(self) -> None:
+    def _forget_memos(self) -> None:
         if self._fingerprint is not None:
             delattr(self, "_fingerprint")
+        if self._topo_order is not None:
+            delattr(self, "_topo_order")
 
     # ------------------------------------------------------------------
     # construction
@@ -163,7 +169,7 @@ class Plan:
         """Insert ``operator``; its ``op_id`` must be unused."""
         if operator.op_id in self.operators:
             raise PlanError(f"duplicate operator id {operator.op_id}")
-        self._forget_fingerprint()
+        self._forget_memos()
         self.operators[operator.op_id] = operator
         self._consumers.setdefault(operator.op_id, [])
         self._producers.setdefault(operator.op_id, [])
@@ -185,7 +191,7 @@ class Plan:
             raise PlanError(
                 f"edge {producer_id} -> {consumer_id} would create a cycle"
             )
-        self._forget_fingerprint()
+        self._forget_memos()
         self._consumers[producer_id].append(consumer_id)
         self._producers[consumer_id].append(producer_id)
 
@@ -281,8 +287,12 @@ class Plan:
         The ready frontier is a min-heap, so the smallest-id operator is
         released first -- the same order the previous sort-the-frontier
         implementation produced, at ``O(V log V + E)`` instead of
-        ``O(V^2 log V)``.
+        ``O(V^2 log V)``.  Memoized on the plan (see :class:`Plan`);
+        every call returns a fresh list.
         """
+        memo = self._topo_order
+        if memo is not None:
+            return list(memo)
         in_degree = {op_id: len(self._producers[op_id]) for op_id in self.operators}
         ready = [op_id for op_id, deg in in_degree.items() if deg == 0]
         heapq.heapify(ready)
@@ -296,6 +306,7 @@ class Plan:
                     heapq.heappush(ready, consumer_id)
         if len(order) != len(self.operators):
             raise PlanError("plan contains a cycle")
+        setattr(self, "_topo_order", tuple(order))  # shadows the ClassVar
         return order
 
     def _reaches(self, start_id: int, target_id: int) -> bool:

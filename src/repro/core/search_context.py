@@ -13,8 +13,9 @@ or parallel, scans its shards through a :class:`SearchContext`
   adjacency, the free-operator index and every operator's free-ancestor
   bitmask are computed a single time;
 * **bitmask configs** -- a configuration is an integer mask over
-  ``free_ids``; no plan copies are made, and the context holds no
-  current configuration: every scorer is a pure function of the mask;
+  ``free_ids``; no plan copies are made.  The context keeps a memo of
+  the last scored mask (see *delta scoring*), but every scorer's result
+  is a pure function of the mask it is given, in any call order;
 * **cached group states** -- an anchor's group depends only on the
   flags of its free strict ancestors and its own flag.  The member BFS
   records the free bits it actually read (its *support*) and caches the
@@ -29,7 +30,15 @@ or parallel, scans its shards through a :class:`SearchContext`
   :meth:`~SearchContext.window_bound` / :meth:`~SearchContext.window_cost`
   score any configuration of the window walking only the volatile
   anchors (~w of them).  :meth:`~SearchContext.scores` is the same
-  scorer over the full window.
+  scorer over the full window;
+* **delta scoring** -- each volatile anchor's presence, group and DP
+  prefix read only the window bits of its *dependency mask*
+  ``(anc_mask | ownbit) & window``, so a scorer re-scores just the
+  anchors whose dependency mask holds a bit that differs from the last
+  mask it scored.  A Gray step flips one bit and reaches about a third
+  of the volatile anchors on a 100-operator DAG; a re-scored anchor
+  whose group support saw no flipped bit keeps its group without a
+  cache probe.
 
 Exactness
 ---------
@@ -57,6 +66,11 @@ The context is *bit-identical* to the naive pipeline, not merely close:
   pass therefore performs exactly the float operations of the full DP
   that differ between configurations, in the same order, on the same
   values.
+* Delta scoring is exact for the same reason: a skipped anchor's inputs
+  are unchanged, so its stored floats are the ones a full pass would
+  recompute; a re-scored anchor runs the same float operations in the
+  same order; and the maximum is taken over the same floats in the same
+  order.
 
 ``tests/test_search_context.py`` and ``tests/test_shard.py`` pin exact
 ``==`` equality against ``collapse_plan`` / ``estimate_plan_cost`` per
@@ -75,9 +89,17 @@ from .plan import Plan
 #: mirrors ``enumeration.MatConfig`` (kept local to avoid an import cycle)
 MatConfig = Tuple[Tuple[int, bool], ...]
 
+#: one windowed group state: ``(t(c), in-edge anchors, support mask)``
+_GroupEntry = Tuple[float, Tuple[int, ...], int]
+
 #: one anchor's windowed group states: ``(support mask, {state & support
-#: -> (t(c), in-edge anchors)})`` per distinct support the BFS observed
-_WindowTables = List[Tuple[int, Dict[int, Tuple[float, Tuple[int, ...]]]]]
+#: -> entry})`` per distinct support the BFS observed
+_WindowTables = List[Tuple[int, Dict[int, _GroupEntry]]]
+
+#: a candidate volatile anchor: ``(anchor, presence bit | None, window
+#: tables, dependency mask)`` -- the window bits its presence, group and
+#: DP prefix can read
+_Candidate = Tuple[int, Optional[int], _WindowTables, int]
 
 
 class SearchContext:
@@ -160,15 +182,20 @@ class SearchContext:
         self._prefix_t: Dict[int, float] = {}
         self._static_best_ff: Optional[float] = None
         self._static_best_t: Optional[float] = None
-        # candidate volatile anchors in topo order as (anchor, presence
-        # bit | None, is a collapsed sink, window tables), plus the
-        # per-config scratch list the two window scorers share
-        self._window_candidates: List[
-            Tuple[int, Optional[int], bool, _WindowTables]
-        ] = []
-        self._scratch_entries: List[
-            Tuple[int, float, Tuple[int, ...], bool]
-        ] = []
+        # candidate volatile anchors in topo order, the ones a single
+        # window bit's flip can reach, and the volatile collapsed sinks
+        self._window_candidates: List[_Candidate] = []
+        self._flip_candidates: Dict[int, List[_Candidate]] = {}
+        self._volatile_sinks: List[int] = []
+        # the memo of the last scored mask: each present candidate's
+        # current group ``(state it was looked up at, table entry)``, the
+        # last bounded and costed states (None: re-score everything) and
+        # their results
+        self._rows: Dict[int, Tuple[int, _GroupEntry]] = {}
+        self._bound_state: Optional[int] = None
+        self._cost_state: Optional[int] = None
+        self._bound_best = 0.0
+        self._cost_best = 0.0
 
         # -- observability tallies (plain ints; folded into repro.obs by
         # the search at scan end, never read per configuration)
@@ -262,9 +289,16 @@ class SearchContext:
         failure-free and failure-aware prefix (with exactly the float
         operations of the window scorers) and the best over static
         collapsed sinks; the per-configuration scorers then only walk
-        the volatile anchors.
+        the volatile anchors.  Each volatile candidate keeps its
+        *dependency mask* ``(anc_mask | ownbit) & window_mask`` -- the
+        only bits its presence, group and prefix can read -- and each
+        window bit lists, in topological order, the candidates whose
+        dependency mask holds it.  The memo of the last scored mask is
+        reset.
 
-        Idempotent while ``(window_mask, pinned)`` is unchanged.
+        Idempotent while ``(window_mask, pinned)`` is unchanged; the
+        memo then carries over, so a second shard of the same plan
+        starts from the first shard's last mask.
 
         Collapsed-sink-ness is configuration-independent: an anchor with
         any plan consumer is consumed by whichever group holds that
@@ -278,7 +312,9 @@ class SearchContext:
         freebit = self._freebit
         cache = self._runtime_cache
         state_cache = self._window_state_cache
-        candidates: List[Tuple[int, Optional[int], bool, _WindowTables]] = []
+        candidates: List[_Candidate] = []
+        flips: Dict[int, List[_Candidate]] = {}
+        volatile_sinks: List[int] = []
         ff_prefix: Dict[int, float] = {}
         t_prefix: Dict[int, float] = {}
         best_ff: Optional[float] = None
@@ -287,7 +323,8 @@ class SearchContext:
             bit = freebit.get(op_id)
             own = 0 if bit is None else 1 << bit
             is_sink = op_id in self._sinks
-            if (anc_mask[op_id] | own) & window_mask:
+            dep = (anc_mask[op_id] | own) & window_mask
+            if dep:
                 # a candidate volatile anchor: every volatile operator
                 # that can anchor a group in *some* subspace
                 # configuration.  Free non-sink operators anchor exactly
@@ -300,12 +337,19 @@ class SearchContext:
                     presence: Optional[int] = None
                 else:
                     presence = bit
-                tables = state_cache.setdefault(op_id, [])
-                candidates.append((op_id, presence, is_sink, tables))
+                candidate = (op_id, presence,
+                             state_cache.setdefault(op_id, []), dep)
+                candidates.append(candidate)
+                while dep:
+                    low = dep & -dep
+                    flips.setdefault(low, []).append(candidate)
+                    dep ^= low
+                if is_sink:
+                    volatile_sinks.append(op_id)
                 continue
             if not self._anchors(op_id, pinned):
                 continue
-            ff_value, group_in = self._build_window_state(
+            ff_value, group_in, _ = self._build_window_state(
                 op_id, pinned, state_cache.setdefault(op_id, [])
             )
             t_value = cache.get(ff_value)
@@ -324,10 +368,15 @@ class SearchContext:
                 if best_t is None or t_value > best_t:
                     best_t = t_value
         self._window_candidates = candidates
+        self._flip_candidates = flips
+        self._volatile_sinks = volatile_sinks
         self._prefix_ff = ff_prefix
         self._prefix_t = t_prefix
         self._static_best_ff = best_ff
         self._static_best_t = best_t
+        self._rows = {}
+        self._bound_state = None
+        self._cost_state = None
         self._window = (window_mask, pinned)
 
     def _collapse_group(
@@ -381,8 +430,9 @@ class SearchContext:
         anchor: int,
         state: int,
         tables: _WindowTables,
-    ) -> Tuple[float, Tuple[int, ...]]:
-        """Construct and cache ``(t(c), group in-edges)`` for one state.
+    ) -> _GroupEntry:
+        """Construct and cache ``(t(c), group in-edges, support)`` for
+        one state.
 
         The result is cached under ``state & support`` in the table for
         the BFS's support mask (see :meth:`_collapse_group`).  Caching
@@ -395,7 +445,7 @@ class SearchContext:
         _, _, runtime_cost, mat_cost, group_in, support = (
             self._collapse_group(anchor, state)
         )
-        built = (runtime_cost + mat_cost, group_in)
+        built = (runtime_cost + mat_cost, group_in, support)
         for known, table in tables:
             if known == support:
                 table[state & support] = built
@@ -404,69 +454,116 @@ class SearchContext:
             tables.append((support, {state & support: built}))
         return built
 
+    def _rescored(self, last: Optional[int], state: int) -> List[_Candidate]:
+        """The candidates whose dependency mask a move from ``last`` to
+        ``state`` touches, in topological order (all of them when
+        ``last`` is None).  A Gray step flips one bit and takes that
+        bit's list; any other move filters the candidates."""
+        if last is None:
+            return self._window_candidates
+        diff = state ^ last
+        flipped = self._flip_candidates.get(diff)
+        if flipped is not None:
+            return flipped
+        return [entry for entry in self._window_candidates
+                if entry[3] & diff]
+
     def window_bound(self, state: int) -> float:
         """``R_max`` of configuration ``state`` -- Rule 3's cheap bound.
 
-        Walks the candidate volatile anchors (presence decided by
-        ``state``'s bits), fetching each one's ``(t(c), in-edges)`` from
-        its per-state cache.  Equals the full DP's ``R_max`` at
-        ``state`` bit-for-bit: the static portion of the maximum was
-        folded in by :meth:`prepare_window`, ``max`` over floats is
-        split-point independent, and stale volatile prefixes are never
-        read (every reader of a volatile prefix is itself volatile and
-        overwritten first, in topological order).  Fills the scratch
-        entry list :meth:`window_cost` consumes.
+        Re-scores only the candidate volatile anchors whose dependency
+        mask holds a bit that differs from the last bounded state (all
+        of them on a fresh window), skipping the ones ``state``'s bits
+        leave absent.  A re-scored anchor keeps its current group while
+        no bit of the group's support has flipped since it was looked
+        up, and probes its per-state cache otherwise.  Equals the full
+        DP's ``R_max`` at ``state`` bit-for-bit: a skipped anchor's
+        presence, group and prefix read only unchanged bits, so its
+        stored floats are the ones a full pass would compute; a
+        re-scored anchor runs the same float operations in the same
+        (topological) order, reading producers that are current; and the
+        maximum is the static best folded with every volatile collapsed
+        sink in topological order, as the full DP takes it.
         """
         if self._window is None:
             raise RuntimeError("prepare_window() before window_bound()")
+        last = self._bound_state
+        if last == state:
+            return self._bound_best
         prefix = self._prefix_ff
-        best = self._static_best_ff
-        entries = self._scratch_entries
-        entries.clear()
+        read = prefix.__getitem__
+        rows = self._rows
+        rescored = 0
         misses_before = self.group_cache_misses
-        for anchor, bit, is_sink, tables in self._window_candidates:
+        self._bound_state = None  # a pass cut short re-scores everything
+        for anchor, bit, tables, _ in self._rescored(last, state):
             if bit is not None and not (state >> bit) & 1:
                 continue
-            cached = None
-            for support, table in tables:
-                cached = table.get(state & support)
-                if cached is not None:
-                    break
-            if cached is None:
-                cached = self._build_window_state(anchor, state, tables)
-            total, group_in = cached
+            rescored += 1
+            row = rows.get(anchor)
+            if row is not None and not (state ^ row[0]) & row[1][2]:
+                entry = row[1]
+            else:
+                found: Optional[_GroupEntry] = None
+                for index, (support, table) in enumerate(tables):
+                    found = table.get(state & support)
+                    if found is not None:
+                        if index:  # probe the last support found first
+                            tables.insert(0, tables.pop(index))
+                        break
+                entry = (found if found is not None
+                         else self._build_window_state(anchor, state, tables))
+                rows[anchor] = (state, entry)
+            total, group_in, _ = entry
             if group_in:
                 if len(group_in) == 1:  # max of one is that one
-                    value = prefix[group_in[0]] + total
+                    total = prefix[group_in[0]] + total
                 else:
-                    value = max(prefix[p] for p in group_in) + total
-            else:
-                value = total
-            prefix[anchor] = value
-            entries.append((anchor, total, group_in, is_sink))
-            if is_sink and (best is None or value > best):
-                best = value
+                    total = max(map(read, group_in)) + total
+            prefix[anchor] = total
         self.group_cache_hits += (
-            len(entries) - (self.group_cache_misses - misses_before)
+            rescored - (self.group_cache_misses - misses_before)
         )
+        best = self._static_best_ff
+        for sink in self._volatile_sinks:
+            value = prefix[sink]
+            if best is None or value > best:
+                best = value
         assert best is not None  # a valid plan always has >= 1 path
+        self._bound_state = state
+        self._bound_best = best
         return best
 
     def window_cost(self) -> float:
         """``T_max`` of the configuration the last :meth:`window_bound`
-        call probed (it owns the scratch entries).
+        call probed.
 
         Deferred on purpose: Rule-3 skips never pay for the
         failure-aware pass, and its scalar ``T(t(c))`` evaluations stay
-        memoized per distinct total.
+        memoized per distinct total.  Re-scores the anchors whose
+        dependency mask differs from the last *costed* state, so a run of
+        bounds without a cost is caught up exactly; every present
+        anchor's group row is current for the bounded state.
         """
         if self._window is None:
             raise RuntimeError("prepare_window() before window_cost()")
+        state = self._bound_state
+        if state is None:
+            raise RuntimeError("window_bound() before window_cost()")
+        last = self._cost_state
+        if last == state:
+            return self._cost_best
         cache = self._runtime_cache
         prefix = self._prefix_t
-        best = self._static_best_t
-        entries = self._scratch_entries
-        for anchor, total, group_in, is_sink in entries:
+        read = prefix.__getitem__
+        rows = self._rows
+        looked_up = 0
+        self._cost_state = None  # a pass cut short re-scores everything
+        for anchor, bit, _, _ in self._rescored(last, state):
+            if bit is not None and not (state >> bit) & 1:
+                continue
+            looked_up += 1
+            total, group_in, _ = rows[anchor][1]
             value = cache.get(total)
             if value is None:
                 value = self._runtime_miss(total)
@@ -474,12 +571,17 @@ class SearchContext:
                 if len(group_in) == 1:  # max of one is that one
                     value = prefix[group_in[0]] + value
                 else:
-                    value = max(prefix[p] for p in group_in) + value
+                    value = max(map(read, group_in)) + value
             prefix[anchor] = value
-            if is_sink and (best is None or value > best):
+        self.runtime_lookups += looked_up
+        best = self._static_best_t
+        for sink in self._volatile_sinks:
+            value = prefix[sink]
+            if best is None or value > best:
                 best = value
-        self.runtime_lookups += len(entries)
         assert best is not None  # a valid plan always has >= 1 path
+        self._cost_state = state
+        self._cost_best = best
         return best
 
     # ------------------------------------------------------------------

@@ -233,8 +233,9 @@ def scan_shard(
     shift, pinned = spec.shift, spec.pinned
     # freeze the static-region DP tables (cached across shards of the
     # same plan: the window never changes mid-search).  The window
-    # scorers are pure functions of the mask, so the Gray sequence below
-    # is plain int arithmetic.
+    # scorers' results are pure functions of the mask, so the Gray
+    # sequence below is plain int arithmetic; each step flips one bit,
+    # and the kernel re-scores only the anchors that bit can reach.
     kernel.prepare_window(((1 << len(kernel.free_ids)) - 1) ^ pinned, pinned)
     for position in range(spec.start, spec.end):
         mask = ((position ^ (position >> 1)) << shift) | pinned

@@ -84,10 +84,18 @@ class ConfigSweep(NamedTuple):
 
 
 def sweep_configs(plan: Plan, stats: ClusterStats) -> ConfigSweep:
-    """Score every configuration through one :class:`SearchContext`."""
+    """Score every configuration through one :class:`SearchContext`.
+
+    The context is walked in Gray order, so each step flips one bit and
+    re-scores only the anchors it reaches; every cost is stored at its
+    mask, so the sweep is still in mask order.
+    """
     context = SearchContext(plan, stats)
-    costs, configs = zip(*[
-        (context.scores(mask)[1], context.config_for(mask))
-        for mask in range(1 << len(context.free_ids))
-    ])
-    return ConfigSweep(costs, configs)
+    count = 1 << len(context.free_ids)
+    costs = [0.0] * count
+    for index in range(count):
+        mask = index ^ (index >> 1)
+        costs[mask] = context.scores(mask)[1]
+    return ConfigSweep(
+        tuple(costs), tuple(context.config_for(mask) for mask in range(count))
+    )

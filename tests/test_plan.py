@@ -347,3 +347,86 @@ class TestFingerprintMemo:
         assert paper_plan == untouched and untouched == paper_plan
         assert fingerprint(paper_plan) == digest == fingerprint(untouched)
         assert repr(paper_plan) == text
+
+
+class TestTopologicalOrderMemo:
+    """topological_order memoizes on the plan like plan_fingerprint:
+    dropped by every change, never pickled, and each call's list is the
+    caller's own."""
+
+    @staticmethod
+    def _fresh(plan):
+        # a pickle round-trip rebuilds the plan without the memo
+        return pickle.loads(pickle.dumps(plan)).topological_order()
+
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("op"), st.integers(1, 6)),
+            st.tuples(st.just("edge"), st.integers(1, 6),
+                      st.integers(1, 6)),
+        ),
+        max_size=20,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_memo_tracks_every_change(self, steps):
+        plan = Plan()
+        for step in steps:
+            try:
+                if step[0] == "op":
+                    plan.add_operator(
+                        Operator(step[1], f"op{step[1]}", 1.0, 1.0)
+                    )
+                else:
+                    plan.add_edge(step[1], step[2])
+            except PlanError:
+                pass  # a rejected change leaves plan and memo as they were
+            order = plan.topological_order()
+            assert order == self._fresh(plan)
+            assert plan._topo_order == tuple(order)
+
+    def test_add_operator_and_add_edge_drop_the_memo(self, chain_plan):
+        before = chain_plan.topological_order()
+        new_id = max(chain_plan.operators) + 1
+        chain_plan.add_operator(Operator(new_id, "late", 1.0, 1.0))
+        assert chain_plan._topo_order is None
+        assert chain_plan.topological_order() == before + [new_id]
+        # a new source feeding the first operator moves ahead of it
+        source_id = new_id + 1
+        chain_plan.add_operator(Operator(source_id, "src", 1.0, 1.0))
+        chain_plan.topological_order()
+        chain_plan.add_edge(source_id, before[0])
+        assert chain_plan._topo_order is None
+        order = chain_plan.topological_order()
+        assert order.index(source_id) < order.index(before[0])
+        assert order == self._fresh(chain_plan)
+
+    def test_pickle_bytes_unchanged(self, paper_plan):
+        before = pickle.dumps(paper_plan)
+        paper_plan.topological_order()
+        assert paper_plan._topo_order is not None
+        assert pickle.dumps(paper_plan) == before
+        restored = pickle.loads(before)
+        assert "_topo_order" not in restored.__dict__
+        assert copy.deepcopy(paper_plan)._topo_order is None
+
+    def test_callers_may_mutate_the_returned_list(self, paper_plan):
+        order = paper_plan.topological_order()
+        expected = list(order)
+        order.reverse()
+        order.append(-1)
+        again = paper_plan.topological_order()
+        assert again == expected
+        assert again is not paper_plan.topological_order()
+        assert paper_plan.free_operators == [
+            op_id for op_id in expected if paper_plan[op_id].free
+        ]
+
+    def test_value_identity_unchanged(self, paper_plan):
+        text = repr(paper_plan)
+        digest = fingerprint(paper_plan)
+        paper_plan.topological_order()
+        assert "_topo_order" not in {
+            f.name for f in dataclasses.fields(paper_plan)
+        }
+        assert repr(paper_plan) == text
+        assert fingerprint(paper_plan) == digest

@@ -26,6 +26,8 @@ from __future__ import annotations
 import multiprocessing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.chaos import FaultPolicy, WorkerCrashes
@@ -39,6 +41,7 @@ from repro.core.enumeration import (
     plan_fingerprint,
 )
 from repro.core.paths import enumerate_paths, path_total_costs
+from repro.core.plan import Operator, Plan
 from repro.core.pruning import PruningConfig
 from repro.core.search_context import SearchContext
 from repro.core.shard import (
@@ -267,6 +270,292 @@ class TestKernelBitIdentity:
             kernel.window_bound(0)
         with pytest.raises(RuntimeError):
             kernel.window_cost()
+
+
+# ----------------------------------------------------------------------
+# delta scoring: any call sequence scores like a fresh context
+# ----------------------------------------------------------------------
+class _References:
+    """One plan's per-mask references: the naive pipeline (memoized per
+    mask) and a fresh context prepared for the same window."""
+
+    def __init__(self, plan, stats):
+        self.plan = plan
+        self.stats = stats
+        self._naive = {}
+
+    def naive(self, mask):
+        if mask not in self._naive:
+            self._naive[mask] = _naive_scores(self.plan, self.stats, mask)
+        return self._naive[mask]
+
+    def fresh(self, window, pinned, mask):
+        context = SearchContext(self.plan, self.stats)
+        context.prepare_window(window, pinned)
+        r_max = context.window_bound(mask)
+        return r_max, context.window_cost()
+
+
+def _drive(kernel, references, steps):
+    """Run ``("window", window, pinned)``, ``("bound", mask)`` and
+    ``("cost",)`` steps on one kernel; every bound and cost must equal
+    the naive pipeline's and a fresh context's, exactly."""
+    window = pinned = bounded = None
+    for step in steps:
+        if step[0] == "window":
+            if step[1:] != (window, pinned):
+                bounded = None  # a new window resets the memo
+            _, window, pinned = step
+            kernel.prepare_window(window, pinned)
+        elif step[0] == "bound":
+            bounded = step[1]
+            assert kernel.window_bound(bounded) \
+                == references.naive(bounded)[0], step
+        elif bounded is None:
+            with pytest.raises(RuntimeError):
+                kernel.window_cost()
+        else:
+            got = (kernel.window_bound(bounded), kernel.window_cost())
+            assert got == references.naive(bounded), bounded
+            assert got == references.fresh(window, pinned, bounded)
+
+
+class TestDeltaScoring:
+    """The window scorers keep a memo of the last bounded and costed
+    masks and re-score only the anchors a changed bit can reach; no call
+    order may change a result."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        plan = _plan(10, seed=7)
+        stats = _rare_failure_stats(plan)
+        return plan, _References(plan, stats)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_sequences_with_repeats_and_jumps(self, setup, seed):
+        import random
+
+        plan, references = setup
+        rng = random.Random(seed)
+        n = len(plan.free_operators)
+        full = (1 << n) - 1
+        steps = [("window", full, 0)]
+        mask = rng.getrandbits(n)
+        for _ in range(250):
+            kind = rng.random()
+            if kind < 0.15:
+                pass  # the same mask again
+            elif kind < 0.55:
+                mask ^= 1 << rng.randrange(n)  # a Gray-like step
+            else:
+                mask = rng.getrandbits(n)  # a multi-bit jump
+            steps.append(("bound", mask))
+            if rng.random() < 0.6:
+                steps.append(("cost",))
+            if rng.random() < 0.05:
+                steps.append(("cost",))  # a second cost of one bound
+        _drive(SearchContext(plan, references.stats), references, steps)
+
+    def test_gray_runs_start_mid_sequence(self, setup):
+        """Shards of one plan reuse one kernel, each starting where
+        another shard's Gray range left the memo."""
+        plan, references = setup
+        n = len(plan.free_operators)
+        count, shift, pinned = subspace_params(n, 64)
+        specs = partition_shards([(count, shift, pinned)], shards=5,
+                                 min_shard=1)
+        assert len(specs) == 5
+        window = ((1 << n) - 1) ^ pinned
+        steps = []
+        for spec in (specs[3], specs[0], specs[4], specs[1], specs[2]):
+            steps.append(("window", window, pinned))  # idempotent
+            for position in range(spec.start, spec.end):
+                steps += [("bound", subspace_mask(position, shift, pinned)),
+                          ("cost",)]
+        _drive(SearchContext(plan, references.stats), references, steps)
+
+    @pytest.mark.parametrize("every", [2, 5, 17])
+    def test_bounds_without_cost_are_caught_up(self, setup, every):
+        """Rule 3 skips bound a run of masks without costing them; the
+        next cost re-scores from the last *costed* mask."""
+        plan, references = setup
+        n = len(plan.free_operators)
+        steps = [("window", (1 << n) - 1, 0)]
+        for index in range(1, 200):
+            steps.append(("bound", index ^ (index >> 1)))
+            if index % every == 0:
+                steps.append(("cost",))
+        _drive(SearchContext(plan, references.stats), references, steps)
+
+    @pytest.mark.parametrize("prefixes", ["_prefix_ff", "_prefix_t"])
+    def test_pass_cut_short_by_an_error(self, setup, prefixes):
+        """A bound or cost pass that raises half-way has already
+        overwritten some prefixes; the next pass must re-score from
+        scratch, not from the state before the failed one.  Each step
+        flips one bit of the last mask that scored, so a step after a
+        failure often agrees with that mask on the failed step's bit."""
+        import random
+
+        plan, references = setup
+        kernel = SearchContext(plan, references.stats)
+        n = len(plan.free_operators)
+        kernel.prepare_window((1 << n) - 1, 0)
+        rng = random.Random(3)
+
+        class Failing(dict):
+            def __setitem__(self, key, value):
+                if rng.random() < 0.1:
+                    raise MemoryError("injected")
+                super().__setitem__(key, value)
+
+        setattr(kernel, prefixes, Failing(getattr(kernel, prefixes)))
+        last = failures = 0
+        for _ in range(400):
+            mask = last ^ (1 << rng.randrange(n))
+            try:
+                got = (kernel.window_bound(mask), kernel.window_cost())
+            except MemoryError:
+                failures += 1
+                continue
+            assert got == references.naive(mask), mask
+            last = mask
+        assert failures
+
+    def test_window_switch_mid_run(self, setup):
+        plan, references = setup
+        n = len(plan.free_operators)
+        full = (1 << n) - 1
+        count, shift, pinned = subspace_params(n, 16)
+        high = full ^ pinned
+        steps = [("window", full, 0)]
+        for index in range(20):
+            steps += [("bound", index ^ (index >> 1)), ("cost",)]
+        steps.append(("bound", 0b1011))  # bounded, never costed
+        steps += [("window", high, pinned), ("cost",)]  # needs a bound
+        for position in range(count):
+            steps.append(("bound", subspace_mask(position, shift, pinned)))
+            if position % 3 == 0:
+                steps.append(("cost",))
+        steps += [("window", full, 0), ("bound", 7), ("cost",),
+                  ("bound", 6), ("window", high, 0), ("bound", high),
+                  ("cost",), ("bound", 1 << (n - 1)), ("cost",)]
+        _drive(SearchContext(plan, references.stats), references, steps)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_dags_and_call_orders(self, data):
+        plan = data.draw(_random_dags())
+        stats = ClusterStats(
+            mtbf=data.draw(st.sampled_from([30.0, 400.0, 1e5])),
+            mttr=1.0,
+            const_pipe=data.draw(st.sampled_from([0.8, 1.0])),
+        )
+        references = _References(plan, stats)
+        full = (1 << len(plan.free_operators)) - 1
+        window, pinned = full, 0
+        steps = [("window", window, pinned)]
+        for kind, raw in data.draw(st.lists(
+            st.tuples(st.sampled_from(["bound", "bound", "cost", "window"]),
+                      st.integers(0, 255)),
+            max_size=30,
+        )):
+            if kind == "window":
+                window = raw & full
+                pinned = data.draw(st.integers(0, 255)) & full & ~window
+                steps.append(("window", window, pinned))
+            elif kind == "bound":
+                steps.append(("bound", (raw & window) | pinned))
+            else:
+                steps.append(("cost",))
+        _drive(SearchContext(plan, stats), references, steps)
+
+
+@st.composite
+def _random_dags(draw):
+    """Small DAGs mixing free and bound operators, several sources and
+    often several sinks."""
+    size = draw(st.integers(2, 8))
+    operators = []
+    for op_id in range(1, size + 1):
+        free = draw(st.integers(0, 3)) > 0
+        operators.append(Operator(
+            op_id, f"op{op_id}",
+            draw(st.floats(0.5, 200.0)), draw(st.floats(0.0, 50.0)),
+            materialize=False if free else draw(st.booleans()),
+            free=free,
+        ))
+    edges = []
+    for consumer in range(2, size + 1):
+        producers = draw(st.lists(st.integers(1, consumer - 1),
+                                  max_size=min(3, consumer - 1),
+                                  unique=True))
+        edges += [(producer, consumer) for producer in producers]
+    return Plan.from_edges(operators, edges)
+
+
+class TestDeltaScoringWork:
+    """Delta scoring changes how many anchors a scan visits, never which
+    group states or ``T(c)`` values it builds: the misses and the search
+    counters below were measured with the scorer that re-walked every
+    volatile anchor for every mask, and must stay exactly as they were."""
+
+    @staticmethod
+    def _q5_plans():
+        import itertools
+
+        from repro.joinorder import (
+            enumerate_join_trees,
+            q5_join_graph,
+            tree_to_plan,
+        )
+        from repro.stats.calibration import default_parameters
+
+        graph = q5_join_graph(100.0)
+        params = default_parameters()
+        return [tree_to_plan(tree, graph, params) for tree in
+                itertools.islice(enumerate_join_trees(graph), 60)]
+
+    @staticmethod
+    def _counters(plans, stats, pruning, limit):
+        with obs.recording() as recorder:
+            find_best_ft_plan(plans, stats, pruning=pruning,
+                              parallelism=1, config_limit=limit)
+        return recorder.counters
+
+    # (group misses, T(c) misses, configs, paths estimated, Rule 3 cuts)
+    @pytest.mark.parametrize("case,expected", [
+        ("q5-all", (616, 480, 544, 544, 0)),
+        ("q5-none", (1500, 1020, 1920, 1920, 0)),
+        ("n40-rare", (255, 57, 2048, 456, 2045)),
+        ("n100", (868, 153, 16384, 16384, 0)),
+    ])
+    def test_builds_and_search_counters_unchanged(self, case, expected):
+        if case.startswith("q5"):
+            plans = self._q5_plans()
+            stats = ClusterStats(mtbf=3600.0, mttr=1.0, nodes=10)
+            pruning = (PruningConfig.all() if case == "q5-all"
+                       else PruningConfig.none())
+            limit = None
+        else:
+            plan = (_plan(40, seed=40) if case == "n40-rare"
+                    else synthetic_plan(scaling_specs((100,))[0]))
+            plans, stats = [plan], _rare_failure_stats(plan)
+            pruning = PruningConfig.all()
+            limit = 2048 if case == "n40-rare" else 16384
+        counters = self._counters(plans, stats, pruning, limit)
+        assert (
+            counters["cache.group.miss"],
+            counters["cache.runtime.miss"],
+            counters["search.configs_enumerated"],
+            counters["search.paths_estimated"],
+            counters.get("search.rule3.plan_cutoffs", 0),
+        ) == expected
+        if case == "n100":
+            # the full re-walk visited 131,157 anchors on this search;
+            # a Gray step reaches about a third of them
+            visits = (counters["cache.group.hit"]
+                      + counters["cache.group.miss"])
+            assert 2 * visits < 131_157
 
 
 # ----------------------------------------------------------------------
